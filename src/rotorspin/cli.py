@@ -73,6 +73,7 @@ def _selftest() -> int:
     from .floquet import cubic_quasienergies, fold, physical_modes
     from .geomphase import verify_gauge_sign
     from .model import RotorParams, h_interaction
+    from .sensing import resonant_field
     from .spin_algebra import hermitian_eigensystem, unitarity_defect
 
     failures = 0
@@ -105,6 +106,11 @@ def _selftest() -> int:
     p = RotorParams(omega=0.7, theta=math.pi / 5)
     udef = unitarity_defect(propagator_zero_field(p, 3.7))
     check("analytic propagator unitarity", udef < 1e-12, f"defect {udef:.2e}")
+
+    sol = resonant_field(math.pi / 100, 0.2)
+    dev = abs(sol.value - 0.8039019)
+    check("compensating field", dev <= 1e-6 and sol.residual <= 1e-6,
+          f"delta {sol.value:.7f}, residual {sol.residual:.1e}")
 
     print("selftest:", "ok" if failures == 0 else f"{failures} failure(s)")
     return 0 if failures == 0 else 3

@@ -421,6 +421,34 @@ def _pair_members(p: RotorParams, pair: tuple[str, str],
     return sep, weights[np.ix_(members, [i, j])]
 
 
+def _strongest_equal_mixing(members, xs, weights, xtol: float):
+    """Equal-superposition point of the more strongly mixed pair member.
+
+    `members(x)` returns the pair separation and (2, 2) member weights as
+    `_pair_members` does; `weights` holds those weights at the ascending
+    samples `xs`. Each member's weight difference is solved for a root by
+    Brent's method between adjacent samples where it changes sign, and the
+    root with the larger mixing min(weight_i, weight_j) is kept. Returns
+    (x, separation) there, or None when no member changes sign.
+    """
+    def weight_diff(x: float, member: int) -> float:
+        w = members(x)[1][member]
+        return w[0] - w[1]
+
+    diff = weights[:, :, 0] - weights[:, :, 1]
+    peaks = []
+    for m in (0, 1):
+        for k in range(len(xs) - 1):
+            if diff[k, m] * diff[k + 1, m] <= 0:
+                x = brentq(weight_diff, xs[k], xs[k + 1], args=(m,), xtol=xtol)
+                sep, w = members(x)
+                peaks.append((float(w.min(axis=1).max()), float(x), float(sep)))
+    if not peaks:
+        return None
+    _, x, sep = max(peaks)
+    return x, sep
+
+
 def avoided_crossing(
     p_template: RotorParams,
     branch_pair: tuple[str, str],
@@ -451,10 +479,6 @@ def avoided_crossing(
         p = p_template.with_(**{_AXIS_FIELDS[axis]: float(x)})
         return _pair_members(p, branch_pair, n_harmonics)
 
-    def weight_diff(x: float, member: int) -> float:
-        w = members(x)[1][member]
-        return w[0] - w[1]
-
     xs = np.linspace(lo, hi, points)
     seps = np.empty(points)
     weights = np.empty((points, 2, 2))
@@ -479,20 +503,13 @@ def avoided_crossing(
     # higher one is kept, so the nearby lower peak cannot capture the search.
     imix = int(np.argmax(mix))
     k0, k1 = max(0, imix - 3), min(points - 1, imix + 3)
-    diff = weights[:, :, 0] - weights[:, :, 1]
-    xtol = 1e-10 * max(1.0, abs(xs[imix]))
-    peaks = []
-    for m in (0, 1):
-        for k in range(k0, k1):
-            if diff[k, m] * diff[k + 1, m] <= 0:
-                x = brentq(weight_diff, xs[k], xs[k + 1], args=(m,), xtol=xtol)
-                sep, w = members(x)
-                peaks.append((float(w.min(axis=1).max()), float(x), float(sep)))
-    if not peaks:
+    found = _strongest_equal_mixing(members, xs[k0:k1 + 1], weights[k0:k1 + 1],
+                                    xtol=1e-10 * max(1.0, abs(xs[imix])))
+    if found is None:
         raise NoCrossingError(
             f"branches {branch_pair} reach no equal mixing near the mixing "
             "maximum"
         )
-    _, center, gap = max(peaks)
+    center, gap = found
     return CrossingReport(omega_res=center, gap=gap,
                           branch_pair=(branch_pair[0], branch_pair[1]))

@@ -177,9 +177,10 @@ def _run_sensitivity(cfg: SweepConfig) -> Dataset:
     if cfg.axis is not None and cfg.axis.name == "delta":
         raise ConfigError("sensitivity mode sweeps theta or omega")
     rows = []
+    name = cfg.axis.name if cfg.axis is not None else "theta"
     if cfg.axis is None:
         grid = [(cfg.theta, cfg.omega)]
-    elif cfg.axis.name == "theta":
+    elif name == "theta":
         grid = [(float(v), cfg.omega) for v in _axis_values(cfg)]
     else:
         grid = [(cfg.theta, float(v)) for v in _axis_values(cfg)]
@@ -187,7 +188,7 @@ def _run_sensitivity(cfg: SweepConfig) -> Dataset:
         try:
             dth = angle_uncertainty(om, th, cfg.delta_rabi)
         except RotorSpinError as exc:
-            _annotate(exc, cfg.axis.name if cfg.axis else "theta", th)
+            _annotate(exc, name, om if name == "omega" else th)
         rows.append((th, om, cfg.delta_rabi, dth))
     return Dataset(
         header=["theta", "omega", "delta_rabi", "delta_theta"],

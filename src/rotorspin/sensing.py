@@ -1,9 +1,12 @@
 """Resonance design and metrology formulas.
 
-Closed-form resonance conditions give quick design answers; the field
-solver backs them with a full-model refinement that relocates the actual
-avoided-crossing center, since the small-angle condition is only accurate
-to second order in the tilt angle.
+Closed-form resonance conditions give quick design answers. The small-angle
+field condition is only accurate to second order in the tilt angle, so the
+field solver refines its root in the full driven model: at the requested
+rotation frequency it solves for the field of maximal mixing of the
+crossing pair, using the same mixing rule as `floquet.avoided_crossing`, and
+reports how far the crossing centre found by a frequency scan lies from
+the request.
 """
 
 from __future__ import annotations
@@ -12,16 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import (
-    DivergenceError,
-    InvalidArgumentError,
-    NoCrossingError,
-    RegimeError,
+from .errors import DivergenceError, InvalidArgumentError, RegimeError
+from .floquet import (
+    _pair_members,
+    _strongest_equal_mixing,
+    auto_harmonics,
+    avoided_crossing,
 )
-from .floquet import auto_harmonics, avoided_crossing
-from .model import RotorParams, derived_scales, small_angle_guard
+from .model import RotorParams, small_angle_guard
 
 __all__ = [
     "ResonanceSolution",
@@ -58,12 +60,34 @@ def resonant_omega(theta: float, branch: str = "plus", d: float = 1.0) -> float:
     return value if branch == "plus" else -value
 
 
-def _small_angle_residual(delta: float, theta: float, omega: float,
-                          branch: str, d: float) -> float:
-    sc = derived_scales(RotorParams(omega=omega, theta=theta, d=d, delta=delta))
-    if branch == "plus":
-        return sc.d_tilde - sc.delta_tilde - omega
-    return sc.d_tilde + sc.delta_tilde + omega
+def _small_angle_root(theta: float, omega: float, branch: str, d: float) -> float:
+    """Lowest field in [0, 0.98 d] that solves the second-order small-angle
+    condition d_tilde - delta_tilde = omega (plus) or
+    d_tilde + delta_tilde = -omega (minus).
+
+    With s = +1 (plus) or -1 (minus) and c = d - s omega (1 - theta^2 / 2),
+    the scales of `derived_scales` make the residual times 2 (d^2 - delta^2)
+    the cubic 2 s delta^3 + (3 d theta^2 - 2 c) delta^2
+    + s d^2 (theta^2 - 2) delta + 2 c d^2, whose sign is the residual's on
+    [0, d). A root just below zero field is taken as the tangent root from
+    delta = 0, clamped into the interval.
+    """
+    s = 1.0 if branch == "plus" else -1.0
+    th2 = theta * theta
+    c = d - s * omega * (1.0 - 0.5 * th2)
+    roots = np.roots([2.0 * s, 3.0 * d * th2 - 2.0 * c,
+                      s * d * d * (th2 - 2.0), 2.0 * c * d * d])
+    real = roots[np.abs(roots.imag) <= 1e-12 * d].real
+    inside = real[(real >= 0.0) & (real <= 0.98 * d)]
+    if len(inside) > 0:
+        return float(inside.min())
+    if abs(c) < 1e-3 * d:
+        # the residual at zero field is c; its slope there is s (theta^2 / 2 - 1)
+        return float(min(max(c / (s * (1.0 - 0.5 * th2)), 0.0), 0.98 * d))
+    raise RegimeError(
+        f"no resonant field in (0, {d:.3g}) for theta = {theta:.4g}, "
+        f"omega = {omega:.4g}"
+    )
 
 
 def resonant_field(
@@ -76,9 +100,16 @@ def resonant_field(
     """Axial field strength that compensates the detuning at a given
     rotation frequency.
 
-    The second-order small-angle condition is solved first (lowest root in
-    the field); the answer is then refined against the full driven model by
-    relocating the avoided-crossing center to the requested frequency.
+    The second-order small-angle condition, a cubic in the field, gives the
+    lowest root first. The refinement then works at the requested omega in
+    the full driven model: for each member of the crossing pair it solves
+    for the field where that member is an equal superposition of the two
+    crossing levels, within 2% of d of the small-angle root, and keeps the
+    more strongly mixed member, as `avoided_crossing` does along omega. The
+    residual is the distance from omega of the crossing centre that one
+    65-point `avoided_crossing` scan finds at the solved field. When no
+    member reaches equal weight in that bracket, the small-angle root is
+    returned with its own residual.
     """
     _check_branch(branch)
     if omega == 0:
@@ -86,28 +117,12 @@ def resonant_field(
 
     if theta == 0:
         # exact: the tilde corrections vanish and the condition is linear
-        value = d - omega if branch == "plus" else d + omega
+        value = d - omega if branch == "plus" else -(d + omega)
         if not 0.0 < value < d:
             raise RegimeError(f"no resonant field in (0, {d:.3g}) at theta = 0")
         return ResonanceSolution(value=value, branch=branch, residual=0.0)
 
-    grid = np.linspace(0.0, 0.98 * d, 2001)
-    g = np.array([_small_angle_residual(x, theta, omega, branch, d) for x in grid])
-    sign_change = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
-    if len(sign_change) > 0:
-        i = int(sign_change[0])
-        root = float(brentq(_small_angle_residual, grid[i], grid[i + 1],
-                            args=(theta, omega, branch, d), xtol=1e-12 * d))
-    elif abs(g[0]) < 1e-3 * d:
-        # root sits at (or just below) the zero-field boundary
-        slope = (g[1] - g[0]) / (grid[1] - grid[0])
-        root = grid[0] - g[0] / slope if slope != 0 else grid[0]
-        root = float(min(max(root, 0.0), 0.98 * d))
-    else:
-        raise RegimeError(
-            f"no resonant field in (0, {d:.3g}) for theta = {theta:.4g}, "
-            f"omega = {omega:.4g}"
-        )
+    root = _small_angle_root(theta, omega, branch, d)
     if root > 1e-6 * d:
         small_angle_guard(d, root, theta)
     if not refine:
@@ -117,28 +132,21 @@ def resonant_field(
     p_ref = RotorParams(omega=omega, theta=theta, d=d, delta=root)
     nh = auto_harmonics(p_ref)[0]
 
-    def center_mismatch(delta: float) -> float:
-        p = p_ref.with_(delta=float(delta))
-        rep = avoided_crossing(p, pair, (0.85 * omega, 1.15 * omega),
-                               axis="omega", points=65, n_harmonics=nh)
-        return rep.omega_res - omega
+    def members(delta: float) -> tuple[float, np.ndarray]:
+        return _pair_members(p_ref.with_(delta=float(delta)), pair, nh)
 
-    # the crossing center moves roughly one-to-one with the field, so a
-    # narrow bracket around the small-angle root keeps it inside the window
+    # the crossing field moves roughly one-to-one with omega, so a narrow
+    # bracket around the small-angle root holds the equal-weight points
     lo = max(0.0, root - 0.02 * d)
     hi = min(0.995 * d, root + 0.02 * d)
-    try:
-        f_lo, f_hi = center_mismatch(lo), center_mismatch(hi)
-        bracketed = f_lo * f_hi <= 0
-    except NoCrossingError:
-        bracketed = False
-    if not bracketed:
-        # the small-angle root is already the best available answer
-        return ResonanceSolution(value=root, branch=branch,
-                                 residual=abs(center_mismatch(root)))
-    value = float(brentq(center_mismatch, lo, hi, xtol=1e-8 * d))
+    ends = np.array([members(lo)[1], members(hi)[1]])
+    found = _strongest_equal_mixing(members, (lo, hi), ends, xtol=1e-12 * d)
+    value = root if found is None else found[0]
+    window = sorted((0.85 * omega, 1.15 * omega))
+    rep = avoided_crossing(p_ref.with_(delta=value), pair, window,
+                           axis="omega", points=65, n_harmonics=nh)
     return ResonanceSolution(value=value, branch=branch,
-                             residual=abs(center_mismatch(value)))
+                             residual=abs(rep.omega_res - omega))
 
 
 def angle_uncertainty(omega: float, theta: float, delta_rabi: float) -> float:

@@ -178,6 +178,21 @@ class TestCli:
         assert main(["sensitivity", "--omega", "1.0",
                      "--theta", str(math.pi / 2), "--delta-rabi", "0.01"]) == 3
 
+    def test_sensitivity_error_names_swept_omega(self, capsys):
+        code = main(["sensitivity", "--theta", "0.3", "--delta-rabi", "0.01",
+                     "--axis", "omega:-0.1:0.1:3"])
+        assert code == 2
+        assert "(at omega = 0)" in capsys.readouterr().err
+
+    def test_resonance_minus_branch_at_negative_omega(self, tmp_path):
+        out = str(tmp_path / "r.csv")
+        code = main(["resonance", "--theta", "0.01", "--omega", "-1.2",
+                     "--branch", "minus", "--output", out])
+        assert code == 0
+        row = open(out).read().splitlines()[-1].split(",")
+        assert 0.0 < float(row[2]) < 1.0
+        assert float(row[3]) <= 1e-6
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 
 from rotorspin.errors import DivergenceError, InvalidArgumentError, RegimeError
+from rotorspin.floquet import auto_harmonics, avoided_crossing
+from rotorspin.model import RotorParams, derived_scales
 from rotorspin.sensing import angle_uncertainty, resonant_field, resonant_omega
+
+TH = math.pi / 100
+BOUNDARY_OMEGA = 1.0 / math.cos(TH)  # zero-field resonance: the field is ~0
+
+
+def crossing_residual(theta, omega, delta, branch="plus"):
+    """Distance from omega of the crossing centre at the given field, from
+    an avoided_crossing scan of its own (window +/-15 %, 65 points)."""
+    pair = ("m0", "m+1") if branch == "plus" else ("m0", "m-1")
+    p = RotorParams(omega=omega, theta=theta, delta=delta)
+    window = sorted((0.85 * omega, 1.15 * omega))
+    rep = avoided_crossing(p, pair, window, axis="omega", points=65,
+                           n_harmonics=auto_harmonics(p)[0])
+    return abs(rep.omega_res - omega)
 
 
 class TestResonantOmega:
@@ -36,6 +52,40 @@ class TestResonantField:
         with pytest.raises(RegimeError):
             resonant_field(0.0, 0.2, branch="minus")
 
+    def test_upright_minus_branch_matches_small_tilt(self):
+        # the 0 <-> -1 condition d + delta = -omega at theta = 0
+        upright = resonant_field(0.0, -1.2, branch="minus")
+        tilted = resonant_field(1e-3, -1.2, branch="minus")
+        assert upright.value == pytest.approx(0.2, abs=1e-12)
+        assert abs(upright.value - tilted.value) <= 1e-5
+
+    def test_upright_minus_branch_without_field_solution(self):
+        with pytest.raises(RegimeError):
+            resonant_field(0.0, -0.2, branch="minus")
+
+    @pytest.mark.parametrize("theta, omega, expected", [
+        (TH, 0.2, 0.8039254113815276),
+        (0.01, 0.25, 0.7502915336680831),
+        (TH, BOUNDARY_OMEGA, 4.062590025795703e-08),
+    ])
+    def test_small_angle_root_pinned(self, theta, omega, expected):
+        sol = resonant_field(theta, omega, refine=False)
+        assert sol.value == pytest.approx(expected, abs=1e-12)
+        assert math.isnan(sol.residual)
+
+    @pytest.mark.parametrize("theta, omega, branch", [
+        (TH, 0.2, "plus"), (0.01, 0.25, "plus"), (0.02, 0.3, "plus"),
+        (0.01, -1.2, "minus"),
+    ])
+    def test_small_angle_root_zeroes_the_condition(self, theta, omega, branch):
+        root = resonant_field(theta, omega, branch, refine=False).value
+        sc = derived_scales(RotorParams(omega=omega, theta=theta, delta=root))
+        if branch == "plus":
+            residual = sc.d_tilde - sc.delta_tilde - omega
+        else:
+            residual = sc.d_tilde + sc.delta_tilde + omega
+        assert abs(residual) <= 1e-13
+
     def test_small_angle_solution_without_refinement(self):
         sol = resonant_field(math.pi / 100, 0.2, refine=False)
         assert sol.value == pytest.approx(0.803, rel=5e-3)
@@ -44,6 +94,37 @@ class TestResonantField:
         sol = resonant_field(math.pi / 100, 0.2)
         assert sol.value == pytest.approx(0.803, rel=5e-3)
         assert sol.residual <= 1e-6
+
+    @pytest.mark.parametrize("theta, omega, expected", [
+        (TH, 0.2, 0.8039018799055538),
+        (0.01, 0.25, 0.7502929553324993),
+        (TH, BOUNDARY_OMEGA, 0.00024425105322505703),
+    ])
+    def test_refined_field_pinned_with_own_residual(self, theta, omega, expected):
+        sol = resonant_field(theta, omega)
+        assert sol.value == pytest.approx(expected, abs=1e-8)
+        assert sol.residual <= 1e-6
+        assert crossing_residual(theta, omega, sol.value) <= 1e-6
+
+    def test_minus_branch_at_negative_omega(self):
+        sol = resonant_field(0.01, -1.2, branch="minus")
+        assert sol.value == pytest.approx(0.1999083, abs=1e-6)
+        assert sol.residual <= 1e-6
+        assert crossing_residual(0.01, -1.2, sol.value, "minus") <= 1e-6
+
+    def test_refinement_eigensolve_count(self, monkeypatch):
+        count = 0
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            nonlocal count
+            if np.shape(a)[-1] > 3:
+                count += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        resonant_field(TH, 0.2)
+        assert 0 < count <= 150
 
     def test_consistency_with_zero_field_resonance(self):
         th = math.pi / 100

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import MODES, parse_config, parse_mapping
+from .config import MODES, _read_pairs, parse_mapping
 from .errors import ConfigError, InvalidArgumentError, RotorSpinError
 from .runner import run
 
@@ -47,25 +47,22 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
 
 def _merge_config(args: argparse.Namespace):
     pairs: dict[str, str] = {}
+    lines: dict[str, int] = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        # reuse the file parser for its validation, then keep the raw pairs
-        parse_config(text)
-        for line in text.splitlines():
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                key, _, value = stripped.partition("=")
-                pairs[key.strip()] = value.strip()
-    pairs["mode"] = args.command
-    for key in _FLAG_KEYS + ("output_path",):
-        value = getattr(args, key, None)
+        pairs, lines = _read_pairs(text)
+    # the subcommand sets the mode and flags win; a flag value has no line
+    flags = {"mode": args.command,
+             **{key: getattr(args, key, None) for key in _FLAG_KEYS + ("output_path",)}}
+    for key, value in flags.items():
         if value is not None:
             pairs[key] = value
-    return parse_mapping(pairs)
+            lines.pop(key, None)
+    return parse_mapping(pairs, lines)
 
 
 def _selftest() -> int:

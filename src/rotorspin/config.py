@@ -9,7 +9,7 @@ which overrides the file value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -47,7 +47,6 @@ class SweepConfig:
     t_end: float | None = None
     branch: str = "plus"
     delta_rabi: float = 0.0
-    extras: dict = field(default_factory=dict, compare=False)
 
 
 _KEYS = (
@@ -111,10 +110,6 @@ def parse_mapping(pairs: dict[str, str], lines: dict[str, int] | None = None) ->
             kw[key] = _parse_int(key, raw, ln)
         elif key == "n_harmonics":
             kw[key] = "auto" if raw == "auto" else _parse_int(key, raw, ln)
-        elif key == "physical_d":
-            kw[key] = _parse_float(key, raw, ln)
-        elif key == "t_end":
-            kw[key] = _parse_float(key, raw, ln)
         else:
             kw[key] = _parse_float(key, raw, ln)
 
@@ -154,8 +149,9 @@ def _validate(cfg: SweepConfig) -> None:
             raise ConfigError("all frequencies must be finite")
 
 
-def parse_config(text: str) -> SweepConfig:
-    """Parse the key=value config format; errors carry line numbers."""
+def _read_pairs(text: str) -> tuple[dict[str, str], dict[str, int]]:
+    """Split config text into raw key -> value pairs and key -> line
+    numbers, checking only the line syntax."""
     pairs: dict[str, str] = {}
     lines: dict[str, int] = {}
     for ln, raw_line in enumerate(text.splitlines(), start=1):
@@ -172,7 +168,12 @@ def parse_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")
         pairs[key] = value
         lines[key] = ln
-    return parse_mapping(pairs, lines)
+    return pairs, lines
+
+
+def parse_config(text: str) -> SweepConfig:
+    """Parse the key=value config format; errors carry line numbers."""
+    return parse_mapping(*_read_pairs(text))
 
 
 def serialize(cfg: SweepConfig) -> str:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import FlatTraceError, InvalidArgumentError
 from .floquet import SPIN_INDEX, fold
@@ -221,6 +220,9 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
         coef, res, _, _ = np.linalg.lstsq(basis, sig, rcond=None)
         r = sig - basis @ coef
         return float(r @ r)
+
+    # imported here so that `import rotorspin` does not load scipy
+    from scipy.optimize import minimize_scalar
 
     df = freqs[1] - freqs[0]
     res = minimize_scalar(residual, bounds=(max(f0 - df, df / 10), f0 + df),

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment
 
+from .config import AXIS_NAMES
 from .errors import (
     InvalidArgumentError,
     NoCrossingError,
@@ -90,14 +91,27 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     return np.sort(roots)
 
 
+#: The 3! permutations of range(3), one per row.
+_PERMUTATIONS = np.array(list(permutations(range(3))))
+
+
+def _best_permutation(score: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a 3x3 score matrix so that the total
+    score is maximal, one column per row.
+
+    For three rows the assignment problem (Kuhn's Hungarian method) is an
+    argmax over the 3! = 6 permutations.
+    """
+    totals = score[np.arange(3), _PERMUTATIONS].sum(axis=1)
+    return _PERMUTATIONS[int(np.argmax(totals))]
+
+
 def _assign_labels(weights: np.ndarray) -> dict[str, int]:
     """Map each branch label to a mode index by maximizing spin-character
     weight, as a one-to-one assignment."""
-    cost = np.empty((3, 3))
-    for li, lab in enumerate(LABELS):
-        cost[li] = -weights[:, SPIN_INDEX[lab]]
-    rows, cols = linear_sum_assignment(cost)
-    return {LABELS[li]: int(cols[list(rows).index(li)]) for li in range(3)}
+    score = weights[:, [SPIN_INDEX[lab] for lab in LABELS]].T  # (label, mode)
+    perm = _best_permutation(score)
+    return {lab: int(perm[li]) for li, lab in enumerate(LABELS)}
 
 
 def quasienergies_zero_field(p: RotorParams):
@@ -255,9 +269,6 @@ class QuasiSpectrum:
         raise KeyError(label)
 
 
-_AXIS_FIELDS = {"omega": "omega", "theta": "theta", "delta": "delta"}
-
-
 def _point_modes(p: RotorParams, n_harmonics):
     """Folded quasi-energies, t=0 states and spin weights at one point.
 
@@ -305,7 +316,7 @@ def quasienergy_spectrum(
     slope rule so the curves reproduce the familiar fan of levels emanating
     from the zero-rotation eigenvalues.
     """
-    if axis not in _AXIS_FIELDS:
+    if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 2:
@@ -313,7 +324,7 @@ def quasienergy_spectrum(
     if np.any(np.diff(values) <= 0):
         raise InvalidArgumentError("axis values must be strictly ascending")
 
-    pts = [p_template.with_(**{_AXIS_FIELDS[axis]: float(v)}) for v in values]
+    pts = [p_template.with_(**{axis: float(v)}) for v in values]
     npts = len(pts)
     lam = np.empty((npts, 3))
     reps = np.empty((npts, 3))
@@ -340,9 +351,7 @@ def quasienergy_spectrum(
     for i in range(1, npts):
         folded, m0, _, _ = _point_modes(pts[i], n_harmonics)
         overlap = np.abs(modes[i - 1].conj() @ m0)  # (branch, mode)
-        rows, cols = linear_sum_assignment(-overlap)
-        perm = np.empty(3, dtype=int)
-        perm[rows] = cols
+        perm = _best_permutation(overlap)
         worst = overlap[np.arange(3), perm].min()
         if worst < 0.5:
             raise TrackingError(
@@ -431,6 +440,9 @@ def _strongest_equal_mixing(members, xs, weights, xtol: float):
     root with the larger mixing min(weight_i, weight_j) is kept. Returns
     (x, separation) there, or None when no member changes sign.
     """
+    # imported here so that `import rotorspin` does not load scipy
+    from scipy.optimize import brentq
+
     def weight_diff(x: float, member: int) -> float:
         w = members(x)[1][member]
         return w[0] - w[1]
@@ -466,7 +478,7 @@ def avoided_crossing(
     both are found as roots and the one with the larger mixing is kept.
     The reported gap is the pair separation at that center.
     """
-    if axis not in _AXIS_FIELDS:
+    if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown crossing axis {axis!r}")
     for lab in branch_pair:
         if lab not in LABELS:
@@ -476,7 +488,7 @@ def avoided_crossing(
         raise InvalidArgumentError("window must satisfy lo < hi")
 
     def members(x: float) -> tuple[float, np.ndarray]:
-        p = p_template.with_(**{_AXIS_FIELDS[axis]: float(x)})
+        p = p_template.with_(**{axis: float(x)})
         return _pair_members(p, branch_pair, n_harmonics)
 
     xs = np.linspace(lo, hi, points)

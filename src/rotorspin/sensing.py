@@ -108,8 +108,9 @@ def resonant_field(
     more strongly mixed member, as `avoided_crossing` does along omega. The
     residual is the distance from omega of the crossing centre that one
     65-point `avoided_crossing` scan finds at the solved field. When no
-    member reaches equal weight in that bracket, the small-angle root is
-    returned with its own residual.
+    member reaches equal weight in that bracket, no field in (0, d)
+    compensates near the small-angle root, and `RegimeError` is raised, as
+    at theta = 0.
     """
     _check_branch(branch)
     if omega == 0:
@@ -141,7 +142,12 @@ def resonant_field(
     hi = min(0.995 * d, root + 0.02 * d)
     ends = np.array([members(lo)[1], members(hi)[1]])
     found = _strongest_equal_mixing(members, (lo, hi), ends, xtol=1e-12 * d)
-    value = root if found is None else found[0]
+    if found is None:
+        raise RegimeError(
+            f"no resonant field in (0, {d:.3g}) for theta = {theta:.4g}, "
+            f"omega = {omega:.4g}: no pair member reaches equal weight"
+        )
+    value = found[0]
     window = sorted((0.85 * omega, 1.15 * omega))
     rep = avoided_crossing(p_ref.with_(delta=value), pair, window,
                            axis="omega", points=65, n_harmonics=nh)

@@ -193,6 +193,38 @@ class TestCli:
         assert 0.0 < float(row[2]) < 1.0
         assert float(row[3]) <= 1e-6
 
+    def test_resonance_without_positive_field_exits_3(self, tmp_path, capsys):
+        out = str(tmp_path / "r.csv")
+        code = main(["resonance", "--theta", "0.0314159265", "--omega",
+                     "-1.0004937", "--branch", "minus", "--output", out])
+        assert code == 3
+        assert "no resonant field" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_config_file_without_mode(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("theta=0.0314159265\ndelta=0\naxis=omega:0:1.2:21\n")
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["spectrum", "--config", str(cfgfile), "--output", a]) == 0
+        assert main(["spectrum", "--theta", "0.0314159265", "--delta", "0",
+                     "--axis", "omega:0:1.2:21", "--output", b]) == 0
+        assert open(a).read() == open(b).read()
+
+    def test_config_value_error_reports_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("omega=1.0\ntheta=0.5\ndelta_rabi=lots\n")
+        code = main(["sensitivity", "--config", str(cfgfile), "--omega", "2.0"])
+        assert code == 2
+        assert "line 3: delta_rabi: not a number" in capsys.readouterr().err
+
+    def test_flag_replaces_bad_config_value(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("omega=fast\ntheta=0.5\ndelta_rabi=0.01\n")
+        out = str(tmp_path / "o.csv")
+        code = main(["sensitivity", "--config", str(cfgfile), "--omega", "2.0",
+                     "--output", out])
+        assert code == 0
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

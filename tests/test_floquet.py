@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rotorspin.errors import InvalidArgumentError, NoCrossingError, TrackingError
 from rotorspin.floquet import (
     LABELS,
+    _best_permutation,
     avoided_crossing,
     cubic_quasienergies,
     floquet_matrix,
@@ -52,6 +53,21 @@ class TestCubic:
         assert pairwise == pytest.approx(1.0 - omega**2, abs=1e-10)
         assert r.prod() == pytest.approx(-omega**2 * math.sin(theta)**2,
                                          abs=1e-10)
+
+
+class TestBestPermutation:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_linear_sum_assignment(self, seed):
+        from scipy.optimize import linear_sum_assignment
+
+        # continuous draws: no two permutations tie in total score
+        score = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3))
+        perm = _best_permutation(score)
+        rows, cols = linear_sum_assignment(score, maximize=True)
+        assert sorted(perm) == [0, 1, 2]
+        np.testing.assert_array_equal(perm[rows], cols)
+        assert score[np.arange(3), perm].sum() == score[rows, cols].sum()
 
 
 class TestZeroFieldBranches:

@@ -112,6 +112,18 @@ class TestResonantField:
         assert sol.residual <= 1e-6
         assert crossing_residual(0.01, -1.2, sol.value, "minus") <= 1e-6
 
+    @pytest.mark.parametrize("omega, root", [
+        (-BOUNDARY_OMEGA, 0.0),
+        (-BOUNDARY_OMEGA - 1e-4, 9.995935933014933e-05),
+    ])
+    def test_no_positive_compensating_field_raises(self, omega, root):
+        # the 0 <-> -1 crossing needs a small negative field here, while
+        # the small-angle root is clamped to 0 or lies just above it
+        sol = resonant_field(TH, omega, "minus", refine=False)
+        assert sol.value == pytest.approx(root, abs=1e-12)
+        with pytest.raises(RegimeError, match="no resonant field"):
+            resonant_field(TH, omega, "minus")
+
     def test_refinement_eigensolve_count(self, monkeypatch):
         count = 0
         eigh = np.linalg.eigh

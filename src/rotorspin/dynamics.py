@@ -10,6 +10,7 @@ P_k and monodromy M computed once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,18 +71,18 @@ def _expmh_stack(h: np.ndarray, dt: float) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", vecs, phases, vecs.conj())
 
 
-def _period_data(p: RotorParams, steps_per_period: int):
+@functools.lru_cache(maxsize=16)
+def _period_data(p: RotorParams, spp: int):
     """Prefix propagators over one drive period.
 
     Returns (prefix, monodromy): prefix has shape (spp + 1, 3, 3) with
     prefix[k] the propagator from t = 0 to t = k * dt; monodromy is
     prefix[-1], the full-period propagator.
     """
-    spp = int(steps_per_period)
-    t0 = np.arange(spp) * (p.period / spp)
     dt = p.period / spp
-    h1 = np.stack([h_rotating(p, t + _NODE_LO * dt) for t in t0])
-    h2 = np.stack([h_rotating(p, t + _NODE_HI * dt) for t in t0])
+    t0 = np.arange(spp) * dt
+    h1 = h_rotating(p, t0 + _NODE_LO * dt)
+    h2 = h_rotating(p, t0 + _NODE_HI * dt)
     ua = _expmh_stack(_C1 * h1 + _C2 * h2, dt)
     ub = _expmh_stack(_C2 * h1 + _C1 * h2, dt)
     prefix = np.empty((spp + 1, 3, 3), dtype=complex)
@@ -91,20 +92,11 @@ def _period_data(p: RotorParams, steps_per_period: int):
     return prefix, prefix[-1].copy()
 
 
-_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_CACHE_CAP = 16
-
-
 def period_propagators(p: RotorParams, steps_per_period: int):
     """Cached (prefix propagators, monodromy) for one drive period."""
     if p.omega == 0:
         raise InvalidArgumentError("no drive period at omega = 0")
-    key = (p, int(steps_per_period))
-    if key not in _CACHE:
-        if len(_CACHE) >= _CACHE_CAP:
-            _CACHE.pop(next(iter(_CACHE)))
-        _CACHE[key] = _period_data(p, steps_per_period)
-    return _CACHE[key]
+    return _period_data(p, int(steps_per_period))
 
 
 def monodromy(p: RotorParams, steps_per_period: int = 4096):

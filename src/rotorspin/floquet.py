@@ -58,11 +58,13 @@ def fold(x, omega: float):
     return ((np.asarray(x) + w / 2.0) % w) - w / 2.0
 
 
-def _circ_dist(a: float, b: float, omega: float) -> float:
-    """Distance between two quasi-energies modulo the folding width."""
-    w = abs(omega)
-    d = (a - b) % w
-    return min(d, w - d)
+def _circ_dist(a: float, b: float, width: float) -> float:
+    """Distance between two quasi-energies modulo the folding width, or the
+    plain distance when the width is 0 (values not folded)."""
+    if width == 0:
+        return abs(a - b)
+    d = (a - b) % width
+    return min(d, width - d)
 
 
 def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
@@ -220,9 +222,10 @@ _N_START_CAP = 32
 _N_MAX = 512
 
 
-def auto_harmonics(p: RotorParams) -> tuple[int, float]:
+def auto_harmonics(p: RotorParams) -> tuple[ModeSet, float]:
     """Choose the harmonic truncation by doubling until the three tracked
-    quasi-energies move less than 1e-9 * d. Returns (N, last movement)."""
+    quasi-energies move less than 1e-9 * d. Returns the modes at the
+    converged N and the last movement."""
     if p.omega == 0:
         raise InvalidArgumentError("auto_harmonics requires omega != 0")
     n = math.ceil(4.0 + 2.0 * max(abs(p.delta), p.d) / abs(p.omega))
@@ -234,19 +237,22 @@ def auto_harmonics(p: RotorParams) -> tuple[int, float]:
             raise NumericFailureError(
                 f"harmonic truncation did not converge below N = {_N_MAX}"
             )
-        cur = np.sort(physical_modes(p, n2).quasi)
+        modes = physical_modes(p, n2)
+        cur = np.sort(modes.quasi)
         movement = max(
-            _circ_dist(a, b, p.omega) for a, b in zip(prev, cur)
+            _circ_dist(a, b, abs(p.omega)) for a, b in zip(prev, cur)
         )
         if movement < 1e-9 * p.d:
-            return n2, movement
+            return modes, movement
         n, prev = n2, cur
 
 
-def _resolve_harmonics(p: RotorParams, n_harmonics) -> int:
+def _resolve_harmonics(p: RotorParams, n_harmonics) -> ModeSet:
+    """Drive modes at a fixed truncation, or at the converged one for
+    "auto"."""
     if n_harmonics == "auto" or n_harmonics is None:
         return auto_harmonics(p)[0]
-    return int(n_harmonics)
+    return physical_modes(p, int(n_harmonics))
 
 
 @dataclass(frozen=True)
@@ -270,37 +276,39 @@ class QuasiSpectrum:
 
 
 def _point_modes(p: RotorParams, n_harmonics):
-    """Folded quasi-energies, t=0 states and spin weights at one point.
+    """Quasi-energies, t=0 states and spin weights at one point.
 
-    Returns (folded, mode0 (3, modes), weights (modes, 3), static_targets).
+    Returns (values, mode0 (3, modes), weights (modes, 3), width): width is
+    the folding width |omega| of the values, or 0 when they are not folded.
     """
     if p.delta == 0 and p.omega != 0:
         triples = quasienergies_zero_field(p)
         lams = np.array([t[1] for t in triples])
         mode0 = np.stack([t[2] for t in triples], axis=1)
         weights = (np.abs(mode0) ** 2).T
-        return lams, mode0, weights, False
+        return lams, mode0, weights, 0.0
     if p.omega == 0:
         es = hermitian_eigensystem(static_part(p))
         weights = (np.abs(es.vectors) ** 2).T
-        return es.values.copy(), es.vectors.copy(), weights, False
-    ms = physical_modes(p, _resolve_harmonics(p, n_harmonics))
-    return ms.quasi.copy(), ms.mode0.copy(), ms.weights.copy(), True
+        return es.values, es.vectors, weights, 0.0
+    ms = _resolve_harmonics(p, n_harmonics)
+    return ms.quasi, ms.mode0, ms.weights, abs(p.omega)
 
 
-def _slope_targets(p: RotorParams) -> dict[str, float]:
-    """Unfolded representative targets: static-level value plus the slope-rule
-    harmonic shift for each branch."""
+def _slope_targets(p: RotorParams) -> np.ndarray:
+    """Unfolded representative targets in LABELS order: static-level value
+    plus the slope-rule harmonic shift for each branch."""
     es = hermitian_eigensystem(static_part(p))
     weights = (np.abs(es.vectors) ** 2).T
     idx = _assign_labels(weights)
-    return {lab: float(es.values[idx[lab]] + SLOPE[lab] * p.omega) for lab in LABELS}
+    return np.array([es.values[idx[lab]] + SLOPE[lab] * p.omega for lab in LABELS])
 
 
-def _nearest_copy(folded: float, target: float, omega: float) -> float:
-    w = abs(omega)
-    k = round((target - folded) / w)
-    return folded + k * w
+def _nearest_copy(folded: np.ndarray, target: np.ndarray,
+                  width: float) -> np.ndarray:
+    """Copies of the folded values, spaced by the folding width, nearest the
+    targets."""
+    return folded + np.round((target - folded) / width) * width
 
 
 def quasienergy_spectrum(
@@ -323,23 +331,26 @@ def quasienergy_spectrum(
         raise InvalidArgumentError("sweep needs at least 2 axis values")
     if np.any(np.diff(values) <= 0):
         raise InvalidArgumentError("axis values must be strictly ascending")
+    if axis == "omega" and p_template.delta != 0 and values[0] <= 0 <= values[-1]:
+        # the copy spacing |omega| of the folded values shrinks to 0 there,
+        # so the unfolded copy a branch continues to would depend on the grid
+        raise TrackingError(
+            "a field sweep along omega cannot reach or cross omega = 0; "
+            "sweep each rotation direction separately"
+        )
 
     pts = [p_template.with_(**{axis: float(v)}) for v in values]
     npts = len(pts)
     lam = np.empty((npts, 3))
-    reps = np.empty((npts, 3))
+    widths = np.empty(npts)
     modes = np.empty((npts, 3, 3), dtype=complex)
 
-    folded0, mode0, weights0, uses_fold = _point_modes(pts[0], n_harmonics)
+    folded0, mode0, weights0, widths[0] = _point_modes(pts[0], n_harmonics)
     # refuse to start labeling inside an avoided crossing: branches must be
     # separable either by energy or by near-pure spin character
-    gaps = [
-        _circ_dist(folded0[i], folded0[j], pts[0].omega) if uses_fold
-        else abs(folded0[i] - folded0[j])
-        for i in range(3) for j in range(i + 1, 3)
-    ] if pts[0].omega != 0 else [abs(folded0[i] - folded0[j])
-                                 for i in range(3) for j in range(i + 1, 3)]
-    if min(gaps) < 1e-6 * p_template.d and weights0.max(axis=1).min() < 0.99:
+    gap = min(_circ_dist(folded0[i], folded0[j], widths[0])
+              for i, j in ((0, 1), (0, 2), (1, 2)))
+    if gap < 1e-6 * p_template.d and weights0.max(axis=1).min() < 0.99:
         raise TrackingError(
             "sweep starts inside a gap: branches not separable at the first point"
         )
@@ -349,7 +360,7 @@ def quasienergy_spectrum(
     modes[0] = mode0[:, order].T
 
     for i in range(1, npts):
-        folded, m0, _, _ = _point_modes(pts[i], n_harmonics)
+        folded, m0, _, widths[i] = _point_modes(pts[i], n_harmonics)
         overlap = np.abs(modes[i - 1].conj() @ m0)  # (branch, mode)
         perm = _best_permutation(overlap)
         worst = overlap[np.arange(3), perm].min()
@@ -361,19 +372,15 @@ def quasienergy_spectrum(
         lam[i] = folded[perm]
         modes[i] = m0[:, perm].T
 
-    # unfold to slope-rule representatives
-    targets = _slope_targets(pts[0]) if pts[0].omega != 0 else None
-    for b, lab in enumerate(LABELS):
-        if pts[0].omega == 0 or pts[0].delta == 0:
-            reps[0, b] = lam[0, b]
-        else:
-            reps[0, b] = _nearest_copy(lam[0, b], targets[lab], pts[0].omega)
+    # unfold to slope-rule representatives: the first point's folded values
+    # go to the copies nearest their targets, each later point's to the
+    # copies nearest the previous representatives
+    reps = lam.copy()
+    if widths[0]:
+        reps[0] = _nearest_copy(lam[0], _slope_targets(pts[0]), widths[0])
     for i in range(1, npts):
-        for b in range(3):
-            if pts[i].delta == 0 or pts[i].omega == 0:
-                reps[i, b] = lam[i, b]
-            else:
-                reps[i, b] = _nearest_copy(lam[i, b], reps[i - 1, b], pts[i].omega)
+        if widths[i]:
+            reps[i] = _nearest_copy(lam[i], reps[i - 1], widths[i])
 
     # continuity bound: movement per step limited by ~10x the local slope
     base_slope = {"omega": 1.5, "delta": 1.5,
@@ -415,17 +422,14 @@ def _pair_members(p: RotorParams, pair: tuple[str, str],
     min(weight_i, weight_j) peaks (with a corner) where that member is an
     equal superposition of the crossing levels.
     """
-    folded, _, weights, uses_fold = _point_modes(p, n_harmonics)
+    folded, _, weights, width = _point_modes(p, n_harmonics)
     i, j = SPIN_INDEX[pair[0]], SPIN_INDEX[pair[1]]
     spec_spin = ({0, 1, 2} - {i, j}).pop()
     spectator = int(np.argmax(weights[:, spec_spin]))
     a, b = (k for k in range(3) if k != spectator)
-    if uses_fold:
-        sep = _circ_dist(folded[a], folded[b], p.omega)
-        b_above = (folded[b] - folded[a]) % abs(p.omega) <= abs(p.omega) / 2
-    else:
-        sep = abs(folded[a] - folded[b])
-        b_above = folded[b] >= folded[a]
+    sep = _circ_dist(folded[a], folded[b], width)
+    rise = folded[b] - folded[a]
+    b_above = rise % width <= width / 2 if width else rise >= 0
     members = [a, b] if b_above else [b, a]
     return sep, weights[np.ix_(members, [i, j])]
 

@@ -21,8 +21,7 @@ from .floquet import (
     SPIN_INDEX,
     _assign_labels,
     _circ_dist,
-    auto_harmonics,
-    physical_modes,
+    _resolve_harmonics,
     quasienergies_zero_field,
 )
 from .model import RotorParams
@@ -55,20 +54,21 @@ class GeometricPhaseSet:
         return tuple(self.gamma[lab] for lab in LABELS)
 
 
-def gauge_operator(p: RotorParams, t: float) -> np.ndarray:
+def gauge_operator(p: RotorParams, t) -> np.ndarray:
     """Gauge potential whose expectation along a cyclic state integrates to
     the geometric phase.
 
     Closed form omega * ((1 - cos theta) S_z - sin theta (cos phi S_x +
     sin phi S_y)) with phi = omega t + phi0; the overall sign is pinned so
     the slow-rotation limit yields +2 pi (1 - cos theta) on the upper
-    branch (see verify_gauge_sign).
+    branch (see verify_gauge_sign). An array of times gives a stack of
+    matrices, shape t.shape + (3, 3).
     """
     ct, st = math.cos(p.theta), math.sin(p.theta)
-    phi = p.omega * t + p.phi0
+    phi = (p.omega * np.asarray(t, dtype=float) + p.phi0)[..., None, None]
     return p.omega * (
         (1.0 - ct) * SPIN.sz
-        - st * (math.cos(phi) * SPIN.sx + math.sin(phi) * SPIN.sy)
+        - st * (np.cos(phi) * SPIN.sx + np.sin(phi) * SPIN.sy)
     )
 
 
@@ -110,14 +110,14 @@ def geometric_phases_with_field(
         raise InvalidArgumentError("no cyclic evolution at omega = 0")
     if steps_per_period < 256:
         raise InvalidArgumentError("steps_per_period must be >= 256")
-    _check_gauge_sign()
+    _slow_rotation_check()
 
-    n = auto_harmonics(p)[0] if n_harmonics in ("auto", None) else int(n_harmonics)
-    ms = physical_modes(p, n)
+    ms = _resolve_harmonics(p, n_harmonics)
     idx = _assign_labels(ms.weights)
     for i, a in enumerate(LABELS):
         for b in LABELS[i + 1:]:
-            if _circ_dist(ms.quasi[idx[a]], ms.quasi[idx[b]], p.omega) < 1e-10 * p.d:
+            gap = _circ_dist(ms.quasi[idx[a]], ms.quasi[idx[b]], abs(p.omega))
+            if gap < 1e-10 * p.d:
                 # an exact folded crossing is harmless as long as the two
                 # modes kept a pure spin character (no hybridization)
                 purity = min(ms.weights[idx[a]].max(), ms.weights[idx[b]].max())
@@ -126,51 +126,59 @@ def geometric_phases_with_field(
                         f"branches {a} and {b} are degenerate; phases not separable"
                     )
 
-    coarse = None
-    for spp in (steps_per_period // 2, steps_per_period):
-        fine = _quadrature(p, ms, idx, spp)
-        if coarse is None:
-            coarse = fine
-    drift = max(abs(fine[0][lab] - coarse[0][lab]) for lab in LABELS)
+    coarse = _quadrature(p, ms, idx, steps_per_period // 2)[0]
+    gamma, term1, term2 = _quadrature(p, ms, idx, steps_per_period)
+    drift = max(abs(gamma[lab] - coarse[lab]) for lab in LABELS)
     if drift > 1e-6:
         raise NumericFailureError(
             f"quadrature not converged: half-resolution change {drift:.2e} rad"
         )
-    gamma, term1, term2 = fine
     return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
 
 
 def _quadrature(p: RotorParams, ms, idx: dict[str, int], spp: int):
-    """One-period trapezoid integrals of the gauge expectation per branch.
+    """One-period trapezoid integrals per branch.
 
-    Splits the integrand into the axial part (term1) and the tilted-axis
-    part (term2) so gamma = term1 - term2 holds exactly.
+    gamma integrates the gauge-potential expectation, term1 its axial part
+    omega <S_z>, and term2 = term1 - gamma is the tilted-axis part.
     """
     t = np.linspace(0.0, p.period, spp + 1)
     # period of the mode reconstruction follows the signed frequency
     nh = ms.n_harmonics
     ks = np.arange(-nh, nh + 1)
     phases = np.exp(1j * np.outer(t, ks * p.omega))  # (time, harmonic)
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    phi = p.omega * t + p.phi0
+    gauge = gauge_operator(p, t)                       # (time, spin, spin)
     gamma, term1, term2 = {}, {}, {}
     for lab in LABELS:
         coeff = ms.fourier[:, :, idx[lab]]             # (harmonic, spin)
         states = phases @ coeff                        # (time, spin)
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         c = states.conj()
-        ez = np.real(np.einsum("ts,s,ts->t", c, np.array([1.0, 0.0, -1.0]), states))
-        ex = np.real(np.einsum("ts,su,tu->t", c, SPIN.sx, states))
-        ey = np.real(np.einsum("ts,su,tu->t", c, SPIN.sy, states))
-        f1 = p.omega * ez
-        f2 = p.omega * (ct * ez + st * (np.cos(phi) * ex + np.sin(phi) * ey))
-        term1[lab] = float(np.trapezoid(f1, t))
-        term2[lab] = float(np.trapezoid(f2, t))
-        gamma[lab] = term1[lab] - term2[lab]
+        a = np.real(np.einsum("ts,tsu,tu->t", c, gauge, states))
+        sz = np.real(np.einsum("ts,su,tu->t", c, SPIN.sz, states))
+        gamma[lab] = float(np.trapezoid(a, t))
+        term1[lab] = float(np.trapezoid(p.omega * sz, t))
+        term2[lab] = term1[lab] - gamma[lab]
     return gamma, term1, term2
 
 
-_GAUGE_OK: bool | None = None
+#: Slow reference rotation at which the pinned gauge sign is checked.
+_SLOW = RotorParams(omega=1e-3, theta=math.pi / 5)
+
+
+def _slow_rotation_check() -> tuple[float, float]:
+    """Closed-form upper-branch phase at the slow reference rotation and its
+    deviation from the adiabatic +2 pi (1 - cos theta); raises if the
+    pinned gauge sign is broken."""
+    target = 2.0 * math.pi * (1.0 - math.cos(_SLOW.theta))
+    got = geometric_phases_zero_field(_SLOW).gamma["m+1"]
+    dev = abs(got - target)
+    if dev > 0.05:
+        raise NumericFailureError(
+            f"gauge sign convention broken: upper-branch slow-rotation phase "
+            f"{got:.4f} vs expected {target:.4f}"
+        )
+    return got, dev
 
 
 def verify_gauge_sign() -> float:
@@ -178,37 +186,13 @@ def verify_gauge_sign() -> float:
 
     Returns the deviation of the upper-branch phase from
     +2 pi (1 - cos theta) at a slow reference rotation; raises if the
-    sign convention is broken.
+    sign convention is broken or the quadrature path disagrees with the
+    closed form there.
     """
-    p = RotorParams(omega=1e-3, theta=math.pi / 5)
-    target = 2.0 * math.pi * (1.0 - math.cos(p.theta))
-    got = geometric_phases_zero_field(p).gamma["m+1"]
-    dev = abs(got - target)
-    if dev > 0.05:
-        raise NumericFailureError(
-            f"gauge sign convention broken: upper-branch slow-rotation phase "
-            f"{got:.4f} vs expected {target:.4f}"
-        )
-    # the quadrature path must agree with the closed form too
-    q = geometric_phases_with_field(p.with_(delta=0.0)).gamma["m+1"]
+    got, dev = _slow_rotation_check()
+    q = geometric_phases_with_field(_SLOW).gamma["m+1"]
     if abs(q - got) > 1e-4:
         raise NumericFailureError(
             f"gauge quadrature disagrees with closed form: {q:.6f} vs {got:.6f}"
         )
     return dev
-
-
-def _check_gauge_sign() -> None:
-    global _GAUGE_OK
-    if _GAUGE_OK is None:
-        _GAUGE_OK = False
-        p = RotorParams(omega=1e-3, theta=math.pi / 5)
-        target = 2.0 * math.pi * (1.0 - math.cos(p.theta))
-        got = geometric_phases_zero_field(p).gamma["m+1"]
-        if abs(got - target) > 0.05:
-            raise NumericFailureError(
-                "gauge sign convention broken at the slow-rotation reference"
-            )
-        _GAUGE_OK = True
-    elif not _GAUGE_OK:
-        raise NumericFailureError("gauge sign self-check previously failed")

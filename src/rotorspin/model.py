@@ -86,22 +86,16 @@ def derived_scales(p: RotorParams) -> DerivedScales:
     )
 
 
-def h_rotating(p: RotorParams, t: float) -> np.ndarray:
+def h_rotating(p: RotorParams, t) -> np.ndarray:
     """Time-dependent co-rotating-frame Hamiltonian at time t.
 
-    Contains the zero-field splitting, the axial-field terms, the
-    rotation-induced level shift and the periodic transverse drive.
+    The Fourier-static part plus the periodic transverse drive. An array
+    of times gives a stack of matrices, shape t.shape + (3, 3).
     """
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    phase = np.exp(-1j * (p.omega * t + p.phi0))
-    h = (
-        p.d * SZ2
-        - p.delta * ct * SPIN.sz
-        + p.delta * st * SPIN.sx
-        + p.omega * (1.0 - ct) * SPIN.sz
-        - 0.5 * p.omega * st * (phase * SPIN.s_plus + np.conj(phase) * SPIN.s_minus)
-    )
-    return h
+    phase = np.exp(-1j * (p.omega * np.asarray(t, dtype=float) + p.phi0))
+    phase = phase[..., None, None]
+    drive = phase * SPIN.s_plus + np.conj(phase) * SPIN.s_minus
+    return static_part(p) - 0.5 * p.omega * math.sin(p.theta) * drive
 
 
 def static_part(p: RotorParams) -> np.ndarray:

@@ -235,11 +235,12 @@ def _provenance(cfg: SweepConfig) -> dict:
         prov["axis"] = f"{a.name}:{a.min!r}:{a.max!r}:{a.points}"
     if cfg.physical_d is not None:
         prov["physical_d"] = repr(cfg.physical_d)
-    if cfg.delta != 0 and cfg.omega != 0 and cfg.mode in ("spectrum", "geomphase"):
+    if (cfg.delta != 0 and cfg.omega != 0 and cfg.mode in ("spectrum", "geomphase")
+            and cfg.n_harmonics == "auto"):
         p = _params(cfg)
         try:
-            n, movement = auto_harmonics(p)
-            prov["harmonics_final_n"] = str(n)
+            modes, movement = auto_harmonics(p)
+            prov["harmonics_final_n"] = str(modes.n_harmonics)
             prov["harmonics_last_movement"] = f"{movement:.3e}"
         except RotorSpinError:
             pass

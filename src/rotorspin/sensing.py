@@ -131,7 +131,7 @@ def resonant_field(
 
     pair = _BRANCH_PAIR[branch]
     p_ref = RotorParams(omega=omega, theta=theta, d=d, delta=root)
-    nh = auto_harmonics(p_ref)[0]
+    nh = auto_harmonics(p_ref)[0].n_harmonics
 
     def members(delta: float) -> tuple[float, np.ndarray]:
         return _pair_members(p_ref.with_(delta=float(delta)), pair, nh)

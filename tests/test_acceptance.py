@@ -333,7 +333,7 @@ def test_criterion_10_method_cross_validation():
                         theta=float(RNG.uniform(0.1, 3.0)),
                         delta=float(RNG.uniform(0.1, 0.9)))
         _, lam_m = monodromy(p, 4096)
-        quasi = physical_modes(p, auto_harmonics(p)[0]).quasi
+        quasi = auto_harmonics(p)[0].quasi
         for q in quasi:
             worst_field = max(worst_field,
                               min(fold_dist(q, x, p.omega) for x in lam_m))
@@ -377,7 +377,8 @@ def test_criterion_11_numerical_hygiene():
         m, _ = monodromy(p, 4096)
         worst_drift = max(worst_drift, unitarity_defect(m))
     p6 = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
-    n, movement = auto_harmonics(p6)
+    modes, movement = auto_harmonics(p6)
+    n = modes.n_harmonics
     report(11, "integrator and truncation hygiene", [
         ("unitarity drift <= 1e-9 per period", worst_drift <= 1e-9,
          f"worst {worst_drift:.2e} over 60 samples"),

@@ -201,6 +201,30 @@ class TestCli:
         assert "no resonant field" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("axis", ["omega:-0.5:0.5:11", "omega:0:0.5:11",
+                                      "omega:-0.5:0.5:10"])
+    def test_field_spectrum_through_zero_omega_exits_3(self, tmp_path, capsys,
+                                                       axis):
+        out = str(tmp_path / "s.csv")
+        code = main(["spectrum", "--theta", "0.3", "--delta", "0.3",
+                     "--axis", axis, "--output", out])
+        assert code == 3
+        assert "omega = 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("n_harmonics, reported", [("40", False),
+                                                       ("auto", True)])
+    def test_truncation_provenance_only_when_automatic(self, tmp_path,
+                                                       n_harmonics, reported):
+        out = str(tmp_path / "g.csv")
+        code = main(["geomphase", "--omega", "0.3", "--delta", "0.4",
+                     "--n-harmonics", n_harmonics,
+                     "--axis", "theta:0.1:0.3:3", "--output", out])
+        assert code == 0
+        text = open(out).read()
+        assert ("# harmonics_final_n=" in text) == reported
+        assert ("# harmonics_last_movement=" in text) == reported
+
     def test_config_file_without_mode(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("theta=0.0314159265\ndelta=0\naxis=omega:0:1.2:21\n")

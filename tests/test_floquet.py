@@ -9,6 +9,7 @@ from rotorspin.errors import InvalidArgumentError, NoCrossingError, TrackingErro
 from rotorspin.floquet import (
     LABELS,
     _best_permutation,
+    auto_harmonics,
     avoided_crossing,
     cubic_quasienergies,
     floquet_matrix,
@@ -118,6 +119,18 @@ class TestHarmonicMatrix:
             floquet_matrix(RotorParams(omega=0.0, theta=0.1), 4)
 
 
+class TestAutoHarmonics:
+    def test_modes_are_those_at_the_converged_truncation(self):
+        for p in (RotorParams(omega=0.5, theta=0.3, delta=0.3),
+                  RotorParams(omega=-0.2, theta=math.pi / 100, delta=0.803)):
+            ms, movement = auto_harmonics(p)
+            ref = physical_modes(p, ms.n_harmonics)
+            assert movement < 1e-9
+            for name in ("quasi", "fourier", "weights", "mode0"):
+                np.testing.assert_array_equal(getattr(ms, name),
+                                              getattr(ref, name))
+
+
 class TestSpectrumSweep:
     def test_axis_aligned_branches_linear(self):
         values = np.linspace(0.0, 1.2, 25)
@@ -151,6 +164,42 @@ class TestSpectrumSweep:
         i = int(np.argmin(gap))
         assert 0 < i < len(values) - 1
         assert abs(values[i] - 0.2) < 0.02
+
+    def test_field_sweep_eigensolves_per_point(self, monkeypatch):
+        # automatic truncation: N and 2N in auto_harmonics, whose 2N modes
+        # are the point's modes, so no third solve
+        count = 0
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            nonlocal count
+            if np.shape(a)[-1] > 3:
+                count += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        values = np.linspace(0.3, 0.8, 11)
+        quasienergy_spectrum(RotorParams(omega=0.5, theta=0.3, delta=0.3),
+                             "omega", values)
+        assert count == 2 * len(values)
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (-0.5, 0.5, 11), (-0.5, 0.5, 10), (0.0, 0.5, 11), (-0.5, 0.0, 6)])
+    def test_field_sweep_through_zero_omega_rejected(self, lo, hi, points):
+        # the folded copies' spacing |omega| vanishes at omega = 0, so the
+        # unfolded copy depended on the grid (m-1 at omega = 0.5 read
+        # 1.2736 or 0.7736)
+        p = RotorParams(omega=0.5, theta=0.3, delta=0.3)
+        with pytest.raises(TrackingError):
+            quasienergy_spectrum(p, "omega", np.linspace(lo, hi, points))
+
+    def test_field_sweep_of_one_sign_and_zero_field_from_zero_allowed(self):
+        p = RotorParams(omega=0.5, theta=0.3, delta=0.3)
+        sp = quasienergy_spectrum(p, "omega", np.linspace(0.05, 0.5, 10))
+        assert sp.branch("m-1").quasienergy[-1] == pytest.approx(1.7736,
+                                                                  abs=1e-4)
+        quasienergy_spectrum(p.with_(delta=0.0), "omega",
+                             np.linspace(0.0, 0.5, 11))
 
     def test_rejects_unsorted_axis(self):
         with pytest.raises(InvalidArgumentError):

@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorspin.errors import InvalidArgumentError
-from rotorspin.floquet import quasienergies_zero_field
+from rotorspin.floquet import (
+    LABELS,
+    _assign_labels,
+    auto_harmonics,
+    quasienergies_zero_field,
+)
 from rotorspin.geomphase import (
+    _quadrature,
     gauge_operator,
     geometric_phases_with_field,
     geometric_phases_zero_field,
@@ -40,6 +46,38 @@ def gauge_by_finite_difference(p, t, dt=None):
     return -g
 
 
+def gauge_by_hand(p, t):
+    """Term-by-term build of the closed-form gauge potential at one time."""
+    phi = p.omega * t + p.phi0
+    return p.omega * ((1 - math.cos(p.theta)) * SPIN.sz
+                      - math.sin(p.theta) * math.cos(phi) * SPIN.sx
+                      - math.sin(p.theta) * math.sin(phi) * SPIN.sy)
+
+
+def split_integrand_quadrature(p, ms, idx, spp):
+    """Reference quadrature with the integrand split into the axial part f1
+    (term1) and the tilted-axis part f2 (term2), gamma = term1 - term2."""
+    t = np.linspace(0.0, p.period, spp + 1)
+    nh = ms.n_harmonics
+    phases = np.exp(1j * np.outer(t, np.arange(-nh, nh + 1) * p.omega))
+    ct, st = math.cos(p.theta), math.sin(p.theta)
+    phi = p.omega * t + p.phi0
+    gamma, term1, term2 = {}, {}, {}
+    for lab in LABELS:
+        states = phases @ ms.fourier[:, :, idx[lab]]
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        c = states.conj()
+        ez = np.real(np.einsum("ts,s,ts->t", c, np.array([1.0, 0.0, -1.0]), states))
+        ex = np.real(np.einsum("ts,su,tu->t", c, SPIN.sx, states))
+        ey = np.real(np.einsum("ts,su,tu->t", c, SPIN.sy, states))
+        f1 = p.omega * ez
+        f2 = p.omega * (ct * ez + st * (np.cos(phi) * ex + np.sin(phi) * ey))
+        term1[lab] = float(np.trapezoid(f1, t))
+        term2[lab] = float(np.trapezoid(f2, t))
+        gamma[lab] = term1[lab] - term2[lab]
+    return gamma, term1, term2
+
+
 class TestGaugeOperator:
     def test_zero_at_zero_tilt(self):
         p = RotorParams(omega=0.7, theta=0.0)
@@ -61,6 +99,18 @@ class TestGaugeOperator:
             got = gauge_operator(p, t)
             ref = gauge_by_finite_difference(p, t)
             assert np.abs(got - ref).max() <= 1e-6
+
+    def test_array_of_times_matches_hand_assembly(self):
+        for _ in range(5):
+            p = RotorParams(omega=float(RNG.uniform(-2, 2)),
+                            theta=float(RNG.uniform(0, math.pi)),
+                            phi0=float(RNG.uniform(0, 2 * math.pi)))
+            ts = RNG.uniform(0, 50, size=(3, 4))
+            got = gauge_operator(p, ts)
+            assert got.shape == (3, 4, 3, 3)
+            for k in np.ndindex(ts.shape):
+                np.testing.assert_allclose(got[k], gauge_by_hand(p, ts[k]),
+                                           atol=1e-14)
 
     def test_axial_plus_tilted_decomposition(self):
         # the operator equals omega * (Sz - W Sz W^dagger) with W the
@@ -173,6 +223,20 @@ class TestFieldPhases:
         for lab in g.gamma:
             assert g.gamma[lab] == pytest.approx(g.term1[lab] - g.term2[lab],
                                                  abs=1e-12)
+
+    def test_quadrature_matches_split_integrand(self):
+        for _ in range(4):
+            p = RotorParams(omega=float(RNG.choice([-1, 1]) * RNG.uniform(0.2, 1.5)),
+                            theta=float(RNG.uniform(0.1, 3.0)),
+                            phi0=float(RNG.uniform(0, 2 * math.pi)),
+                            delta=float(RNG.uniform(-0.9, 0.9)))
+            ms = auto_harmonics(p)[0]
+            idx = _assign_labels(ms.weights)
+            got = _quadrature(p, ms, idx, 1024)
+            ref = split_integrand_quadrature(p, ms, idx, 1024)
+            for g, r in zip(got, ref):
+                for lab in LABELS:
+                    assert g[lab] == pytest.approx(r[lab], abs=1e-12)
 
     def test_rejects_static(self):
         with pytest.raises(InvalidArgumentError):

@@ -77,6 +77,22 @@ class TestRotatingHamiltonian:
                 h_rotating(p, t), assemble_by_hand(d, om, th, phi0, de, t),
                 atol=1e-14)
 
+    def test_array_of_times_matches_hand_assembly(self):
+        for _ in range(5):
+            d = float(RNG.uniform(0.5, 2.0))
+            om = float(RNG.uniform(-2, 2))
+            th = float(RNG.uniform(0, math.pi))
+            phi0 = float(RNG.uniform(0, 2 * math.pi))
+            de = float(RNG.uniform(-1, 1))
+            ts = RNG.uniform(0, 50, size=(4, 3))
+            p = RotorParams(omega=om, theta=th, d=d, phi0=phi0, delta=de)
+            got = h_rotating(p, ts)
+            assert got.shape == (4, 3, 3, 3)
+            for k in np.ndindex(ts.shape):
+                np.testing.assert_allclose(
+                    got[k], assemble_by_hand(d, om, th, phi0, de, ts[k]),
+                    atol=1e-14)
+
     def test_hermitian_and_periodic(self):
         for _ in range(10):
             p = RotorParams(omega=float(RNG.uniform(0.1, 2)),

@@ -19,7 +19,7 @@ def crossing_residual(theta, omega, delta, branch="plus"):
     p = RotorParams(omega=omega, theta=theta, delta=delta)
     window = sorted((0.85 * omega, 1.15 * omega))
     rep = avoided_crossing(p, pair, window, axis="omega", points=65,
-                           n_harmonics=auto_harmonics(p)[0])
+                           n_harmonics=auto_harmonics(p)[0].n_harmonics)
     return abs(rep.omega_res - omega)
 
 

@@ -130,6 +130,9 @@ def main(argv=None) -> int:
     except RotorSpinError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
+        return 3
     if not cfg.output_path:
         # no file requested: print the table to stdout
         print(",".join(ds.header))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._brent import brent_min
 from .errors import FlatTraceError, InvalidArgumentError
 from .floquet import SPIN_INDEX, fold
 from .model import RotorParams, h_interaction, h_rotating
@@ -119,7 +120,9 @@ def evolve(
 
     Sampling is at integrator steps, decimated by a uniform stride when a
     trace would exceed MAX_TRACE_SAMPLES; integration always proceeds at
-    full step resolution.
+    full step resolution. The elapsed periods enter through powers of the
+    monodromy, so the cost does not grow with t_end; at most 2**53 steps
+    are resolved.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -145,20 +148,33 @@ def evolve(
     prefix, m = period_propagators(p, spp)
     dt = p.period / spp
 
-    n_total = int(math.ceil(t_end / dt - 1e-9))
-    stride = max(1, int(math.ceil((n_total + 1) / MAX_TRACE_SAMPLES)))
+    steps = t_end / dt - 1e-9
+    if not steps <= 2.0**53:
+        raise InvalidArgumentError(
+            f"t_end spans {steps:.3g} integrator steps; at most 2**53 are "
+            "resolved")
+    n_total = math.ceil(steps)
+    stride = max(1, math.ceil((n_total + 1) / MAX_TRACE_SAMPLES))
     idx = np.arange(0, n_total + 1, stride)
     times = idx * dt
 
-    states = np.empty((len(idx), 3), dtype=complex)
-    psi_period = psi0.copy()  # state at the start of the current period
-    cur_period = 0
-    for out, k in enumerate(idx):
-        per, step = divmod(int(k), spp)
-        while cur_period < per:
-            psi_period = m @ psi_period
-            cur_period += 1
-        states[out] = prefix[step] @ psi_period
+    # M^p @ psi0 for each sampled period p by binary powering: M^(2^b) is
+    # applied to the periods whose index has bit b set. The squarings run in
+    # extended precision: in double the error of M^(2^b) doubles with each
+    # squaring, to 5e-13 after 2^15 periods against 1e-14 for stepping
+    # period by period.
+    per, step = np.divmod(idx, spp)
+    periods, which = np.unique(per, return_inverse=True)
+    psi = np.tile(psi0, (len(periods), 1))
+    power = m.astype(np.clongdouble)
+    while True:
+        odd = (periods & 1).astype(bool)
+        psi[odd] = psi[odd] @ power.astype(complex).T
+        periods >>= 1
+        if not periods.any():
+            break
+        power = power @ power
+    states = np.einsum("nij,nj->ni", prefix[step], psi[which])
     pops = np.abs(states) ** 2
     return EvolutionTrace(times=times, states=states, populations=pops)
 
@@ -213,10 +229,6 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
         r = sig - basis @ coef
         return float(r @ r)
 
-    # imported here so that `import rotorspin` does not load scipy
-    from scipy.optimize import minimize_scalar
-
     df = freqs[1] - freqs[0]
-    res = minimize_scalar(residual, bounds=(max(f0 - df, df / 10), f0 + df),
-                          method="bounded", options={"xatol": 1e-12})
-    return 2.0 * math.pi * float(res.x), contrast
+    f_fit = brent_min(residual, max(f0 - df, df / 10), f0 + df, xatol=1e-12)
+    return 2.0 * math.pi * f_fit, contrast

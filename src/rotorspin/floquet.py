@@ -16,6 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
+from ._brent import brent_root
 from .config import AXIS_NAMES
 from .errors import (
     InvalidArgumentError,
@@ -444,9 +445,6 @@ def _strongest_equal_mixing(members, xs, weights, xtol: float):
     root with the larger mixing min(weight_i, weight_j) is kept. Returns
     (x, separation) there, or None when no member changes sign.
     """
-    # imported here so that `import rotorspin` does not load scipy
-    from scipy.optimize import brentq
-
     def weight_diff(x: float, member: int) -> float:
         w = members(x)[1][member]
         return w[0] - w[1]
@@ -456,7 +454,8 @@ def _strongest_equal_mixing(members, xs, weights, xtol: float):
     for m in (0, 1):
         for k in range(len(xs) - 1):
             if diff[k, m] * diff[k + 1, m] <= 0:
-                x = brentq(weight_diff, xs[k], xs[k + 1], args=(m,), xtol=xtol)
+                x = brent_root(lambda t: weight_diff(t, m), xs[k], xs[k + 1],
+                               xtol)
                 sep, w = members(x)
                 peaks.append((float(w.min(axis=1).max()), float(x), float(sep)))
     if not peaks:

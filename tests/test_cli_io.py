@@ -178,6 +178,23 @@ class TestCli:
         assert main(["sensitivity", "--omega", "1.0",
                      "--theta", str(math.pi / 2), "--delta-rabi", "0.01"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0"],
+        ["geomphase", "--theta", "0.3", "--delta", "0.3",
+         "--axis", "omega:0.5:0.6:2"],
+    ], ids=["evolve", "geomphase-field"])
+    def test_out_of_memory_exit_code(self, argv, tmp_path, capsys):
+        # 1e14 steps per period ask for hundreds of TiB, more than a 64-bit
+        # address space holds, so the first allocation fails at once
+        out = tmp_path / "x.csv"
+        code = main(argv + ["--steps-per-period", "100000000000000",
+                            "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: out of memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_sensitivity_error_names_swept_omega(self, capsys):
         code = main(["sensitivity", "--theta", "0.3", "--delta-rabi", "0.01",
                      "--axis", "omega:-0.1:0.1:3"])

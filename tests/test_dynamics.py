@@ -6,6 +6,7 @@ import pytest
 from rotorspin.dynamics import (
     evolve,
     monodromy,
+    period_propagators,
     propagator_zero_field,
     rabi_fit,
 )
@@ -17,6 +18,22 @@ from rotorspin.spin_algebra import unitarity_defect
 RNG = np.random.default_rng(7)
 
 KET_0 = np.array([0.0, 1.0, 0.0], dtype=complex)
+
+
+def states_by_period_loop(p, psi0, times, spp):
+    """Reference sampling: the monodromy applied once per elapsed period,
+    then the prefix propagator of the step within the period."""
+    prefix, m = period_propagators(p, spp)
+    dt = p.period / spp
+    states = np.empty((len(times), 3), dtype=complex)
+    psi_period, cur = np.asarray(psi0, dtype=complex), 0
+    for out, k in enumerate(np.rint(times / dt).astype(np.int64)):
+        per, step = divmod(int(k), spp)
+        while cur < per:
+            psi_period = m @ psi_period
+            cur += 1
+        states[out] = prefix[step] @ psi_period
+    return states
 
 
 def fold_dist(a, b, omega):
@@ -87,6 +104,43 @@ class TestEvolve:
         p = RotorParams(omega=1.0, theta=0.3)
         trace = evolve(p, KET_0, 100 * p.period, steps_per_period=4096)
         assert len(trace.times) <= 20000
+
+    @pytest.mark.parametrize("p, psi0, t_end, spp", [
+        # README call: every period is sampled
+        (RotorParams(omega=0.2, theta=0.0314159265, delta=0.803), KET_0,
+         4000.0, 4096),
+        # ~31800 periods, one sample every ~1.6 periods
+        (RotorParams(omega=0.2, theta=0.03), KET_0, 1e6, 4096),
+        (RotorParams(omega=-0.7, theta=0.5, delta=0.2, phi0=0.3),
+         np.array([1.0, 0.0, 0.0], dtype=complex), 5000.0, 512),
+    ])
+    def test_sampling_matches_period_loop(self, p, psi0, t_end, spp):
+        trace = evolve(p, psi0, t_end, steps_per_period=spp)
+        ref = states_by_period_loop(p, psi0, trace.times, spp)
+        assert np.abs(trace.states - ref).max() <= 1e-13
+
+    def test_long_run_is_sampled_without_stepping_periods(self):
+        # 1.3e14 integrator steps, up to 3.2e10 periods per sample
+        p = RotorParams(omega=0.2, theta=0.03)
+        trace = evolve(p, KET_0, 1e12)
+        assert len(trace.times) <= 20000
+        assert trace.times[-1] <= 1e12
+        # second route: M^k = V diag(mu^k) V^-1, whose own error grows as
+        # k times the eigenvalue error (about 4e-16 per period here)
+        prefix, m = period_propagators(p, 4096)
+        mu, v = np.linalg.eig(m)
+        coeff = np.linalg.solve(v, KET_0)
+        idx = np.rint(trace.times / (p.period / 4096)).astype(np.int64)
+        for s in (1, 100, 5000, len(idx) - 1):
+            k, step = divmod(int(idx[s]), 4096)
+            ref = prefix[step] @ (v @ (np.exp(k * np.log(mu)) * coeff))
+            assert np.abs(trace.states[s] - ref).max() <= 1e-15 * k
+
+    @pytest.mark.parametrize("steps", [2.0**53 + 2**12, 1e300, math.inf])
+    def test_rejects_unresolved_step_count(self, steps):
+        p = RotorParams(omega=0.2, theta=0.03)
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*53"):
+            evolve(p, KET_0, steps * p.period / 4096)
 
     def test_rejects_bad_state(self):
         p = RotorParams(omega=1.0, theta=0.3)

@@ -1,6 +1,7 @@
-"""Start-up cost guard: scipy is loaded only where a root or a minimum is
-sought (resonance, avoided crossings and the Rabi fit), never by the import
-of the package or by the closed-form and Floquet-spectrum runs.
+"""Start-up cost guard: no run loads scipy, neither the import of the
+package, the closed-form and Floquet-spectrum runs, nor the runs that seek
+a root or a minimum (resonance, avoided crossings and the Rabi fit), which
+use the package's own Brent solvers.
 
 Each case runs in a fresh interpreter, since this process already holds
 scipy through the other test modules.
@@ -31,7 +32,7 @@ print(json.dumps({"code": code, "scipy": sorted(
 
 
 def probe(argv, tmp_path):
-    if argv is not None:
+    if argv is not None and argv[0] != "selftest":
         argv = argv + ["--output", str(tmp_path / "out.csv")]
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
@@ -63,8 +64,9 @@ def test_no_scipy_outside_root_finding(argv, tmp_path):
     ["resonance", "--theta", "0.0314159265", "--omega", "0.2"],
     ["evolve", "--omega", "1.0", "--theta", "0.3", "--psi0", "0",
      "--t-end", "60", "--steps-per-period", "256"],
-], ids=["resonance", "evolve"])
-def test_root_finding_loads_scipy_on_use(argv, tmp_path):
+    ["selftest"],
+], ids=["resonance", "evolve", "selftest"])
+def test_root_finding_loads_no_scipy(argv, tmp_path):
     out = probe(argv, tmp_path)
     assert out["code"] == 0
-    assert "scipy.optimize" in out["scipy"]
+    assert out["scipy"] == []

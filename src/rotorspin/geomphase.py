@@ -4,8 +4,8 @@ Each cyclic state returns to itself (up to a phase) after one drive
 period; the geometric phase is the part of that phase left after the
 dynamical contribution is subtracted. Without a static field there is a
 closed form in the cubic roots and their eigenvector weights; with a
-field the phase is a one-period quadrature of a gauge potential along
-the periodically reconstructed drive mode.
+field the phase is the one-period integral of a gauge potential along the
+periodic drive mode, summed exactly over the mode's harmonic coefficients.
 """
 
 from __future__ import annotations
@@ -54,22 +54,31 @@ class GeometricPhaseSet:
         return tuple(self.gamma[lab] for lab in LABELS)
 
 
+def _gauge_harmonics(p: RotorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic components (A0, A-) of the gauge potential
+    A(t) = A0 + A- e^{-i omega t} + h.c., with A0 = omega (1 - cos theta) S_z
+    and A- = -(omega sin theta / 2) e^{-i phi0} S_+."""
+    a0 = p.omega * (1.0 - math.cos(p.theta)) * SPIN.sz
+    a_minus = (-0.5 * p.omega * math.sin(p.theta) * np.exp(-1j * p.phi0)
+               * SPIN.s_plus)
+    return a0, a_minus
+
+
 def gauge_operator(p: RotorParams, t) -> np.ndarray:
     """Gauge potential whose expectation along a cyclic state integrates to
     the geometric phase.
 
     Closed form omega * ((1 - cos theta) S_z - sin theta (cos phi S_x +
-    sin phi S_y)) with phi = omega t + phi0; the overall sign is pinned so
-    the slow-rotation limit yields +2 pi (1 - cos theta) on the upper
-    branch (see verify_gauge_sign). An array of times gives a stack of
-    matrices, shape t.shape + (3, 3).
+    sin phi S_y)) with phi = omega t + phi0, assembled from its harmonic
+    components; the overall sign is pinned so the slow-rotation limit
+    yields +2 pi (1 - cos theta) on the upper branch (see
+    verify_gauge_sign). An array of times gives a stack of matrices, shape
+    t.shape + (3, 3).
     """
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    phi = (p.omega * np.asarray(t, dtype=float) + p.phi0)[..., None, None]
-    return p.omega * (
-        (1.0 - ct) * SPIN.sz
-        - st * (np.cos(phi) * SPIN.sx + np.sin(phi) * SPIN.sy)
-    )
+    a0, a_minus = _gauge_harmonics(p)
+    phase = np.exp(-1j * p.omega * np.asarray(t, dtype=float))[..., None, None]
+    hop = phase * a_minus
+    return a0 + hop + np.swapaxes(hop.conj(), -1, -2)
 
 
 def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
@@ -94,22 +103,24 @@ def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
     return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
 
 
-def geometric_phases_with_field(
-    p: RotorParams,
-    steps_per_period: int = 4096,
-    n_harmonics="auto",
-) -> GeometricPhaseSet:
+def geometric_phases_with_field(p: RotorParams,
+                                n_harmonics="auto") -> GeometricPhaseSet:
     """Geometric phases in the presence of a static axial field.
 
-    The three periodic drive modes are reconstructed from their harmonic
-    coefficients on a uniform one-period grid, normalized pointwise, and the
-    gauge-potential expectation is integrated by the composite trapezoid
-    rule. A half-resolution re-integration must agree to 1e-6 rad.
+    Each drive mode u(t) = sum_k c_k e^{ik omega t} comes from the harmonic
+    matrix. The gauge potential carries only the harmonics 0 and +-1 (see
+    _gauge_harmonics), so its one-period integral along the mode is exact
+    in the coefficients:
+
+        gamma = T [sum_k c_k^dag A0 c_k + 2 Re sum_k c_{k-1}^dag A- c_k]
+                / sum_k |c_k|^2,
+        term1 = T omega sum_k c_k^dag S_z c_k / sum_k |c_k|^2,
+
+    and term2 = term1 - gamma. T = 2 pi / omega is the signed period, as in
+    the closed form, so reversing the rotation direction flips the phases.
     """
     if p.omega == 0:
         raise InvalidArgumentError("no cyclic evolution at omega = 0")
-    if steps_per_period < 256:
-        raise InvalidArgumentError("steps_per_period must be >= 256")
     _slow_rotation_check()
 
     ms = _resolve_harmonics(p, n_harmonics)
@@ -126,40 +137,19 @@ def geometric_phases_with_field(
                         f"branches {a} and {b} are degenerate; phases not separable"
                     )
 
-    coarse = _quadrature(p, ms, idx, steps_per_period // 2)[0]
-    gamma, term1, term2 = _quadrature(p, ms, idx, steps_per_period)
-    drift = max(abs(gamma[lab] - coarse[lab]) for lab in LABELS)
-    if drift > 1e-6:
-        raise NumericFailureError(
-            f"quadrature not converged: half-resolution change {drift:.2e} rad"
-        )
-    return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
-
-
-def _quadrature(p: RotorParams, ms, idx: dict[str, int], spp: int):
-    """One-period trapezoid integrals per branch.
-
-    gamma integrates the gauge-potential expectation, term1 its axial part
-    omega <S_z>, and term2 = term1 - gamma is the tilted-axis part.
-    """
-    t = np.linspace(0.0, p.period, spp + 1)
-    # period of the mode reconstruction follows the signed frequency
-    nh = ms.n_harmonics
-    ks = np.arange(-nh, nh + 1)
-    phases = np.exp(1j * np.outer(t, ks * p.omega))  # (time, harmonic)
-    gauge = gauge_operator(p, t)                       # (time, spin, spin)
+    a0, a_minus = _gauge_harmonics(p)
+    t_signed = 2.0 * math.pi / p.omega
     gamma, term1, term2 = {}, {}, {}
     for lab in LABELS:
-        coeff = ms.fourier[:, :, idx[lab]]             # (harmonic, spin)
-        states = phases @ coeff                        # (time, spin)
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        c = states.conj()
-        a = np.real(np.einsum("ts,tsu,tu->t", c, gauge, states))
-        sz = np.real(np.einsum("ts,su,tu->t", c, SPIN.sz, states))
-        gamma[lab] = float(np.trapezoid(a, t))
-        term1[lab] = float(np.trapezoid(p.omega * sz, t))
+        c = ms.fourier[:, :, idx[lab]]                 # (harmonic, spin)
+        norm = np.vdot(c, c).real
+        static = np.einsum("ks,st,kt->", c.conj(), a0, c).real
+        hop = np.einsum("ks,st,kt->", c[:-1].conj(), a_minus, c[1:]).real
+        sz = np.einsum("ks,st,kt->", c.conj(), SPIN.sz, c).real
+        gamma[lab] = float(t_signed * (static + 2.0 * hop) / norm)
+        term1[lab] = float(t_signed * p.omega * sz / norm)
         term2[lab] = term1[lab] - gamma[lab]
-    return gamma, term1, term2
+    return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
 
 
 #: Slow reference rotation at which the pinned gauge sign is checked.
@@ -186,13 +176,13 @@ def verify_gauge_sign() -> float:
 
     Returns the deviation of the upper-branch phase from
     +2 pi (1 - cos theta) at a slow reference rotation; raises if the
-    sign convention is broken or the quadrature path disagrees with the
+    sign convention is broken or the harmonic-sum path disagrees with the
     closed form there.
     """
     got, dev = _slow_rotation_check()
     q = geometric_phases_with_field(_SLOW).gamma["m+1"]
     if abs(q - got) > 1e-4:
         raise NumericFailureError(
-            f"gauge quadrature disagrees with closed form: {q:.6f} vs {got:.6f}"
+            f"gauge harmonic sum disagrees with closed form: {q:.6f} vs {got:.6f}"
         )
     return dev

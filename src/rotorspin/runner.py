@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import SweepConfig
 from .dynamics import evolve, monodromy, rabi_fit
-from .errors import ConfigError, NumericFailureError, RotorSpinError
+from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
 from .floquet import LABELS, auto_harmonics, quasienergy_spectrum
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
 from .model import RotorParams, derived_scales
@@ -125,7 +125,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
         freq, contrast = rabi_fit(trace, ("m0", "m+1"))
         ds.provenance["fitted_rabi_frequency"] = f"{freq:.9e}"
         ds.provenance["fitted_contrast"] = f"{contrast:.6f}"
-    except RotorSpinError:
+    except FlatTraceError:
         pass
     return ds
 
@@ -140,8 +140,7 @@ def _run_geomphase(cfg: SweepConfig) -> Dataset:
             if p.delta == 0:
                 phases = geometric_phases_zero_field(p)
             else:
-                phases = geometric_phases_with_field(p, cfg.steps_per_period,
-                                                     cfg.n_harmonics)
+                phases = geometric_phases_with_field(p, cfg.n_harmonics)
         except RotorSpinError as exc:
             _annotate(exc, cfg.axis.name, v)
         g = phases.gamma

@@ -354,7 +354,7 @@ def test_criterion_10_method_cross_validation():
         p = RotorParams(omega=float(RNG.uniform(0.2, 1.5)),
                         theta=float(RNG.uniform(0.1, 3.0)))
         closed = geometric_phases_zero_field(p).gamma
-        quad = geometric_phases_with_field(p, steps_per_period=4096).gamma
+        quad = geometric_phases_with_field(p).gamma
         worst_quad = max(worst_quad,
                          max(abs(closed[k] - quad[k]) for k in closed))
     report(10, "independent methods agree", [

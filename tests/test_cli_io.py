@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from rotorspin import dynamics
 from rotorspin.cli import main
 from rotorspin.config import AxisSpec, parse_config, serialize
-from rotorspin.errors import ConfigError
+from rotorspin.errors import ConfigError, NumericFailureError
 from rotorspin.runner import Dataset, emit_csv, format_float, run
 
 
@@ -180,9 +181,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0"],
-        ["geomphase", "--theta", "0.3", "--delta", "0.3",
-         "--axis", "omega:0.5:0.6:2"],
-    ], ids=["evolve", "geomphase-field"])
+    ], ids=["evolve"])
     def test_out_of_memory_exit_code(self, argv, tmp_path, capsys):
         # 1e14 steps per period ask for hundreds of TiB, more than a 64-bit
         # address space holds, so the first allocation fails at once
@@ -193,6 +192,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: out of memory")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_field_geomphase_independent_of_steps_per_period(self, tmp_path):
+        texts = []
+        for spp in ("256", "4096"):
+            out = tmp_path / f"g{spp}.csv"
+            assert main(["geomphase", "--theta", "0.3", "--delta", "0.3",
+                         "--axis", "omega:0.5:0.6:3", "--steps-per-period", spp,
+                         "--output", str(out)]) == 0
+            texts.append([line for line in out.read_text().splitlines()
+                          if not line.startswith("# steps_per_period=")])
+        assert texts[0] == texts[1]
+
+    def test_failed_rabi_fit_exit_code(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericFailureError("minimiser budget exhausted")
+
+        monkeypatch.setattr(dynamics, "brent_min", fail)
+        out = tmp_path / "e.csv"
+        code = main(["evolve", "--omega", "0.2", "--theta", "0.0314159265",
+                     "--delta", "0.803", "--psi0", "0",
+                     "--steps-per-period", "256", "--output", str(out)])
+        assert code == 3
+        assert "minimiser budget exhausted" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sensitivity_error_names_swept_omega(self, capsys):

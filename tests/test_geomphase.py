@@ -13,7 +13,6 @@ from rotorspin.floquet import (
     quasienergies_zero_field,
 )
 from rotorspin.geomphase import (
-    _quadrature,
     gauge_operator,
     geometric_phases_with_field,
     geometric_phases_zero_field,
@@ -205,16 +204,32 @@ class TestFieldPhases:
     def test_quadrature_matches_closed_form_without_field(self):
         p = RotorParams(omega=0.8, theta=1.1)
         closed = geometric_phases_zero_field(p).gamma
-        quad = geometric_phases_with_field(p, steps_per_period=4096).gamma
+        quad = geometric_phases_with_field(p).gamma
         for lab in closed:
             assert quad[lab] == pytest.approx(closed[lab], abs=1e-6)
 
     def test_weak_field_limit_matches_closed_form(self):
-        p = RotorParams(omega=0.7, theta=0.9, delta=1e-4)
-        closed = geometric_phases_zero_field(p.with_(delta=0.0)).gamma
-        quad = geometric_phases_with_field(p).gamma
-        for lab in closed:
-            assert quad[lab] == pytest.approx(closed[lab], abs=1e-3)
+        for omega in (0.7, -0.7):
+            p = RotorParams(omega=omega, theta=0.9, delta=1e-4)
+            closed = geometric_phases_zero_field(p.with_(delta=0.0)).gamma
+            quad = geometric_phases_with_field(p).gamma
+            for lab in closed:
+                assert quad[lab] == pytest.approx(closed[lab], abs=1e-3)
+
+    def test_antisymmetry_under_direction_reversal(self):
+        # reversing omega, delta and phi0 together mirrors the frame
+        # Hamiltonian through S_z -> -S_z, which swaps m+1 and m-1
+        for _ in range(3):
+            p = RotorParams(omega=float(RNG.uniform(0.2, 1.5)),
+                            theta=float(RNG.uniform(0.1, 3.0)),
+                            phi0=float(RNG.uniform(0, 2 * math.pi)),
+                            delta=float(RNG.uniform(-0.9, 0.9)))
+            fwd = geometric_phases_with_field(p).gamma
+            rev = geometric_phases_with_field(
+                p.with_(omega=-p.omega, delta=-p.delta, phi0=-p.phi0)).gamma
+            assert fwd["m+1"] == pytest.approx(-rev["m-1"], abs=1e-9)
+            assert fwd["m-1"] == pytest.approx(-rev["m+1"], abs=1e-9)
+            assert fwd["m0"] == pytest.approx(-rev["m0"], abs=1e-9)
 
     def test_decomposition_identity(self):
         g = geometric_phases_with_field(RotorParams(omega=0.2,
@@ -224,19 +239,21 @@ class TestFieldPhases:
             assert g.gamma[lab] == pytest.approx(g.term1[lab] - g.term2[lab],
                                                  abs=1e-12)
 
-    def test_quadrature_matches_split_integrand(self):
-        for _ in range(4):
-            p = RotorParams(omega=float(RNG.choice([-1, 1]) * RNG.uniform(0.2, 1.5)),
+    def test_harmonic_sum_matches_split_integrand(self):
+        # the reference integrates over the positive period 2 pi / |omega|;
+        # the phases use the signed period, as the closed form does
+        for sign in (1.0, 1.0, -1.0, -1.0):
+            p = RotorParams(omega=sign * float(RNG.uniform(0.2, 1.5)),
                             theta=float(RNG.uniform(0.1, 3.0)),
                             phi0=float(RNG.uniform(0, 2 * math.pi)),
                             delta=float(RNG.uniform(-0.9, 0.9)))
             ms = auto_harmonics(p)[0]
             idx = _assign_labels(ms.weights)
-            got = _quadrature(p, ms, idx, 1024)
-            ref = split_integrand_quadrature(p, ms, idx, 1024)
-            for g, r in zip(got, ref):
+            g = geometric_phases_with_field(p)
+            ref = split_integrand_quadrature(p, ms, idx, 4096)
+            for got, r in zip((g.gamma, g.term1, g.term2), ref):
                 for lab in LABELS:
-                    assert g[lab] == pytest.approx(r[lab], abs=1e-12)
+                    assert got[lab] == pytest.approx(sign * r[lab], abs=1e-12)
 
     def test_rejects_static(self):
         with pytest.raises(InvalidArgumentError):

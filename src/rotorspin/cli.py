@@ -139,7 +139,7 @@ def main(argv=None) -> int:
         for row in ds.rows:
             print(",".join(str(v) for v in row))
     else:
-        print(f"wrote {len(ds.rows)} rows to {cfg.output_path}")
+        print(f"wrote {len(ds.columns[0])} rows to {cfg.output_path}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Sweep engine and dataset serialization behind the command line.
 
-Each run mode maps a validated config onto the library calls, collects a
-rectangular table, and writes it as CSV with a provenance preamble. The
+Each run mode maps a validated config onto the library calls and hands
+over its table as whole columns, one array per header name; `emit_csv`
+writes them as CSV with a provenance preamble in one formatting pass. The
 engine always computes in dimensionless units (d = 1 internally is not
 forced, but all defaults assume it); physical-units output only rescales
 columns at serialization time.
@@ -40,10 +41,19 @@ _PSI0 = {
 
 @dataclass
 class Dataset:
+    """A run's table: `columns` holds one equal-length array (or sequence)
+    per `header` name, `kinds` the physical-units scaling of each column
+    (freq, time or plain), and `provenance` the preamble's key=value
+    pairs."""
     header: list[str]
-    rows: list[tuple]
+    columns: list
     kinds: list[str]
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The table as row tuples: a read-only view of `columns`."""
+        return list(zip(*self.columns))
 
 
 def _params(cfg: SweepConfig) -> RotorParams:
@@ -73,20 +83,14 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
         [np.abs(lam[:, i] - lam[:, j]) for i in range(3) for j in range(i + 1, 3)],
         axis=0,
     )
+    # flag a local minimum of the gap: above neither neighbour, below one
+    left, mid, right = gaps[:-2], gaps[1:-1], gaps[2:]
     flags = np.zeros(len(values), dtype=int)
-    for i in range(1, len(values) - 1):
-        if gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[i + 1] and (
-            gaps[i] < gaps[i - 1] or gaps[i] < gaps[i + 1]
-        ):
-            flags[i] = 1
-    rows = [
-        (values[i], lam[i, 0], lam[i, 1], lam[i, 2], int(flags[i]))
-        for i in range(len(values))
-    ]
+    flags[1:-1] = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
     axis_kind = _PLAIN if cfg.axis.name == "theta" else _FREQ
     return Dataset(
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
-        rows=rows,
+        columns=[values, *lam.T, flags],
         kinds=[axis_kind, _FREQ, _FREQ, _FREQ, _PLAIN],
     )
 
@@ -103,21 +107,15 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
         else:
             raise ConfigError("t_end required when omega = 0 and theta in {0, pi}")
     trace = evolve(p, _PSI0[cfg.psi0], t_end, cfg.steps_per_period)
-    rows = []
-    for i, t in enumerate(trace.times):
-        s = trace.states[i]
-        rows.append((
-            t,
-            trace.populations[i, 0], trace.populations[i, 1], trace.populations[i, 2],
-            s[0].real, s[0].imag, s[1].real, s[1].imag, s[2].real, s[2].imag,
-        ))
     ds = Dataset(
         header=["t", "p_plus1", "p_0", "p_minus1",
                 "re_a_plus1", "im_a_plus1", "re_a_0", "im_a_0",
                 "re_a_minus1", "im_a_minus1"],
-        rows=rows,
+        columns=[trace.times, *trace.populations.T, *trace.states.view(float).T],
         kinds=[_TIME] + [_PLAIN] * 9,
     )
+    norms = np.linalg.norm(trace.states, axis=1)
+    ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
     if p.omega != 0:
         m, _ = monodromy(p, cfg.steps_per_period)
         ds.provenance["unitarity_drift_per_period"] = f"{unitarity_defect(m):.3e}"
@@ -133,7 +131,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
 def _run_geomphase(cfg: SweepConfig) -> Dataset:
     values = _axis_values(cfg)
     p0 = _params(cfg)
-    rows = []
+    gammas = []
     for v in values:
         p = p0.with_(**{cfg.axis.name: float(v)})
         try:
@@ -143,12 +141,11 @@ def _run_geomphase(cfg: SweepConfig) -> Dataset:
                 phases = geometric_phases_with_field(p, cfg.n_harmonics)
         except RotorSpinError as exc:
             _annotate(exc, cfg.axis.name, v)
-        g = phases.gamma
-        rows.append((v, g["m-1"], g["m0"], g["m+1"]))
+        gammas.append([phases.gamma[lab] for lab in LABELS])
     axis_kind = _PLAIN if cfg.axis.name == "theta" else _FREQ
     return Dataset(
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
-        rows=rows,
+        columns=[values, *np.transpose(gammas)],
         kinds=[axis_kind, _PLAIN, _PLAIN, _PLAIN],
     )
 
@@ -158,16 +155,16 @@ def _run_resonance(cfg: SweepConfig) -> Dataset:
         raise ConfigError("resonance mode sweeps theta only")
     thetas = (_axis_values(cfg) if cfg.axis is not None
               else np.array([cfg.theta]))
-    rows = []
+    solutions = []
     for th in thetas:
         try:
             sol = resonant_field(float(th), cfg.omega, cfg.branch, cfg.d)
         except RotorSpinError as exc:
             _annotate(exc, "theta", th)
-        rows.append((float(th), cfg.omega, sol.value, sol.residual))
+        solutions.append([sol.value, sol.residual])
     return Dataset(
         header=["theta", "omega", "delta_solution", "residual"],
-        rows=rows,
+        columns=[thetas, np.full_like(thetas, cfg.omega), *np.transpose(solutions)],
         kinds=[_PLAIN, _FREQ, _FREQ, _FREQ],
     )
 
@@ -175,23 +172,19 @@ def _run_resonance(cfg: SweepConfig) -> Dataset:
 def _run_sensitivity(cfg: SweepConfig) -> Dataset:
     if cfg.axis is not None and cfg.axis.name == "delta":
         raise ConfigError("sensitivity mode sweeps theta or omega")
-    rows = []
     name = cfg.axis.name if cfg.axis is not None else "theta"
-    if cfg.axis is None:
-        grid = [(cfg.theta, cfg.omega)]
-    elif name == "theta":
-        grid = [(float(v), cfg.omega) for v in _axis_values(cfg)]
-    else:
-        grid = [(cfg.theta, float(v)) for v in _axis_values(cfg)]
-    for th, om in grid:
+    swept = _axis_values(cfg) if cfg.axis is not None else np.array([cfg.theta])
+    thetas = swept if name == "theta" else np.full_like(swept, cfg.theta)
+    omegas = swept if name == "omega" else np.full_like(swept, cfg.omega)
+    dths = []
+    for th, om in zip(thetas.tolist(), omegas.tolist()):
         try:
-            dth = angle_uncertainty(om, th, cfg.delta_rabi)
+            dths.append(angle_uncertainty(om, th, cfg.delta_rabi))
         except RotorSpinError as exc:
             _annotate(exc, name, om if name == "omega" else th)
-        rows.append((th, om, cfg.delta_rabi, dth))
     return Dataset(
         header=["theta", "omega", "delta_rabi", "delta_theta"],
-        rows=rows,
+        columns=[thetas, omegas, np.full_like(swept, cfg.delta_rabi), dths],
         kinds=[_PLAIN, _FREQ, _FREQ, _PLAIN],
     )
 
@@ -234,50 +227,56 @@ def _provenance(cfg: SweepConfig) -> dict:
         prov["axis"] = f"{a.name}:{a.min!r}:{a.max!r}:{a.points}"
     if cfg.physical_d is not None:
         prov["physical_d"] = repr(cfg.physical_d)
-    if (cfg.delta != 0 and cfg.omega != 0 and cfg.mode in ("spectrum", "geomphase")
-            and cfg.n_harmonics == "auto"):
-        p = _params(cfg)
-        try:
-            modes, movement = auto_harmonics(p)
-            prov["harmonics_final_n"] = str(modes.n_harmonics)
-            prov["harmonics_last_movement"] = f"{movement:.3e}"
-        except RotorSpinError:
-            pass
+    # a theta or delta sweep reports the truncation at its first point; an
+    # omega sweep reports none, as its truncation grows as 1/|omega|
+    if (cfg.mode in ("spectrum", "geomphase") and cfg.n_harmonics == "auto"
+            and cfg.axis is not None and cfg.axis.name != "omega"):
+        p = _params(cfg).with_(**{cfg.axis.name: cfg.axis.min})
+        if p.delta != 0 and p.omega != 0:
+            try:
+                modes, movement = auto_harmonics(p)
+                prov["harmonics_final_n"] = str(modes.n_harmonics)
+                prov["harmonics_last_movement"] = f"{movement:.3e}"
+            except RotorSpinError:
+                pass
     return prov
+
+
+def _compact(text: str) -> str:
+    """Drop the plus sign and leading zeros of every `%e` exponent in text:
+    e+00 becomes e0, e+05 e5 and e-05 e-5."""
+    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
 
 def format_float(x: float) -> str:
     """Scientific notation with a 12-digit mantissa and a compact exponent:
     0.2 becomes 2.000000000000e-1."""
-    mant, _, exp = f"{x:.12e}".partition("e")
-    neg = exp.startswith("-")
-    digits = exp.lstrip("+-").lstrip("0") or "0"
-    return f"{mant}e{'-' if neg else ''}{digits}"
+    return _compact(f"{x:.12e}")
 
 
 def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
-    """Write the dataset atomically: provenance block, header, then rows."""
-    for row in ds.rows:
-        if len(row) != len(ds.header):
-            raise NumericFailureError("row width does not match header")
-        for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise NumericFailureError(f"non-finite value in output: {v!r}")
-
-    fscale = physical_d if physical_d is not None else 1.0
-    scales = {_FREQ: fscale, _TIME: 1.0 / fscale, _PLAIN: 1.0}
-
-    lines = [f"# {k}={v}" for k, v in ds.provenance.items()]
-    lines.append(",".join(ds.header))
-    for row in ds.rows:
-        cells = []
-        for v, kind in zip(row, ds.kinds):
-            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format_float(float(v) * scales[kind]))
-        lines.append(",".join(cells))
-    body = "\n".join(lines) + "\n"
+    """Write the dataset atomically: provenance block, header, then one line
+    per row. Integer-dtype columns are written as integers, all others as
+    `format_float` writes them; with `physical_d` the freq columns are
+    multiplied by it and the time columns divided. Raises
+    NumericFailureError, and writes nothing, if the columns do not match the
+    header or a value is not finite."""
+    columns = [np.asarray(c) for c in ds.columns]
+    if len(columns) != len(ds.header) or len({len(c) for c in columns}) != 1:
+        raise NumericFailureError("columns do not match the header")
+    if physical_d is not None:
+        scales = {_FREQ: physical_d, _TIME: 1.0 / physical_d}
+        columns = [c * scales[kind] if kind in scales else c
+                   for c, kind in zip(columns, ds.kinds)]
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise NumericFailureError(
+            f"non-finite value in output: {float(table[~finite][0])!r}")
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\n"
+    head = [f"# {k}={v}" for k, v in ds.provenance.items()] + [",".join(ds.header)]
+    body = "".join(f"{line}\n" for line in head) + _compact(
+        "".join([row % tuple(r) for r in table.tolist()]))
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rotorspin-", suffix=".tmp")

@@ -8,7 +8,45 @@ from rotorspin import dynamics
 from rotorspin.cli import main
 from rotorspin.config import AxisSpec, parse_config, serialize
 from rotorspin.errors import ConfigError, NumericFailureError
+from rotorspin.floquet import auto_harmonics
+from rotorspin.model import RotorParams
 from rotorspin.runner import Dataset, emit_csv, format_float, run
+
+
+def _reference_float(x: float) -> str:
+    # the per-cell formatter the column writer replaced
+    mant, _, exp = f"{x:.12e}".partition("e")
+    neg = exp.startswith("-")
+    digits = exp.lstrip("+-").lstrip("0") or "0"
+    return f"{mant}e{'-' if neg else ''}{digits}"
+
+
+def _reference_csv(ds: Dataset, physical_d=None) -> str:
+    """The CSV text written cell by cell from `ds.rows`: the reference the
+    one-pass writer must reproduce byte for byte."""
+    fscale = physical_d if physical_d is not None else 1.0
+    scales = {"freq": fscale, "time": 1.0 / fscale, "plain": 1.0}
+    lines = [f"# {k}={v}" for k, v in ds.provenance.items()]
+    lines.append(",".join(ds.header))
+    for row in ds.rows:
+        cells = []
+        for v, kind in zip(row, ds.kinds):
+            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+                cells.append(str(int(v)))
+            else:
+                cells.append(_reference_float(float(v) * scales[kind]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_matches_reference(path, ds: Dataset, physical_d) -> None:
+    got, want = path.read_text(), _reference_csv(ds, physical_d)
+    if got != want:
+        # name the first differing line: a full diff of the texts is slow
+        pairs = zip(got.splitlines(), want.splitlines())
+        first = next((pair for pair in pairs if pair[0] != pair[1]), None)
+        pytest.fail(f"CSV differs from the reference writer at (written, "
+                    f"reference) = {first}")
 
 
 class TestParseConfig:
@@ -77,7 +115,7 @@ class TestEmitCsv:
         path = str(tmp_path / "out.csv")
         ds = Dataset(header=["axis", "lambda_m1", "lambda_0", "lambda_p1",
                              "gap_min_flag"],
-                     rows=[(0.2, 1.0, 0.0, 1.0, 0)],
+                     columns=[[0.2], [1.0], [0.0], [1.0], [0]],
                      kinds=["freq", "freq", "freq", "freq", "plain"],
                      provenance={"mode": "spectrum"})
         emit_csv(ds, path)
@@ -89,13 +127,13 @@ class TestEmitCsv:
         assert len(lines) == 3
 
     def test_rejects_non_finite(self, tmp_path):
-        ds = Dataset(header=["x"], rows=[(math.nan,)], kinds=["plain"])
+        ds = Dataset(header=["x"], columns=[[math.nan]], kinds=["plain"])
         with pytest.raises(Exception):
             emit_csv(ds, str(tmp_path / "bad.csv"))
         assert not os.path.exists(tmp_path / "bad.csv")
 
     def test_physical_units_scale_frequencies_and_times(self, tmp_path):
-        ds = Dataset(header=["f", "t", "p"], rows=[(1.0, 1.0, 1.0)],
+        ds = Dataset(header=["f", "t", "p"], columns=[[1.0], [1.0], [1.0]],
                      kinds=["freq", "time", "plain"])
         path = str(tmp_path / "u.csv")
         emit_csv(ds, path, physical_d=2.87)
@@ -103,6 +141,43 @@ class TestEmitCsv:
         assert float(row[0]) == pytest.approx(2.87)
         assert float(row[1]) == pytest.approx(1 / 2.87)
         assert float(row[2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text", [
+        "mode=spectrum\naxis=omega:0:1.2:41\ntheta=0.0314159265\ndelta=0\n",
+        "mode=evolve\nomega=0.2\ntheta=0.0314159265\ndelta=0.803\npsi0=0\n"
+        "steps_per_period=256\nt_end=400\n",
+        "mode=geomphase\naxis=omega:0.5:0.6:3\ntheta=0.3\ndelta=0.3\n",
+        "mode=resonance\ntheta=0\nomega=0.2\n",
+        "mode=sensitivity\naxis=theta:0:1.2:7\nomega=1.0\ndelta_rabi=0.01\n",
+    ], ids=["spectrum", "evolve", "geomphase", "resonance", "sensitivity"])
+    def test_run_datasets_match_reference_writer(self, tmp_path, text):
+        ds = run(parse_config(text))
+        for physical_d in (None, 2.87):
+            path = tmp_path / "out.csv"
+            emit_csv(ds, str(path), physical_d=physical_d)
+            _assert_matches_reference(path, ds, physical_d)
+
+    def test_edge_values_match_reference_writer(self, tmp_path):
+        edges = [0.0, -0.0, 5e-324, 5e-300, 1e100, -1e100, 1e16, -1234.5]
+        rng = np.random.default_rng(11)
+        randoms = rng.uniform(-10, 10, 2000) * 10.0 ** rng.integers(-300, 300, 2000)
+        values = np.concatenate([edges, randoms])
+        ds = Dataset(header=["f", "t", "p", "n"],
+                     columns=[values, values[::-1], -values,
+                              -np.arange(len(values)) * 7919],
+                     kinds=["freq", "time", "plain", "plain"],
+                     provenance={"drift": "9.590e-03", "movement": "0.000e+00"})
+        for physical_d in (None, 2.87):
+            path = tmp_path / "edge.csv"
+            emit_csv(ds, str(path), physical_d=physical_d)
+            _assert_matches_reference(path, ds, physical_d)
+
+    def test_rejects_ragged_columns(self, tmp_path):
+        ds = Dataset(header=["x", "y"], columns=[[1.0, 2.0], [1.0]],
+                     kinds=["plain", "plain"])
+        with pytest.raises(NumericFailureError):
+            emit_csv(ds, str(tmp_path / "ragged.csv"))
+        assert not os.path.exists(tmp_path / "ragged.csv")
 
 
 class TestRun:
@@ -145,6 +220,32 @@ class TestRun:
         assert ds.header == ["theta", "omega", "delta_rabi", "delta_theta"]
         assert ds.rows[0][3] == pytest.approx(0.01 / math.sqrt(2))
 
+    @pytest.mark.parametrize("text, drifts", [
+        ("omega=0.2\ntheta=0.03\npsi0=0\nt_end=1e12\n", True),
+        ("omega=0.2\ntheta=0.0314159265\ndelta=0.803\npsi0=0\nt_end=4000\n",
+         False),
+    ], ids=["t_end_1e12", "readme"])
+    def test_evolve_reports_norm_deviation(self, text, drifts):
+        # period propagators are unitary to ~1e-12, so over 3e10 periods the
+        # norm drifts by ~1e-2; the README run stays at rounding level
+        ds = run(parse_config("mode=evolve\n" + text))
+        deviation = float(ds.provenance["norm_deviation_max"])
+        assert deviation > 1e-3 if drifts else deviation < 1e-10
+
+    def test_theta_sweep_truncation_at_first_point(self):
+        ds = run(parse_config(
+            "mode=geomphase\nomega=0.3\ndelta=0.4\naxis=theta:0.1:0.3:3\n"))
+        modes, movement = auto_harmonics(RotorParams(omega=0.3, theta=0.1,
+                                                     delta=0.4))
+        assert ds.provenance["harmonics_final_n"] == str(modes.n_harmonics)
+        assert ds.provenance["harmonics_last_movement"] == f"{movement:.3e}"
+
+    def test_omega_sweep_reports_no_truncation(self):
+        ds = run(parse_config(
+            "mode=spectrum\nomega=0.3\ntheta=0.3\ndelta=0.3\n"
+            "axis=omega:0.3:0.5:3\n"))
+        assert not any(key.startswith("harmonics_") for key in ds.provenance)
+
     def test_spectrum_requires_axis(self):
         with pytest.raises(ConfigError, match="axis"):
             run(parse_config("mode=spectrum\ntheta=0.1\n"))
@@ -170,6 +271,20 @@ class TestCli:
         assert code == 0
         row = open(out).read().splitlines()[-1].split(",")
         assert float(row[3]) == pytest.approx(0.01 / (2 * math.sqrt(2)))
+
+    def test_resonance_prints_table(self, capsys):
+        # theta = 0 has the closed form delta = d - omega, residual 0
+        assert main(["resonance", "--theta", "0", "--omega", "0.2"]) == 0
+        assert capsys.readouterr().out == (
+            "theta,omega,delta_solution,residual\n0.0,0.2,0.8,0.0\n")
+
+    def test_spectrum_prints_integer_flags(self, capsys):
+        assert main(["spectrum", "--theta", "0.0314159265", "--delta", "0",
+                     "--axis", "omega:0:1.2:41"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "axis,lambda_m1,lambda_0,lambda_p1,gap_min_flag"
+        flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert len(flags) == 41 and set(flags) == {"0", "1"}
 
     def test_config_error_exit_code(self, capsys):
         assert main(["evolve", "--theta", "9"]) == 2

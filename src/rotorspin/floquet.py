@@ -148,17 +148,13 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     if n_harmonics < 1:
         raise InvalidArgumentError("n_harmonics must be >= 1")
     n = int(n_harmonics)
-    a = static_part(p)
+    k = np.arange(2 * n + 1)
     b = drive_amplitude(p)
-    bh = b.conj().T
-    dim = 3 * (2 * n + 1)
-    f = np.zeros((dim, dim), dtype=complex)
-    for i, k in enumerate(range(-n, n + 1)):
-        f[3 * i:3 * i + 3, 3 * i:3 * i + 3] = a + k * p.omega * np.eye(3)
-        if i < 2 * n:
-            f[3 * (i + 1):3 * (i + 1) + 3, 3 * i:3 * i + 3] = bh
-            f[3 * i:3 * i + 3, 3 * (i + 1):3 * (i + 1) + 3] = b
-    return f
+    f = np.zeros((2 * n + 1, 3, 2 * n + 1, 3), dtype=complex)
+    f[k, :, k, :] = static_part(p) + (k - n)[:, None, None] * p.omega * np.eye(3)
+    f[k[1:], :, k[:-1], :] = b.conj().T
+    f[k[:-1], :, k[1:], :] = b
+    return f.reshape(3 * (2 * n + 1), 3 * (2 * n + 1))
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,7 @@ def auto_harmonics(p: RotorParams) -> tuple[ModeSet, float]:
 def _resolve_harmonics(p: RotorParams, n_harmonics) -> ModeSet:
     """Drive modes at a fixed truncation, or at the converged one for
     "auto"."""
-    if n_harmonics == "auto" or n_harmonics is None:
+    if n_harmonics == "auto":
         return auto_harmonics(p)[0]
     return physical_modes(p, int(n_harmonics))
 
@@ -305,13 +301,6 @@ def _slope_targets(p: RotorParams) -> np.ndarray:
     return np.array([es.values[idx[lab]] + SLOPE[lab] * p.omega for lab in LABELS])
 
 
-def _nearest_copy(folded: np.ndarray, target: np.ndarray,
-                  width: float) -> np.ndarray:
-    """Copies of the folded values, spaced by the folding width, nearest the
-    targets."""
-    return folded + np.round((target - folded) / width) * width
-
-
 def quasienergy_spectrum(
     p_template: RotorParams,
     axis: str,
@@ -320,10 +309,13 @@ def quasienergy_spectrum(
 ) -> QuasiSpectrum:
     """Three continuously tracked quasi-energy branches along a sweep axis.
 
-    Branches are tracked between adjacent points by maximal overlap of the
-    t = 0 states, and reported as unfolded representatives chosen by the
-    slope rule so the curves reproduce the familiar fan of levels emanating
-    from the zero-rotation eigenvalues.
+    Branches are tracked from point to point by maximal overlap of the
+    t = 0 states. With a field and omega != 0 the values are folded, and
+    each branch is unfolded by one rule: its distance from its slope-rule
+    target stays continuous, so it takes the copy nearest its target plus
+    its offset from the target at the previous folded point (nearest the
+    target itself at the first). The curves reproduce the familiar fan of
+    levels emanating from the zero-rotation eigenvalues.
     """
     if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
@@ -340,61 +332,51 @@ def quasienergy_spectrum(
             "sweep each rotation direction separately"
         )
 
-    pts = [p_template.with_(**{axis: float(v)}) for v in values]
-    npts = len(pts)
-    lam = np.empty((npts, 3))
-    widths = np.empty(npts)
-    modes = np.empty((npts, 3, 3), dtype=complex)
-
-    folded0, mode0, weights0, widths[0] = _point_modes(pts[0], n_harmonics)
-    # refuse to start labeling inside an avoided crossing: branches must be
-    # separable either by energy or by near-pure spin character
-    gap = min(_circ_dist(folded0[i], folded0[j], widths[0])
-              for i, j in ((0, 1), (0, 2), (1, 2)))
-    if gap < 1e-6 * p_template.d and weights0.max(axis=1).min() < 0.99:
-        raise TrackingError(
-            "sweep starts inside a gap: branches not separable at the first point"
-        )
-    idx = _assign_labels(weights0)
-    order = [idx[lab] for lab in LABELS]
-    lam[0] = folded0[order]
-    modes[0] = mode0[:, order].T
-
-    for i in range(1, npts):
-        folded, m0, _, widths[i] = _point_modes(pts[i], n_harmonics)
-        overlap = np.abs(modes[i - 1].conj() @ m0)  # (branch, mode)
-        perm = _best_permutation(overlap)
-        worst = overlap[np.arange(3), perm].min()
-        if worst < 0.5:
-            raise TrackingError(
-                f"branch tracking lost between {axis} = {values[i-1]:.6g} and "
-                f"{values[i]:.6g} (max overlap {worst:.3f}); use a finer grid"
-            )
-        lam[i] = folded[perm]
-        modes[i] = m0[:, perm].T
-
-    # unfold to slope-rule representatives: the first point's folded values
-    # go to the copies nearest their targets, each later point's to the
-    # copies nearest the previous representatives
-    reps = lam.copy()
-    if widths[0]:
-        reps[0] = _nearest_copy(lam[0], _slope_targets(pts[0]), widths[0])
-    for i in range(1, npts):
-        if widths[i]:
-            reps[i] = _nearest_copy(lam[i], reps[i - 1], widths[i])
-
     # continuity bound: movement per step limited by ~10x the local slope
     base_slope = {"omega": 1.5, "delta": 1.5,
                   "theta": (abs(p_template.omega) + p_template.d) / p_template.d}[axis]
-    for i in range(2, npts):
-        dx = values[i] - values[i - 1]
-        slope = np.abs(reps[i - 1] - reps[i - 2]) / (values[i - 1] - values[i - 2])
-        bound = 10.0 * dx * np.maximum(slope, base_slope * p_template.d)
-        if np.any(np.abs(reps[i] - reps[i - 1]) > bound):
-            raise TrackingError(
-                f"branch continuity violated near {axis} = {values[i]:.6g}; "
-                "use a finer grid"
-            )
+    min_slope = base_slope * p_template.d
+    reps = np.empty((len(values), 3))
+    modes = np.empty((len(values), 3, 3), dtype=complex)
+    offset = np.zeros(3)  # representative minus slope-rule target
+    for i, x in enumerate(values):
+        p = p_template.with_(**{axis: float(x)})
+        folded, m0, weights, width = _point_modes(p, n_harmonics)
+        if i == 0:
+            # refuse to start labeling inside an avoided crossing: branches
+            # must be separable either by energy or by near-pure spin character
+            gap = min(_circ_dist(folded[a], folded[b], width)
+                      for a, b in ((0, 1), (0, 2), (1, 2)))
+            if gap < 1e-6 * p_template.d and weights.max(axis=1).min() < 0.99:
+                raise TrackingError(
+                    "sweep starts inside a gap: branches not separable at the "
+                    "first point"
+                )
+            idx = _assign_labels(weights)
+            perm = [idx[lab] for lab in LABELS]
+        else:
+            overlap = np.abs(modes[i - 1].conj() @ m0)  # (branch, mode)
+            perm = _best_permutation(overlap)
+            worst = overlap[np.arange(3), perm].min()
+            if worst < 0.5:
+                raise TrackingError(
+                    f"branch tracking lost between {axis} = {values[i-1]:.6g} "
+                    f"and {x:.6g} (max overlap {worst:.3f}); use a finer grid"
+                )
+        reps[i] = folded[perm]
+        modes[i] = m0[:, perm].T
+        if width:
+            target = _slope_targets(p)
+            reps[i] += np.round((target + offset - reps[i]) / width) * width
+            offset = reps[i] - target
+        if i >= 2:
+            slope = np.abs(reps[i - 1] - reps[i - 2]) / (values[i - 1] - values[i - 2])
+            bound = 10.0 * (x - values[i - 1]) * np.maximum(slope, min_slope)
+            if np.any(np.abs(reps[i] - reps[i - 1]) > bound):
+                raise TrackingError(
+                    f"branch continuity violated near {axis} = {x:.6g}; "
+                    "use a finer grid"
+                )
 
     branches = tuple(
         SpectrumBranch(label=lab, quasienergy=reps[:, b].copy(),

@@ -23,7 +23,7 @@ from .dynamics import evolve, monodromy, rabi_fit
 from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
 from .floquet import LABELS, auto_harmonics, quasienergy_spectrum
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
-from .model import RotorParams, derived_scales
+from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
 from .spin_algebra import unitarity_defect
 
@@ -119,6 +119,13 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
     if p.omega != 0:
         m, _ = monodromy(p, cfg.steps_per_period)
         ds.provenance["unitarity_drift_per_period"] = f"{unitarity_defect(m):.3e}"
+    # the populations swing at quasi-energy differences shifted by the first
+    # drive harmonics, all below W = (level spread) + 2|omega|; samples
+    # farther apart than pi/W alias them, so nothing is fitted
+    band = np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega)
+    if len(trace.times) > 1 and trace.times[1] - trace.times[0] > math.pi / band:
+        ds.provenance["rabi_fit_skipped"] = "undersampled"
+        return ds
     try:
         freq, contrast = rabi_fit(trace, ("m0", "m+1"))
         ds.provenance["fitted_rabi_frequency"] = f"{freq:.9e}"

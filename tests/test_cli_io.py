@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestEmitCsv:
                      kinds=["freq", "freq", "freq", "freq", "plain"],
                      provenance={"mode": "spectrum"})
         emit_csv(ds, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "# mode=spectrum"
         assert lines[1] == "axis,lambda_m1,lambda_0,lambda_p1,gap_min_flag"
         assert lines[2].startswith("2.000000000000e-1,")
@@ -137,7 +138,7 @@ class TestEmitCsv:
                      kinds=["freq", "time", "plain"])
         path = str(tmp_path / "u.csv")
         emit_csv(ds, path, physical_d=2.87)
-        row = open(path).read().splitlines()[-1].split(",")
+        row = Path(path).read_text().splitlines()[-1].split(",")
         assert float(row[0]) == pytest.approx(2.87)
         assert float(row[1]) == pytest.approx(1 / 2.87)
         assert float(row[2]) == pytest.approx(1.0)
@@ -197,7 +198,7 @@ class TestRun:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run(parse_config(text + f"output_path={p1}\n"))
         run(parse_config(text + f"output_path={p2}\n"))
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_geomphase_dataset(self):
         cfg = parse_config(
@@ -232,6 +233,23 @@ class TestRun:
         deviation = float(ds.provenance["norm_deviation_max"])
         assert deviation > 1e-3 if drifts else deviation < 1e-10
 
+    @pytest.mark.parametrize("text, aliased", [
+        ("omega=0.2\ntheta=0.03\npsi0=0\nt_end=1e12\n", True),
+        ("omega=0.2\ntheta=0.0314159265\ndelta=0.803\npsi0=0\nt_end=4000\n",
+         False),
+    ], ids=["t_end_1e12", "readme"])
+    def test_evolve_fits_rabi_only_when_resolved(self, text, aliased):
+        # samples every 5e7 time units alias every oscillation (bound pi/W =
+        # 2.24); the README run samples every 0.207 against a bound of 1.43
+        ds = run(parse_config("mode=evolve\n" + text))
+        fitted = {"fitted_rabi_frequency", "fitted_contrast"} & set(ds.provenance)
+        if aliased:
+            assert ds.provenance["rabi_fit_skipped"] == "undersampled"
+            assert not fitted
+        else:
+            assert "rabi_fit_skipped" not in ds.provenance
+            assert len(fitted) == 2
+
     def test_theta_sweep_truncation_at_first_point(self):
         ds = run(parse_config(
             "mode=geomphase\nomega=0.3\ndelta=0.4\naxis=theta:0.1:0.3:3\n"))
@@ -257,7 +275,7 @@ class TestCli:
         code = main(["spectrum", "--theta", "0.0314159265", "--delta", "0",
                      "--axis", "omega:0:1.2:21", "--output", out])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         header = [ln for ln in lines if not ln.startswith("#")][0]
         assert header == "axis,lambda_m1,lambda_0,lambda_p1,gap_min_flag"
 
@@ -269,7 +287,7 @@ class TestCli:
         code = main(["sensitivity", "--config", str(cfgfile),
                      "--omega", "2.0", "--output", out])
         assert code == 0
-        row = open(out).read().splitlines()[-1].split(",")
+        row = Path(out).read_text().splitlines()[-1].split(",")
         assert float(row[3]) == pytest.approx(0.01 / (2 * math.sqrt(2)))
 
     def test_resonance_prints_table(self, capsys):
@@ -344,7 +362,7 @@ class TestCli:
         code = main(["resonance", "--theta", "0.01", "--omega", "-1.2",
                      "--branch", "minus", "--output", out])
         assert code == 0
-        row = open(out).read().splitlines()[-1].split(",")
+        row = Path(out).read_text().splitlines()[-1].split(",")
         assert 0.0 < float(row[2]) < 1.0
         assert float(row[3]) <= 1e-6
 
@@ -376,7 +394,7 @@ class TestCli:
                      "--n-harmonics", n_harmonics,
                      "--axis", "theta:0.1:0.3:3", "--output", out])
         assert code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert ("# harmonics_final_n=" in text) == reported
         assert ("# harmonics_last_movement=" in text) == reported
 
@@ -387,7 +405,7 @@ class TestCli:
         assert main(["spectrum", "--config", str(cfgfile), "--output", a]) == 0
         assert main(["spectrum", "--theta", "0.0314159265", "--delta", "0",
                      "--axis", "omega:0:1.2:21", "--output", b]) == 0
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_config_value_error_reports_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"

@@ -11,7 +11,13 @@ from rotorspin.dynamics import (
     rabi_fit,
 )
 from rotorspin.errors import FlatTraceError, InvalidArgumentError
-from rotorspin.floquet import cubic_quasienergies, fold, physical_modes
+from rotorspin.floquet import (
+    auto_harmonics,
+    cubic_quasienergies,
+    floquet_matrix,
+    fold,
+    physical_modes,
+)
 from rotorspin.model import RotorParams
 from rotorspin.spin_algebra import unitarity_defect
 
@@ -163,6 +169,38 @@ class TestEvolve:
                                    atol=1e-9)
         np.testing.assert_allclose(fwd.populations[:, 2], rev.populations[:, 0],
                                    atol=1e-9)
+
+
+class TestFloquetOracle:
+    def test_evolve_matches_floquet_mode_expansion(self):
+        # psi(t) = sum_n a_n exp(-i eps_n t) sum_k c_nk exp(i k omega t), with
+        # eps_n the unfolded quasi-energy c^H F c / c^H c of each mode's
+        # harmonic vector: a route through neither propagators nor folding
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for sign in (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0):
+            p = RotorParams(omega=sign * float(rng.uniform(0.3, 1.5)),
+                            theta=float(rng.uniform(0.0, math.pi)),
+                            phi0=float(rng.uniform(0.0, 2 * math.pi)),
+                            delta=float(rng.uniform(0.1, 0.8)))
+            psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+            psi0 /= np.linalg.norm(psi0)
+            trace = evolve(p, psi0, 20 * p.period)
+
+            ms = auto_harmonics(p)[0]
+            n = ms.n_harmonics
+            c = ms.fourier.reshape(3 * (2 * n + 1), 3)  # (harmonic x spin, mode)
+            fc = floquet_matrix(p, n) @ c
+            eps = (np.einsum("im,im->m", c.conj(), fc)
+                   / np.einsum("im,im->m", c.conj(), c)).real
+            a = np.linalg.solve(ms.fourier.sum(axis=0), psi0)
+            k = np.arange(-n, n + 1)
+            t = trace.times
+            harm = np.exp(1j * p.omega * np.outer(t, k))  # (time, harmonic)
+            ref = np.einsum("tk,ksm,tm->ts", harm, ms.fourier,
+                            a * np.exp(-1j * np.outer(t, eps)))
+            worst = max(worst, float(np.abs(trace.states - ref).max()))
+        assert worst <= 1e-10
 
 
 class TestMonodromy:

@@ -18,7 +18,7 @@ from rotorspin.floquet import (
     quasienergies_zero_field,
     quasienergy_spectrum,
 )
-from rotorspin.model import RotorParams, h_interaction, static_part
+from rotorspin.model import RotorParams, drive_amplitude, h_interaction, static_part
 from rotorspin.spin_algebra import hermitian_eigensystem, hermiticity_defect
 
 RNG = np.random.default_rng(99)
@@ -118,6 +118,29 @@ class TestHarmonicMatrix:
         with pytest.raises(InvalidArgumentError):
             floquet_matrix(RotorParams(omega=0.0, theta=0.1), 4)
 
+    def test_equals_block_by_block_build(self):
+        def reference(p, n):
+            a, b = static_part(p), drive_amplitude(p)
+            f = np.zeros((3 * (2 * n + 1), 3 * (2 * n + 1)), dtype=complex)
+            for i, k in enumerate(range(-n, n + 1)):
+                f[3 * i:3 * i + 3, 3 * i:3 * i + 3] = a + k * p.omega * np.eye(3)
+                if i < 2 * n:
+                    f[3 * i + 3:3 * i + 6, 3 * i:3 * i + 3] = b.conj().T
+                    f[3 * i:3 * i + 3, 3 * i + 3:3 * i + 6] = b
+            return f
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = RotorParams(omega=float(rng.choice([-1, 1]) * rng.uniform(0.01, 3)),
+                            theta=float(rng.uniform(0, math.pi)),
+                            phi0=float(rng.uniform(-5, 5)),
+                            delta=float(rng.uniform(-1, 1)),
+                            d=float(rng.uniform(0.5, 2)))
+            n = int(rng.integers(1, 40))
+            # bit for bit, signed zeros included
+            assert np.array_equal(floquet_matrix(p, n).view(np.int64),
+                                  reference(p, n).view(np.int64))
+
 
 class TestAutoHarmonics:
     def test_modes_are_those_at_the_converged_truncation(self):
@@ -200,6 +223,31 @@ class TestSpectrumSweep:
                                                                   abs=1e-4)
         quasienergy_spectrum(p.with_(delta=0.0), "omega",
                              np.linspace(0.0, 0.5, 11))
+
+    def last_values(self, lo, hi, points):
+        p = RotorParams(omega=0.5, theta=0.3, delta=0.3)
+        sp = quasienergy_spectrum(p, "omega", np.linspace(lo, hi, points))
+        return np.array([sp.branch(lab).quasienergy[-1] for lab in LABELS])
+
+    def test_unfolding_independent_of_a_tiny_first_omega(self):
+        # copies lie only 0.001 apart at the first point, so which copy a
+        # branch reaches at omega = 0.5 must not follow from the first steps
+        np.testing.assert_allclose(self.last_values(0.001, 0.5, 50),
+                                   self.last_values(0.05, 0.5, 10),
+                                   rtol=0, atol=1e-12)
+
+    def test_unfolding_independent_of_the_grid_at_negative_omega(self):
+        ref = self.last_values(-0.5, -0.05, 10)
+        for points in (12, 19):
+            np.testing.assert_allclose(self.last_values(-0.5, -0.05, points),
+                                       ref, rtol=0, atol=1e-12)
+
+    def test_branch_continues_straight_as_omega_approaches_zero(self):
+        # near the end the step in m-1 (0.037) exceeds half the copy spacing
+        # |omega|, so the copy nearest the previous value lies one copy down
+        p = RotorParams(omega=-1.0, theta=0.3, delta=0.3)
+        sp = quasienergy_spectrum(p, "omega", np.linspace(-1.2, -0.05, 61))
+        assert np.all(np.diff(sp.branch("m-1").quasienergy[-10:]) > 0)
 
     def test_rejects_unsorted_axis(self):
         with pytest.raises(InvalidArgumentError):

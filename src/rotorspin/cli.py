@@ -14,14 +14,12 @@ import sys
 
 import numpy as np
 
-from .config import MODES, _read_pairs, parse_mapping
+from .config import _KEYS, MODES, _read_pairs, parse_mapping
 from .errors import ConfigError, InvalidArgumentError, RotorSpinError
 from .runner import run
 
-_FLAG_KEYS = (
-    "omega", "theta", "d", "phi0", "delta", "axis", "steps_per_period",
-    "n_harmonics", "psi0", "t_end", "branch", "delta_rabi", "physical_d",
-)
+# the subcommand sets the mode, and --output the output path
+_FLAG_KEYS = tuple(key for key in _KEYS if key not in ("mode", "output_path"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,32 +31,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in MODES:
         sp = sub.add_parser(mode, help=f"run a {mode} computation")
-        _add_common_flags(sp)
+        sp.add_argument("--config", help="config file (key=value lines)")
+        sp.add_argument("--output", dest="output_path", help="CSV output path")
+        for key in _FLAG_KEYS:
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     sub.add_parser("selftest", help="run internal consistency checks")
     return parser
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="config file (key=value lines)")
-    sp.add_argument("--output", dest="output_path", help="CSV output path")
-    for key in _FLAG_KEYS:
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-
-
 def _merge_config(args: argparse.Namespace):
-    pairs: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    text = ""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        pairs, lines = _read_pairs(text)
+    pairs, lines = _read_pairs(text)
     # the subcommand sets the mode and flags win; a flag value has no line
-    flags = {"mode": args.command,
-             **{key: getattr(args, key, None) for key in _FLAG_KEYS + ("output_path",)}}
-    for key, value in flags.items():
+    for key in _KEYS:
+        value = args.command if key == "mode" else getattr(args, key)
         if value is not None:
             pairs[key] = value
             lines.pop(key, None)
@@ -136,7 +128,7 @@ def main(argv=None) -> int:
     if not cfg.output_path:
         # no file requested: print the table to stdout
         print(",".join(ds.header))
-        for row in ds.rows:
+        for row in zip(*ds.scaled_columns(cfg.physical_d)):
             print(",".join(str(v) for v in row))
     else:
         print(f"wrote {len(ds.columns[0])} rows to {cfg.output_path}")

@@ -9,11 +9,12 @@ which overrides the file value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
-__all__ = ["AxisSpec", "SweepConfig", "parse_config", "parse_mapping", "serialize"]
+__all__ = ["AxisSpec", "SweepConfig", "format_value", "parse_config",
+           "parse_mapping", "serialize"]
 
 MODES = ("spectrum", "evolve", "geomphase", "resonance", "sensitivity")
 
@@ -28,6 +29,9 @@ class AxisSpec:
     min: float
     max: float
     points: int
+
+    def __str__(self) -> str:
+        return f"{self.name}:{self.min!r}:{self.max!r}:{self.points}"
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,13 @@ class SweepConfig:
     delta_rabi: float = 0.0
 
 
-_KEYS = (
-    "mode", "omega", "theta", "d", "phi0", "delta", "axis", "steps_per_period",
-    "n_harmonics", "output_path", "physical_d", "psi0", "t_end", "branch",
-    "delta_rabi",
-)
+_KEYS = tuple(f.name for f in fields(SweepConfig))
+
+
+def format_value(value) -> str:
+    """A config value as config text: `repr` for floats, so they read back
+    exactly, and `str` otherwise (an AxisSpec as name:min:max:points)."""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _parse_float(key: str, raw: str, line: int | None) -> float:
@@ -144,9 +150,6 @@ def _validate(cfg: SweepConfig) -> None:
     if cfg.axis is not None and cfg.axis.name == "theta":
         if not (0.0 <= cfg.axis.min and cfg.axis.max <= math.pi):
             raise ConfigError("axis: theta range must stay within [0, pi]")
-    for v in (cfg.omega, cfg.theta, cfg.phi0, cfg.delta):
-        if not math.isfinite(v):
-            raise ConfigError("all frequencies must be finite")
 
 
 def _read_pairs(text: str) -> tuple[dict[str, str], dict[str, int]]:
@@ -177,22 +180,7 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def serialize(cfg: SweepConfig) -> str:
-    """Render a config back to the flat text format (round-trip safe)."""
-    out = [f"mode={cfg.mode}"]
-    for key in ("omega", "theta", "d", "phi0", "delta"):
-        out.append(f"{key}={getattr(cfg, key)!r}")
-    if cfg.axis is not None:
-        a = cfg.axis
-        out.append(f"axis={a.name}:{a.min!r}:{a.max!r}:{a.points}")
-    out.append(f"steps_per_period={cfg.steps_per_period}")
-    out.append(f"n_harmonics={cfg.n_harmonics}")
-    if cfg.output_path is not None:
-        out.append(f"output_path={cfg.output_path}")
-    if cfg.physical_d is not None:
-        out.append(f"physical_d={cfg.physical_d!r}")
-    out.append(f"psi0={cfg.psi0}")
-    if cfg.t_end is not None:
-        out.append(f"t_end={cfg.t_end!r}")
-    out.append(f"branch={cfg.branch}")
-    out.append(f"delta_rabi={cfg.delta_rabi!r}")
-    return "\n".join(out) + "\n"
+    """Render a config back to the flat text format (round-trip safe); keys
+    whose value is None are left out."""
+    values = ((key, getattr(cfg, key)) for key in _KEYS)
+    return "".join(f"{key}={format_value(v)}\n" for key, v in values if v is not None)

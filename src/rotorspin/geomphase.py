@@ -24,7 +24,7 @@ from .floquet import (
     _resolve_harmonics,
     quasienergies_zero_field,
 )
-from .model import RotorParams
+from .model import RotorParams, drive_amplitude
 from .spin_algebra import SPIN
 
 __all__ = [
@@ -57,11 +57,9 @@ class GeometricPhaseSet:
 def _gauge_harmonics(p: RotorParams) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic components (A0, A-) of the gauge potential
     A(t) = A0 + A- e^{-i omega t} + h.c., with A0 = omega (1 - cos theta) S_z
-    and A- = -(omega sin theta / 2) e^{-i phi0} S_+."""
+    and A- = -(omega sin theta / 2) e^{-i phi0} S_+, the drive amplitude."""
     a0 = p.omega * (1.0 - math.cos(p.theta)) * SPIN.sz
-    a_minus = (-0.5 * p.omega * math.sin(p.theta) * np.exp(-1j * p.phi0)
-               * SPIN.s_plus)
-    return a0, a_minus
+    return a0, drive_amplitude(p)
 
 
 def gauge_operator(p: RotorParams, t) -> np.ndarray:

@@ -135,10 +135,11 @@ def h_interaction(p: RotorParams) -> np.ndarray:
 def h_adiabatic_effective(p: RotorParams) -> np.ndarray:
     """Diagonal effective Hamiltonian in the slow-rotation limit.
 
-    Keeps only the splitting and the rotation-induced level shift."""
+    Keeps only the splitting and the rotation-induced level shift: the
+    static part without a field."""
     if p.delta != 0:
         raise InvalidArgumentError("h_adiabatic_effective requires delta = 0")
-    return p.d * SZ2 + p.omega * (1.0 - math.cos(p.theta)) * SPIN.sz
+    return static_part(p)
 
 
 # Small-angle validity guard: theta must stay well below 1 - delta/d for the

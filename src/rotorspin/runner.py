@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import SweepConfig
+from .config import SweepConfig, format_value
 from .dynamics import evolve, monodromy, rabi_fit
 from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
 from .floquet import LABELS, auto_harmonics, quasienergy_spectrum
@@ -29,8 +29,9 @@ from .spin_algebra import unitarity_defect
 
 __all__ = ["Dataset", "run", "emit_csv", "format_float"]
 
-# column scaling kinds for physical-units output
+# column scaling kinds for physical-units output, and that of each axis
 _FREQ, _TIME, _PLAIN = "freq", "time", "plain"
+_AXIS_KINDS = {"theta": _PLAIN, "omega": _FREQ, "delta": _FREQ}
 
 _PSI0 = {
     "+1": np.array([1.0, 0.0, 0.0], dtype=complex),
@@ -55,6 +56,14 @@ class Dataset:
         """The table as row tuples: a read-only view of `columns`."""
         return list(zip(*self.columns))
 
+    def scaled_columns(self, physical_d: float | None) -> list[np.ndarray]:
+        """`columns` as arrays; with `physical_d` the freq columns are
+        multiplied by it and the time columns divided."""
+        scales = ({} if physical_d is None
+                  else {_FREQ: physical_d, _TIME: 1.0 / physical_d})
+        return [np.asarray(c) * scales[kind] if kind in scales else np.asarray(c)
+                for c, kind in zip(self.columns, self.kinds)]
+
 
 def _params(cfg: SweepConfig) -> RotorParams:
     try:
@@ -70,8 +79,15 @@ def _axis_values(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.axis.min, cfg.axis.max, cfg.axis.points)
 
 
-def _annotate(exc: RotorSpinError, axis_name: str, value: float):
-    raise type(exc)(f"{exc} (at {axis_name} = {value:.6g})") from exc
+def _per_point(axis_name: str, values, point) -> list:
+    """`point(v)` for each axis value v; a failure names the value."""
+    out = []
+    for v in map(float, values):
+        try:
+            out.append(point(v))
+        except RotorSpinError as exc:
+            raise type(exc)(f"{exc} (at {axis_name} = {v:.6g})") from exc
+    return out
 
 
 def _run_spectrum(cfg: SweepConfig) -> Dataset:
@@ -87,11 +103,10 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
     left, mid, right = gaps[:-2], gaps[1:-1], gaps[2:]
     flags = np.zeros(len(values), dtype=int)
     flags[1:-1] = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
-    axis_kind = _PLAIN if cfg.axis.name == "theta" else _FREQ
     return Dataset(
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
         columns=[values, *lam.T, flags],
-        kinds=[axis_kind, _FREQ, _FREQ, _FREQ, _PLAIN],
+        kinds=[_AXIS_KINDS[cfg.axis.name], _FREQ, _FREQ, _FREQ, _PLAIN],
     )
 
 
@@ -138,22 +153,20 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
 def _run_geomphase(cfg: SweepConfig) -> Dataset:
     values = _axis_values(cfg)
     p0 = _params(cfg)
-    gammas = []
-    for v in values:
-        p = p0.with_(**{cfg.axis.name: float(v)})
-        try:
-            if p.delta == 0:
-                phases = geometric_phases_zero_field(p)
-            else:
-                phases = geometric_phases_with_field(p, cfg.n_harmonics)
-        except RotorSpinError as exc:
-            _annotate(exc, cfg.axis.name, v)
-        gammas.append([phases.gamma[lab] for lab in LABELS])
-    axis_kind = _PLAIN if cfg.axis.name == "theta" else _FREQ
+
+    def point(v: float) -> list[float]:
+        p = p0.with_(**{cfg.axis.name: v})
+        if p.delta == 0:
+            phases = geometric_phases_zero_field(p)
+        else:
+            phases = geometric_phases_with_field(p, cfg.n_harmonics)
+        return [phases.gamma[lab] for lab in LABELS]
+
+    gammas = _per_point(cfg.axis.name, values, point)
     return Dataset(
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
         columns=[values, *np.transpose(gammas)],
-        kinds=[axis_kind, _PLAIN, _PLAIN, _PLAIN],
+        kinds=[_AXIS_KINDS[cfg.axis.name], _PLAIN, _PLAIN, _PLAIN],
     )
 
 
@@ -162,16 +175,12 @@ def _run_resonance(cfg: SweepConfig) -> Dataset:
         raise ConfigError("resonance mode sweeps theta only")
     thetas = (_axis_values(cfg) if cfg.axis is not None
               else np.array([cfg.theta]))
-    solutions = []
-    for th in thetas:
-        try:
-            sol = resonant_field(float(th), cfg.omega, cfg.branch, cfg.d)
-        except RotorSpinError as exc:
-            _annotate(exc, "theta", th)
-        solutions.append([sol.value, sol.residual])
+    sols = _per_point("theta", thetas, lambda theta: resonant_field(
+        theta, cfg.omega, cfg.branch, cfg.d))
     return Dataset(
         header=["theta", "omega", "delta_solution", "residual"],
-        columns=[thetas, np.full_like(thetas, cfg.omega), *np.transpose(solutions)],
+        columns=[thetas, np.full_like(thetas, cfg.omega),
+                 [s.value for s in sols], [s.residual for s in sols]],
         kinds=[_PLAIN, _FREQ, _FREQ, _FREQ],
     )
 
@@ -183,12 +192,8 @@ def _run_sensitivity(cfg: SweepConfig) -> Dataset:
     swept = _axis_values(cfg) if cfg.axis is not None else np.array([cfg.theta])
     thetas = swept if name == "theta" else np.full_like(swept, cfg.theta)
     omegas = swept if name == "omega" else np.full_like(swept, cfg.omega)
-    dths = []
-    for th, om in zip(thetas.tolist(), omegas.tolist()):
-        try:
-            dths.append(angle_uncertainty(om, th, cfg.delta_rabi))
-        except RotorSpinError as exc:
-            _annotate(exc, name, om if name == "omega" else th)
+    dths = _per_point(name, swept, lambda v: angle_uncertainty(
+        **{"theta": cfg.theta, "omega": cfg.omega, name: v}, delta_rabi=cfg.delta_rabi))
     return Dataset(
         header=["theta", "omega", "delta_rabi", "delta_theta"],
         columns=[thetas, omegas, np.full_like(swept, cfg.delta_rabi), dths],
@@ -215,25 +220,14 @@ def run(cfg: SweepConfig) -> Dataset:
 
 
 def _provenance(cfg: SweepConfig) -> dict:
-    prov = {
-        "engine": f"rotorspin {__version__}",
-        "mode": cfg.mode,
-        "omega": repr(cfg.omega),
-        "theta": repr(cfg.theta),
-        "d": repr(cfg.d),
-        "phi0": repr(cfg.phi0),
-        "delta": repr(cfg.delta),
-        "steps_per_period": str(cfg.steps_per_period),
-        "n_harmonics": str(cfg.n_harmonics),
-        "psi0": cfg.psi0,
-        "branch": cfg.branch,
-        "units": ("physical" if cfg.physical_d is not None else "dimensionless"),
-    }
-    if cfg.axis is not None:
-        a = cfg.axis
-        prov["axis"] = f"{a.name}:{a.min!r}:{a.max!r}:{a.points}"
-    if cfg.physical_d is not None:
-        prov["physical_d"] = repr(cfg.physical_d)
+    recorded = ("mode", "omega", "theta", "d", "phi0", "delta",
+                "steps_per_period", "n_harmonics", "psi0", "branch")
+    prov = {"engine": f"rotorspin {__version__}",
+            **{key: format_value(getattr(cfg, key)) for key in recorded},
+            "units": "physical" if cfg.physical_d is not None else "dimensionless"}
+    for key in ("axis", "physical_d"):
+        if getattr(cfg, key) is not None:
+            prov[key] = format_value(getattr(cfg, key))
     # a theta or delta sweep reports the truncation at its first point; an
     # omega sweep reports none, as its truncation grows as 1/|omega|
     if (cfg.mode in ("spectrum", "geomphase") and cfg.n_harmonics == "auto"
@@ -267,14 +261,11 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
     `format_float` writes them; with `physical_d` the freq columns are
     multiplied by it and the time columns divided. Raises
     NumericFailureError, and writes nothing, if the columns do not match the
-    header or a value is not finite."""
-    columns = [np.asarray(c) for c in ds.columns]
-    if len(columns) != len(ds.header) or len({len(c) for c in columns}) != 1:
+    header or a value is not finite, and ConfigError, leaving no file
+    behind, if the path cannot be written."""
+    if len(ds.columns) != len(ds.header) or len({len(c) for c in ds.columns}) != 1:
         raise NumericFailureError("columns do not match the header")
-    if physical_d is not None:
-        scales = {_FREQ: physical_d, _TIME: 1.0 / physical_d}
-        columns = [c * scales[kind] if kind in scales else c
-                   for c, kind in zip(columns, ds.kinds)]
+    columns = ds.scaled_columns(physical_d)
     table = np.column_stack(columns)
     finite = np.isfinite(table)
     if not finite.all():
@@ -286,12 +277,16 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
         "".join([row % tuple(r) for r in table.tolist()]))
 
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rotorspin-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rotorspin-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(body)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write output {path!r}: {exc.strerror or exc}") from exc

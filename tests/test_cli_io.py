@@ -1,13 +1,17 @@
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorspin import dynamics
 from rotorspin.cli import main
-from rotorspin.config import AxisSpec, parse_config, serialize
+from rotorspin.config import (AXIS_NAMES, MODES, AxisSpec, SweepConfig,
+                              parse_config, serialize)
 from rotorspin.errors import ConfigError, NumericFailureError
 from rotorspin.floquet import auto_harmonics
 from rotorspin.model import RotorParams
@@ -48,6 +52,42 @@ def _assert_matches_reference(path, ds: Dataset, physical_d) -> None:
         first = next((pair for pair in pairs if pair[0] != pair[1]), None)
         pytest.fail(f"CSV differs from the reference writer at (written, "
                     f"reference) = {first}")
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def _axes(draw):
+    name = draw(st.sampled_from(AXIS_NAMES))
+    bounds = {"min_value": 0.0, "max_value": math.pi} if name == "theta" else {}
+    lo, hi = sorted(draw(st.lists(_finite(**bounds), min_size=2, max_size=2,
+                                  unique=True)))
+    return AxisSpec(name=name, min=lo, max=hi, points=draw(st.integers(2, 10**6)))
+
+
+_POSITIVE = _finite(min_value=0.0, exclude_min=True)
+
+# one value strategy per SweepConfig field, each drawing only valid values
+_FIELD_VALUES = {
+    "mode": st.sampled_from(MODES),
+    "omega": _finite(),
+    "theta": _finite(min_value=0.0, max_value=math.pi),
+    "d": _POSITIVE,
+    "phi0": _finite(),
+    "delta": _finite(),
+    "axis": st.none() | _axes(),
+    "steps_per_period": st.integers(min_value=256),
+    "n_harmonics": st.just("auto") | st.integers(min_value=1),
+    # config text strips blanks and cuts comments, so paths avoid both
+    "output_path": st.none() | st.text("abc/._-=0", max_size=12),
+    "physical_d": st.none() | _POSITIVE,
+    "psi0": st.sampled_from(("+1", "0", "-1")),
+    "t_end": st.none() | _POSITIVE,
+    "branch": st.sampled_from(("plus", "minus")),
+    "delta_rabi": _finite(min_value=0.0),
+}
 
 
 class TestParseConfig:
@@ -98,6 +138,15 @@ class TestParseConfig:
             "mode=geomphase\naxis=omega:0.1:1.5:31\ntheta=0.3141592653589793\n"
             "delta=0\nsteps_per_period=1024\nn_harmonics=auto\npsi0=0\n")
         assert parse_config(serialize(cfg)) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.builds(SweepConfig, **_FIELD_VALUES))
+    def test_round_trip_every_field(self, cfg):
+        assert parse_config(serialize(cfg)) == cfg
+
+    def test_round_trip_draws_every_field(self):
+        # a new config field needs a strategy here to be round-tripped
+        assert set(_FIELD_VALUES) == {f.name for f in fields(SweepConfig)}
 
 
 class TestFloatFormat:
@@ -303,6 +352,44 @@ class TestCli:
         assert lines[0] == "axis,lambda_m1,lambda_0,lambda_p1,gap_min_flag"
         flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert len(flags) == 41 and set(flags) == {"0", "1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["resonance", "--theta", "0", "--omega", "0.2"],
+        ["spectrum", "--theta", "0.3", "--delta", "0", "--axis", "omega:0.5:1.2:5"],
+        ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0",
+         "--t-end", "50", "--steps-per-period", "256"],
+    ], ids=["resonance", "spectrum", "evolve"])
+    def test_stdout_honours_physical_units(self, tmp_path, capsys, argv):
+        # the printed table carries the values the CSV holds, to 12 digits
+        argv = argv + ["--physical-d", "2.87"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        out = tmp_path / "u.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        written = [ln for ln in out.read_text().splitlines()
+                   if not ln.startswith("#")]
+        assert printed[0] == written[0]
+        assert len(printed) == len(written)
+        for got, want in zip(printed[1:], written[1:]):
+            np.testing.assert_allclose(np.array(got.split(","), dtype=float),
+                                       np.array(want.split(","), dtype=float),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "dir"],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        # a directory as the target fails only at the final rename, after
+        # the temporary file was written beside it
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / target)
+        code = main(["sensitivity", "--omega", "1", "--theta", "0.5",
+                     "--delta-rabi", "0.01", "--output", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {out!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["dir"]
+        assert os.listdir(tmp_path / "dir") == []
 
     def test_config_error_exit_code(self, capsys):
         assert main(["evolve", "--theta", "9"]) == 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -20,6 +21,10 @@ from .runner import run
 
 # the subcommand sets the mode, and --output the output path
 _FLAG_KEYS = tuple(key for key in _KEYS if key not in ("mode", "output_path"))
+
+# argparse reads a separate flag value that starts with "-" as an option
+# unless it matches its own negative-number pattern, which has no exponent
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,6 +111,11 @@ def _selftest() -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # every flag takes one value
+        if (argv[i - 1][:2] == "--" and "=" not in argv[i - 1]
+                and _NEGATIVE_NUMBER.fullmatch(argv[i])):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
         try:

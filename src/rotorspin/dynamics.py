@@ -95,15 +95,11 @@ def _period_data(p: RotorParams, spp: int):
 
 def period_propagators(p: RotorParams, steps_per_period: int):
     """Cached (prefix propagators, monodromy) for one drive period."""
-    if p.omega == 0:
-        raise InvalidArgumentError("no drive period at omega = 0")
     return _period_data(p, int(steps_per_period))
 
 
 def monodromy(p: RotorParams, steps_per_period: int = 4096):
     """One-period propagator and its three folded eigenphase quasi-energies."""
-    if p.omega == 0:
-        raise InvalidArgumentError("monodromy requires omega != 0")
     _, m = period_propagators(p, steps_per_period)
     mu = np.linalg.eigvals(m)
     lam = fold(-np.angle(mu) / p.period, p.omega)

@@ -24,7 +24,8 @@ from .errors import (
     NumericFailureError,
     TrackingError,
 )
-from .model import RotorParams, drive_amplitude, h_interaction, static_part
+from .model import (RotorParams, drive_amplitude, h_interaction, period_guard,
+                    static_part)
 from .spin_algebra import hermitian_eigensystem
 
 __all__ = [
@@ -143,8 +144,7 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     Diagonal blocks are the static component shifted by n*omega for
     n = -N..N; off-diagonal blocks carry the single-harmonic drive.
     """
-    if p.omega == 0:
-        raise InvalidArgumentError("floquet_matrix requires omega != 0 (no period)")
+    period_guard(p)
     if n_harmonics < 1:
         raise InvalidArgumentError("n_harmonics must be >= 1")
     n = int(n_harmonics)
@@ -166,6 +166,7 @@ class ModeSet:
     weights: np.ndarray      # (modes, 3) time-averaged spin weights
     mode0: np.ndarray        # (3, modes) normalized state at t = 0
     n_harmonics: int
+    edge_weight: float       # largest weight of a mode on the blocks k = +-N
 
 
 def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
@@ -208,40 +209,32 @@ def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
     weights = weights / weights.sum(axis=1, keepdims=True)
     mode0 = fourier.sum(axis=0)
     mode0 = mode0 / np.linalg.norm(mode0, axis=0, keepdims=True)
+    edge = (np.abs(fourier[[0, -1]]) ** 2).sum(axis=(0, 1)).max()
     return ModeSet(quasi=quasi, fourier=fourier, weights=weights, mode0=mode0,
-                   n_harmonics=n)
+                   n_harmonics=n, edge_weight=float(edge))
 
 
-# Starting truncation is capped so that slow rotations (tiny omega) do not
-# request enormous matrices; the doubling rule below still guarantees
-# convergence of the tracked quasi-energies.
-_N_START_CAP = 32
+# the drive over the harmonic spacing is sin(theta) / 2 <= 1/2 at any omega,
+# so harmonic weights fall off like a Bessel series (Shirley, Phys. Rev. 138,
+# B979, 1965) and one start serves every omega
+_N_START = 12
 _N_MAX = 512
+_EDGE_WEIGHT_MAX = 1e-14
 
 
 def auto_harmonics(p: RotorParams) -> tuple[ModeSet, float]:
-    """Choose the harmonic truncation by doubling until the three tracked
-    quasi-energies move less than 1e-9 * d. Returns the modes at the
-    converged N and the last movement."""
-    if p.omega == 0:
-        raise InvalidArgumentError("auto_harmonics requires omega != 0")
-    n = math.ceil(4.0 + 2.0 * max(abs(p.delta), p.d) / abs(p.omega))
-    n = min(n, _N_START_CAP)
-    prev = np.sort(physical_modes(p, n).quasi)
-    while True:
-        n2 = 2 * n
-        if n2 > _N_MAX:
-            raise NumericFailureError(
-                f"harmonic truncation did not converge below N = {_N_MAX}"
-            )
-        modes = physical_modes(p, n2)
-        cur = np.sort(modes.quasi)
-        movement = max(
-            _circ_dist(a, b, abs(p.omega)) for a, b in zip(prev, cur)
-        )
-        if movement < 1e-9 * p.d:
-            return modes, movement
-        n, prev = n2, cur
+    """Drive modes at the first truncation N = 12, 24, 48, ... at which
+    each of the three picked modes puts at most 1e-14 of its weight on the
+    edge blocks k = +-N. Returns the modes and that certified edge
+    weight."""
+    n = _N_START
+    while n <= _N_MAX:
+        modes = physical_modes(p, n)
+        if modes.edge_weight <= _EDGE_WEIGHT_MAX:
+            return modes, modes.edge_weight
+        n *= 2
+    raise NumericFailureError(
+        f"harmonic truncation did not converge below N = {_N_MAX}")
 
 
 def _resolve_harmonics(p: RotorParams, n_harmonics) -> ModeSet:
@@ -264,6 +257,8 @@ class QuasiSpectrum:
     axis_name: str
     axis_values: np.ndarray
     branches: tuple[SpectrumBranch, SpectrumBranch, SpectrumBranch]
+    n_harmonics: int          # largest truncation met, 0 if none was solved
+    edge_weight: float        # largest edge weight met (see ModeSet)
 
     def branch(self, label: str) -> SpectrumBranch:
         for b in self.branches:
@@ -275,21 +270,22 @@ class QuasiSpectrum:
 def _point_modes(p: RotorParams, n_harmonics):
     """Quasi-energies, t=0 states and spin weights at one point.
 
-    Returns (values, mode0 (3, modes), weights (modes, 3), width): width is
-    the folding width |omega| of the values, or 0 when they are not folded.
+    Returns (values, mode0 (3, modes), weights (modes, 3), width, ms): width
+    is the folding width |omega| of the values, and ms the ModeSet they came
+    from; width is 0 and ms None when no harmonic matrix was solved.
     """
     if p.delta == 0 and p.omega != 0:
         triples = quasienergies_zero_field(p)
         lams = np.array([t[1] for t in triples])
         mode0 = np.stack([t[2] for t in triples], axis=1)
         weights = (np.abs(mode0) ** 2).T
-        return lams, mode0, weights, 0.0
+        return lams, mode0, weights, 0.0, None
     if p.omega == 0:
         es = hermitian_eigensystem(static_part(p))
         weights = (np.abs(es.vectors) ** 2).T
-        return es.values, es.vectors, weights, 0.0
+        return es.values, es.vectors, weights, 0.0, None
     ms = _resolve_harmonics(p, n_harmonics)
-    return ms.quasi, ms.mode0, ms.weights, abs(p.omega)
+    return ms.quasi, ms.mode0, ms.weights, abs(p.omega), ms
 
 
 def _slope_targets(p: RotorParams) -> np.ndarray:
@@ -339,9 +335,13 @@ def quasienergy_spectrum(
     reps = np.empty((len(values), 3))
     modes = np.empty((len(values), 3, 3), dtype=complex)
     offset = np.zeros(3)  # representative minus slope-rule target
+    n_max, edge_max = 0, 0.0
     for i, x in enumerate(values):
         p = p_template.with_(**{axis: float(x)})
-        folded, m0, weights, width = _point_modes(p, n_harmonics)
+        folded, m0, weights, width, ms = _point_modes(p, n_harmonics)
+        if ms is not None:
+            n_max = max(n_max, ms.n_harmonics)
+            edge_max = max(edge_max, ms.edge_weight)
         if i == 0:
             # refuse to start labeling inside an avoided crossing: branches
             # must be separable either by energy or by near-pure spin character
@@ -383,7 +383,8 @@ def quasienergy_spectrum(
                        mode0=modes[:, b, :].copy())
         for b, lab in enumerate(LABELS)
     )
-    return QuasiSpectrum(axis_name=axis, axis_values=values.copy(), branches=branches)
+    return QuasiSpectrum(axis_name=axis, axis_values=values.copy(),
+                         branches=branches, n_harmonics=n_max, edge_weight=edge_max)
 
 
 @dataclass(frozen=True)
@@ -405,7 +406,7 @@ def _pair_members(p: RotorParams, pair: tuple[str, str],
     min(weight_i, weight_j) peaks (with a corner) where that member is an
     equal superposition of the crossing levels.
     """
-    folded, _, weights, width = _point_modes(p, n_harmonics)
+    folded, _, weights, width, _ = _point_modes(p, n_harmonics)
     i, j = SPIN_INDEX[pair[0]], SPIN_INDEX[pair[1]]
     spec_spin = ({0, 1, 2} - {i, j}).pop()
     spectator = int(np.argmax(weights[:, spec_spin]))

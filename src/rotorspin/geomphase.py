@@ -43,11 +43,15 @@ class GeometricPhaseSet:
     For each label, gamma = term1 - term2: term1 is the total cyclic phase
     contribution, term2 the subtracted dynamical part. Phases are not
     reduced mod 2*pi, so adiabatic values near 2*pi survive intact.
+    n_harmonics and edge_weight are those of the modes (see ModeSet), 0 in
+    the closed form.
     """
 
     gamma: dict[str, float]
     term1: dict[str, float]
     term2: dict[str, float]
+    n_harmonics: int = 0
+    edge_weight: float = 0.0
 
     def as_tuple(self) -> tuple[float, float, float]:
         """(gamma_m-1, gamma_m0, gamma_m+1) in fixed label order."""
@@ -88,9 +92,7 @@ def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
     """
     if p.delta != 0:
         raise InvalidArgumentError("geometric_phases_zero_field requires delta = 0")
-    if p.omega == 0:
-        raise InvalidArgumentError("no cyclic evolution at omega = 0")
-    t_signed = 2.0 * math.pi / p.omega
+    t_signed = math.copysign(p.period, p.omega)
     gamma, term1, term2 = {}, {}, {}
     for lab, lam, vec in quasienergies_zero_field(p):
         w = np.abs(vec) ** 2
@@ -117,8 +119,7 @@ def geometric_phases_with_field(p: RotorParams,
     and term2 = term1 - gamma. T = 2 pi / omega is the signed period, as in
     the closed form, so reversing the rotation direction flips the phases.
     """
-    if p.omega == 0:
-        raise InvalidArgumentError("no cyclic evolution at omega = 0")
+    t_signed = math.copysign(p.period, p.omega)
     _slow_rotation_check()
 
     ms = _resolve_harmonics(p, n_harmonics)
@@ -136,7 +137,6 @@ def geometric_phases_with_field(p: RotorParams,
                     )
 
     a0, a_minus = _gauge_harmonics(p)
-    t_signed = 2.0 * math.pi / p.omega
     gamma, term1, term2 = {}, {}, {}
     for lab in LABELS:
         c = ms.fourier[:, :, idx[lab]]                 # (harmonic, spin)
@@ -147,7 +147,8 @@ def geometric_phases_with_field(p: RotorParams,
         gamma[lab] = float(t_signed * (static + 2.0 * hop) / norm)
         term1[lab] = float(t_signed * p.omega * sz / norm)
         term2[lab] = term1[lab] - gamma[lab]
-    return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
+    return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2,
+                             n_harmonics=ms.n_harmonics, edge_weight=ms.edge_weight)
 
 
 #: Slow reference rotation at which the pinned gauge sign is checked.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RegimeError
+from .errors import InvalidArgumentError, NumericFailureError, RegimeError
 from .spin_algebra import SPIN, SZ2
 
 __all__ = [
@@ -56,8 +56,7 @@ class RotorParams:
 
     @property
     def period(self) -> float:
-        if self.omega == 0:
-            raise InvalidArgumentError("no drive period at omega = 0")
+        period_guard(self)
         return 2.0 * math.pi / abs(self.omega)
 
     def with_(self, **kw) -> "RotorParams":
@@ -140,6 +139,19 @@ def h_adiabatic_effective(p: RotorParams) -> np.ndarray:
     if p.delta != 0:
         raise InvalidArgumentError("h_adiabatic_effective requires delta = 0")
     return static_part(p)
+
+
+def period_guard(p: RotorParams) -> None:
+    """Raise where the rotation has no usable drive period:
+    InvalidArgumentError at omega = 0, NumericFailureError where
+    |omega| <= eps (d + |delta|). There the harmonic copies n omega of a
+    level round onto the level, and a one-period phase, level times
+    2 pi / omega, keeps no digit or overflows."""
+    if p.omega == 0:
+        raise InvalidArgumentError("no drive period at omega = 0")
+    if abs(p.omega) <= np.finfo(float).eps * (p.d + abs(p.delta)):
+        raise NumericFailureError(
+            f"|omega| = {abs(p.omega):.3g} is below the rounding of the levels")
 
 
 # Small-angle validity guard: theta must stay well below 1 - delta/d for the

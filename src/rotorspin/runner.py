@@ -21,7 +21,7 @@ from . import __version__
 from .config import SweepConfig, format_value
 from .dynamics import evolve, monodromy, rabi_fit
 from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
-from .floquet import LABELS, auto_harmonics, quasienergy_spectrum
+from .floquet import LABELS, quasienergy_spectrum
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
 from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
@@ -107,6 +107,7 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
         columns=[values, *lam.T, flags],
         kinds=[_AXIS_KINDS[cfg.axis.name], _FREQ, _FREQ, _FREQ, _PLAIN],
+        provenance=_truncation(cfg, [spec]),
     )
 
 
@@ -154,20 +155,30 @@ def _run_geomphase(cfg: SweepConfig) -> Dataset:
     values = _axis_values(cfg)
     p0 = _params(cfg)
 
-    def point(v: float) -> list[float]:
+    def point(v: float):
         p = p0.with_(**{cfg.axis.name: v})
         if p.delta == 0:
-            phases = geometric_phases_zero_field(p)
-        else:
-            phases = geometric_phases_with_field(p, cfg.n_harmonics)
-        return [phases.gamma[lab] for lab in LABELS]
+            return geometric_phases_zero_field(p)
+        return geometric_phases_with_field(p, cfg.n_harmonics)
 
-    gammas = _per_point(cfg.axis.name, values, point)
+    sets = _per_point(cfg.axis.name, values, point)
     return Dataset(
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
-        columns=[values, *np.transpose(gammas)],
+        columns=[values, *np.transpose([s.as_tuple() for s in sets])],
         kinds=[_AXIS_KINDS[cfg.axis.name], _PLAIN, _PLAIN, _PLAIN],
+        provenance=_truncation(cfg, sets),
     )
+
+
+def _truncation(cfg: SweepConfig, results) -> dict:
+    """The largest harmonic truncation and edge weight among `results`, as
+    provenance of an automatic run; nothing for a fixed truncation or a run
+    without a harmonic solve."""
+    n_max = max(r.n_harmonics for r in results)
+    if cfg.n_harmonics != "auto" or n_max == 0:
+        return {}
+    return {"harmonics_n_max": str(n_max), "harmonics_edge_weight_max":
+            f"{max(r.edge_weight for r in results):.3e}"}
 
 
 def _run_resonance(cfg: SweepConfig) -> Dataset:
@@ -228,18 +239,6 @@ def _provenance(cfg: SweepConfig) -> dict:
     for key in ("axis", "physical_d"):
         if getattr(cfg, key) is not None:
             prov[key] = format_value(getattr(cfg, key))
-    # a theta or delta sweep reports the truncation at its first point; an
-    # omega sweep reports none, as its truncation grows as 1/|omega|
-    if (cfg.mode in ("spectrum", "geomphase") and cfg.n_harmonics == "auto"
-            and cfg.axis is not None and cfg.axis.name != "omega"):
-        p = _params(cfg).with_(**{cfg.axis.name: cfg.axis.min})
-        if p.delta != 0 and p.omega != 0:
-            try:
-                modes, movement = auto_harmonics(p)
-                prov["harmonics_final_n"] = str(modes.n_harmonics)
-                prov["harmonics_last_movement"] = f"{movement:.3e}"
-            except RotorSpinError:
-                pass
     return prov
 
 

@@ -1,11 +1,12 @@
 """CLI fuzz test: whatever the arguments and config text, `main` ends with
 exit code 0, 2 or 3 and never raises.
 
-Only the cheap modes are drawn (zero-field `spectrum` and `geomphase`,
-`sensitivity`, `evolve` over a short time, `resonance` at theta = 0), and
-sweeps have at most 5 points, so a draw runs in milliseconds. A draw is
-valid, or spoils one key with an out-of-range, non-numeric or non-finite
-value, a malformed axis, a junk config line or an unusable path.
+Only the cheap modes are drawn (`spectrum` and `geomphase` with or
+without a field, `sensitivity`, `evolve` over a short time, `resonance` at
+theta = 0), and sweeps have at most 5 points, so a draw runs in
+milliseconds. A draw is valid, or spoils one key with an out-of-range,
+non-numeric or non-finite value, a malformed axis, a junk config line or
+an unusable path.
 """
 
 import contextlib
@@ -59,30 +60,40 @@ _ZERO_FIELD = {
     "delta": (_OPTIONAL | st.just("0"), _NON_NUMERIC),
     "axis": (_axes(("omega", "theta")), _BAD_AXES + ["delta:0:1:3x"]),
 }
-_MODES = {
-    "spectrum": _ZERO_FIELD,
-    "geomphase": _ZERO_FIELD,
-    "sensitivity": {
+# omega sweeps over [-3, 3] may reach or cross omega = 0
+_FIELD = {
+    "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),
+    "delta": (_numbers(-2.0, 2.0).filter(lambda v: float(v) != 0.0),
+              _NON_NUMERIC),
+    "axis": (_axes(("omega", "theta", "delta")), _BAD_AXES),
+}
+# (subcommand, keys) of each kind of call
+_KINDS = [
+    ("spectrum", _ZERO_FIELD),
+    ("geomphase", _ZERO_FIELD),
+    ("spectrum", _FIELD),
+    ("geomphase", _FIELD),
+    ("sensitivity", {
         "omega": (_OMEGA, ["0", *_NON_NUMERIC]),
         "delta_rabi": (_numbers(0.0, 0.1), ["-0.01", *_NON_NUMERIC]),
         "axis": (_OPTIONAL | _axes(("omega", "theta")),
                  _BAD_AXES + ["delta:0:1:3"]),
-    },
-    "evolve": {
+    }),
+    ("evolve", {
         "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),
         "delta": (_OPTIONAL | _numbers(-1.0, 1.0), _NON_NUMERIC),
         "t_end": (_numbers(0.1, 5.0), ["0", "-1", *_NON_NUMERIC]),
         "steps_per_period": (st.sampled_from(["256", "300"]),
                              ["100", "-256", "1.5", "x", "1e3"]),
         "psi0": (_OPTIONAL | st.sampled_from(["+1", "0", "-1"]), ["2", "", "up"]),
-    },
-    "resonance": {
+    }),
+    ("resonance", {
         "theta": (st.just("0"), ["4.0", *_NON_NUMERIC]),
         "omega": (_OMEGA, ["0", *_NON_NUMERIC]),
         "branch": (_OPTIONAL | st.sampled_from(["plus", "minus"]), ["up", ""]),
         "axis": (_OPTIONAL, ["omega:0.1:0.2:3", "delta:0:1:3", *_BAD_AXES]),
-    },
-}
+    }),
+]
 _JUNK_LINES = ["just words", "bogus=1", "=3", "mode=evolve", "omega"]
 
 
@@ -90,8 +101,8 @@ _JUNK_LINES = ["just words", "bogus=1", "=3", "mode=evolve", "omega"]
 def _calls(draw):
     """(argv without --config and --output, config text or None, output
     target or None, whether the config file is missing)."""
-    mode = draw(st.sampled_from(sorted(_MODES)))
-    keys = {**_COMMON, **_MODES[mode]}
+    mode, kind = draw(st.sampled_from(_KINDS))
+    keys = {**_COMMON, **kind}
     spoil = draw(st.none() | st.sampled_from(
         sorted(keys) + ["config", "junk"]))
     values = {}

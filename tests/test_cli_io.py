@@ -299,19 +299,31 @@ class TestRun:
             assert "rabi_fit_skipped" not in ds.provenance
             assert len(fitted) == 2
 
-    def test_theta_sweep_truncation_at_first_point(self):
-        ds = run(parse_config(
-            "mode=geomphase\nomega=0.3\ndelta=0.4\naxis=theta:0.1:0.3:3\n"))
-        modes, movement = auto_harmonics(RotorParams(omega=0.3, theta=0.1,
-                                                     delta=0.4))
-        assert ds.provenance["harmonics_final_n"] == str(modes.n_harmonics)
-        assert ds.provenance["harmonics_last_movement"] == f"{movement:.3e}"
+    @staticmethod
+    def _largest_truncation_met(points):
+        met = [auto_harmonics(RotorParams(**kw)) for kw in points]
+        return (str(max(modes.n_harmonics for modes, _ in met)),
+                f"{max(edge for _, edge in met):.3e}")
 
-    def test_omega_sweep_reports_no_truncation(self):
+    def test_theta_sweep_truncation_is_the_largest_met(self):
+        # N = 12 certifies theta = 1.0; theta = 1.2 and 1.4 need N = 24
         ds = run(parse_config(
-            "mode=spectrum\nomega=0.3\ntheta=0.3\ndelta=0.3\n"
-            "axis=omega:0.3:0.5:3\n"))
-        assert not any(key.startswith("harmonics_") for key in ds.provenance)
+            "mode=geomphase\nomega=0.3\ndelta=0.9\naxis=theta:1.0:1.4:3\n"))
+        want = self._largest_truncation_met(
+            dict(omega=0.3, theta=th, delta=0.9) for th in (1.0, 1.2, 1.4))
+        assert want[0] == "24"
+        assert (ds.provenance["harmonics_n_max"],
+                ds.provenance["harmonics_edge_weight_max"]) == want
+
+    def test_omega_sweep_reports_truncation(self):
+        ds = run(parse_config(
+            "mode=spectrum\nomega=0.3\ntheta=1.4\ndelta=0.9\n"
+            "axis=omega:0.2:0.4:3\n"))
+        want = self._largest_truncation_met(
+            dict(omega=om, theta=1.4, delta=0.9) for om in (0.2, 0.3, 0.4))
+        assert want[0] == "24"
+        assert (ds.provenance["harmonics_n_max"],
+                ds.provenance["harmonics_edge_weight_max"]) == want
 
     def test_spectrum_requires_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -390,6 +402,16 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["dir"]
         assert os.listdir(tmp_path / "dir") == []
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-.5e1"])
+    def test_negative_exponent_value_as_separate_argument(self, tmp_path,
+                                                          value):
+        # argparse's own negative-number pattern has no exponent
+        outs = [str(tmp_path / f"{k}.csv") for k in range(2)]
+        rest = ["--theta", "0.5", "--delta-rabi", "0.01", "--output"]
+        assert main(["sensitivity", f"--omega={value}", *rest, outs[0]]) == 0
+        assert main(["sensitivity", "--omega", value, *rest, outs[1]]) == 0
+        assert Path(outs[1]).read_bytes() == Path(outs[0]).read_bytes()
 
     def test_config_error_exit_code(self, capsys):
         assert main(["evolve", "--theta", "9"]) == 2
@@ -482,8 +504,19 @@ class TestCli:
                      "--axis", "theta:0.1:0.3:3", "--output", out])
         assert code == 0
         text = Path(out).read_text()
-        assert ("# harmonics_final_n=" in text) == reported
-        assert ("# harmonics_last_movement=" in text) == reported
+        assert ("# harmonics_n_max=" in text) == reported
+        assert ("# harmonics_edge_weight_max=" in text) == reported
+
+    @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
+    def test_omega_sweep_truncation_provenance_is_reproducible(self, tmp_path,
+                                                              mode):
+        outs = [str(tmp_path / f"{k}.csv") for k in range(2)]
+        for out in outs:
+            assert main([mode, "--theta", "0.3", "--delta", "0.4",
+                         "--axis", "omega:0.3:0.6:7", "--output", out]) == 0
+        text = Path(outs[0]).read_text()
+        assert "# harmonics_n_max=12\n# harmonics_edge_weight_max=" in text
+        assert Path(outs[1]).read_text() == text
 
     def test_config_file_without_mode(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 from rotorspin.errors import InvalidArgumentError, NoCrossingError, TrackingError
 from rotorspin.floquet import (
@@ -142,16 +143,73 @@ class TestHarmonicMatrix:
                                   reference(p, n).view(np.int64))
 
 
+def circ_worst(got, ref, omega):
+    """Largest folded distance from a value in `got` to its nearest value
+    in `ref`."""
+    return max(min(fold_dist(g, r, omega) for r in ref) for g in got)
+
+
+def banded_quasienergies(p, n):
+    """Eigenvalues of the harmonic matrix at truncation n that lie within
+    2|omega| of the static levels, by LAPACK's banded solver: no mode pick,
+    and a solver of its own. Each true quasi-energy has a copy among them;
+    at n = 160 at most 3 (2n + 1) = 963 of them fold into a window
+    |omega| >= 0.01 wide, so a value off by more than 1e-12 meets a stray
+    one within 1e-12 with odds below 1e-6."""
+    f = floquet_matrix(p, n)
+    band = np.array([np.concatenate([np.diagonal(f, -k), np.zeros(k)])
+                     for k in range(6)])
+    vals = eig_banded(band, lower=True, eigvals_only=True)
+    levels = np.linalg.eigvalsh(static_part(p))
+    w = abs(p.omega)
+    return vals[(vals > levels.min() - 2 * w) & (vals < levels.max() + 2 * w)]
+
+
 class TestAutoHarmonics:
     def test_modes_are_those_at_the_converged_truncation(self):
         for p in (RotorParams(omega=0.5, theta=0.3, delta=0.3),
                   RotorParams(omega=-0.2, theta=math.pi / 100, delta=0.803)):
-            ms, movement = auto_harmonics(p)
+            ms, edge = auto_harmonics(p)
             ref = physical_modes(p, ms.n_harmonics)
-            assert movement < 1e-9
+            assert edge == ms.edge_weight <= 1e-14
+            # the certified modes stay put when the truncation doubles
+            doubled = physical_modes(p, 2 * ms.n_harmonics)
+            assert circ_worst(ms.quasi, doubled.quasi, p.omega) < 1e-9
             for name in ("quasi", "fourier", "weights", "mode0"):
                 np.testing.assert_array_equal(getattr(ms, name),
                                               getattr(ref, name))
+
+    def test_large_edge_weight_doubles_the_truncation(self):
+        p = RotorParams(omega=0.3, theta=1.4, delta=0.9)
+        assert physical_modes(p, 12).edge_weight > 1e-14
+        ms, edge = auto_harmonics(p)
+        assert ms.n_harmonics == 24
+        assert edge <= 1e-14
+
+    def test_matches_a_160_harmonic_reference(self):
+        # 44 points: |omega| log-uniform in [0.01, 3] of both signs, theta
+        # uniform in [0, pi] and, for every fourth point, within 0.05 of
+        # pi/2, where the drive over the harmonic spacing is largest
+        rng = np.random.default_rng(1811)
+        worst = worst_picked = 0.0
+        for i in range(44):
+            omega = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2.0, math.log10(3.0))
+            theta = (math.pi / 2 + rng.uniform(-0.05, 0.05) if i % 4 == 0
+                     else rng.uniform(0.0, math.pi))
+            p = RotorParams(omega=float(omega), theta=float(theta),
+                            delta=float(rng.uniform(-2.0, 2.0)))
+            quasi = auto_harmonics(p)[0].quasi
+            worst = max(worst, circ_worst(quasi, banded_quasienergies(p, 160),
+                                          p.omega))
+            if i in (0, 2):
+                # and the three modes physical_modes picks at N = 160, near
+                # pi/2 and at a generic angle
+                ref = physical_modes(p, 160).quasi
+                worst_picked = max(worst_picked,
+                                   circ_worst(quasi, ref, p.omega),
+                                   circ_worst(ref, quasi, p.omega))
+        assert worst <= 1e-12
+        assert worst_picked <= 1e-12
 
 
 class TestSpectrumSweep:
@@ -189,8 +247,8 @@ class TestSpectrumSweep:
         assert abs(values[i] - 0.2) < 0.02
 
     def test_field_sweep_eigensolves_per_point(self, monkeypatch):
-        # automatic truncation: N and 2N in auto_harmonics, whose 2N modes
-        # are the point's modes, so no third solve
+        # automatic truncation: one solve at N = 12, whose edge weight
+        # certifies it, and whose modes are the point's modes
         count = 0
         eigh = np.linalg.eigh
 
@@ -204,7 +262,7 @@ class TestSpectrumSweep:
         values = np.linspace(0.3, 0.8, 11)
         quasienergy_spectrum(RotorParams(omega=0.5, theta=0.3, delta=0.3),
                              "omega", values)
-        assert count == 2 * len(values)
+        assert count == len(values)
 
     @pytest.mark.parametrize("lo, hi, points", [
         (-0.5, 0.5, 11), (-0.5, 0.5, 10), (0.0, 0.5, 11), (-0.5, 0.0, 6)])

@@ -126,6 +126,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         ds = run(cfg)
+        # the file route has written its table; the stdout route checks it
+        columns = None if cfg.output_path else ds.scaled_columns(cfg.physical_d)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -135,13 +137,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return 3
-    if not cfg.output_path:
+    if columns is None:
+        print(f"wrote {len(ds.columns[0])} rows to {cfg.output_path}")
+    else:
         # no file requested: print the table to stdout
         print(",".join(ds.header))
-        for row in zip(*ds.scaled_columns(cfg.physical_d)):
+        for row in zip(*columns):
             print(",".join(str(v) for v in row))
-    else:
-        print(f"wrote {len(ds.columns[0])} rows to {cfg.output_path}")
     return 0
 
 

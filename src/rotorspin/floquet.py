@@ -222,16 +222,15 @@ _N_MAX = 512
 _EDGE_WEIGHT_MAX = 1e-14
 
 
-def auto_harmonics(p: RotorParams) -> tuple[ModeSet, float]:
+def auto_harmonics(p: RotorParams) -> ModeSet:
     """Drive modes at the first truncation N = 12, 24, 48, ... at which
     each of the three picked modes puts at most 1e-14 of its weight on the
-    edge blocks k = +-N. Returns the modes and that certified edge
-    weight."""
+    edge blocks k = +-N; `edge_weight` of the result is that certificate."""
     n = _N_START
     while n <= _N_MAX:
         modes = physical_modes(p, n)
         if modes.edge_weight <= _EDGE_WEIGHT_MAX:
-            return modes, modes.edge_weight
+            return modes
         n *= 2
     raise NumericFailureError(
         f"harmonic truncation did not converge below N = {_N_MAX}")
@@ -241,7 +240,7 @@ def _resolve_harmonics(p: RotorParams, n_harmonics) -> ModeSet:
     """Drive modes at a fixed truncation, or at the converged one for
     "auto"."""
     if n_harmonics == "auto":
-        return auto_harmonics(p)[0]
+        return auto_harmonics(p)
     return physical_modes(p, int(n_harmonics))
 
 
@@ -426,7 +425,8 @@ def _strongest_equal_mixing(members, xs, weights, xtol: float):
     samples `xs`. Each member's weight difference is solved for a root by
     Brent's method between adjacent samples where it changes sign, and the
     root with the larger mixing min(weight_i, weight_j) is kept. Returns
-    (x, separation) there, or None when no member changes sign.
+    (x, separation, weight difference of the kept member) there, or None
+    when no member changes sign.
     """
     def weight_diff(x: float, member: int) -> float:
         w = members(x)[1][member]
@@ -440,11 +440,11 @@ def _strongest_equal_mixing(members, xs, weights, xtol: float):
                 x = brent_root(lambda t: weight_diff(t, m), xs[k], xs[k + 1],
                                xtol)
                 sep, w = members(x)
-                peaks.append((float(w.min(axis=1).max()), float(x), float(sep)))
+                peaks.append((float(w.min(axis=1).max()), float(x), float(sep),
+                              float(w[m, 0] - w[m, 1])))
     if not peaks:
         return None
-    _, x, sep = max(peaks)
-    return x, sep
+    return max(peaks)[1:]
 
 
 def avoided_crossing(
@@ -508,6 +508,6 @@ def avoided_crossing(
             f"branches {branch_pair} reach no equal mixing near the mixing "
             "maximum"
         )
-    center, gap = found
+    center, gap, _ = found
     return CrossingReport(omega_res=center, gap=gap,
                           branch_pair=(branch_pair[0], branch_pair[1]))

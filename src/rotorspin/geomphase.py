@@ -120,8 +120,6 @@ def geometric_phases_with_field(p: RotorParams,
     the closed form, so reversing the rotation direction flips the phases.
     """
     t_signed = math.copysign(p.period, p.omega)
-    _slow_rotation_check()
-
     ms = _resolve_harmonics(p, n_harmonics)
     idx = _assign_labels(ms.weights)
     for i, a in enumerate(LABELS):
@@ -155,21 +153,6 @@ def geometric_phases_with_field(p: RotorParams,
 _SLOW = RotorParams(omega=1e-3, theta=math.pi / 5)
 
 
-def _slow_rotation_check() -> tuple[float, float]:
-    """Closed-form upper-branch phase at the slow reference rotation and its
-    deviation from the adiabatic +2 pi (1 - cos theta); raises if the
-    pinned gauge sign is broken."""
-    target = 2.0 * math.pi * (1.0 - math.cos(_SLOW.theta))
-    got = geometric_phases_zero_field(_SLOW).gamma["m+1"]
-    dev = abs(got - target)
-    if dev > 0.05:
-        raise NumericFailureError(
-            f"gauge sign convention broken: upper-branch slow-rotation phase "
-            f"{got:.4f} vs expected {target:.4f}"
-        )
-    return got, dev
-
-
 def verify_gauge_sign() -> float:
     """Check the pinned gauge sign against the slow-rotation limit.
 
@@ -178,7 +161,14 @@ def verify_gauge_sign() -> float:
     sign convention is broken or the harmonic-sum path disagrees with the
     closed form there.
     """
-    got, dev = _slow_rotation_check()
+    target = 2.0 * math.pi * (1.0 - math.cos(_SLOW.theta))
+    got = geometric_phases_zero_field(_SLOW).gamma["m+1"]
+    dev = abs(got - target)
+    if dev > 0.05:
+        raise NumericFailureError(
+            f"gauge sign convention broken: upper-branch slow-rotation phase "
+            f"{got:.4f} vs expected {target:.4f}"
+        )
     q = geometric_phases_with_field(_SLOW).gamma["m+1"]
     if abs(q - got) > 1e-4:
         raise NumericFailureError(

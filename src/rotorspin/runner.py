@@ -57,12 +57,20 @@ class Dataset:
         return list(zip(*self.columns))
 
     def scaled_columns(self, physical_d: float | None) -> list[np.ndarray]:
-        """`columns` as arrays; with `physical_d` the freq columns are
-        multiplied by it and the time columns divided."""
+        """`columns` as arrays, as both output routes print them; with
+        `physical_d` the freq columns are multiplied by it and the time
+        columns divided. Raises NumericFailureError if a value is not
+        finite."""
         scales = ({} if physical_d is None
                   else {_FREQ: physical_d, _TIME: 1.0 / physical_d})
-        return [np.asarray(c) * scales[kind] if kind in scales else np.asarray(c)
-                for c, kind in zip(self.columns, self.kinds)]
+        columns = [np.asarray(c) * scales[kind] if kind in scales else np.asarray(c)
+                   for c, kind in zip(self.columns, self.kinds)]
+        for c in columns:
+            finite = np.isfinite(c)
+            if not finite.all():
+                raise NumericFailureError(
+                    f"non-finite value in output: {float(c[~finite][0])!r}")
+        return columns
 
 
 def _params(cfg: SweepConfig) -> RotorParams:
@@ -266,10 +274,6 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
         raise NumericFailureError("columns do not match the header")
     columns = ds.scaled_columns(physical_d)
     table = np.column_stack(columns)
-    finite = np.isfinite(table)
-    if not finite.all():
-        raise NumericFailureError(
-            f"non-finite value in output: {float(table[~finite][0])!r}")
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\n"
     head = [f"# {k}={v}" for k, v in ds.provenance.items()] + [",".join(ds.header)]
     body = "".join(f"{line}\n" for line in head) + _compact(

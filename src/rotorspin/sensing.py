@@ -5,8 +5,8 @@ field condition is only accurate to second order in the tilt angle, so the
 field solver refines its root in the full driven model: at the requested
 rotation frequency it solves for the field of maximal mixing of the
 crossing pair, using the same mixing rule as `floquet.avoided_crossing`, and
-reports how far the crossing centre found by a frequency scan lies from
-the request.
+reports how far the crossing centre lies from the request, in closed form
+from the weights and separation of the pair at the solved field.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidArgumentError, RegimeError
-from .floquet import (
-    _pair_members,
-    _strongest_equal_mixing,
-    auto_harmonics,
-    avoided_crossing,
-)
+from .floquet import _pair_members, _strongest_equal_mixing, auto_harmonics
 from .model import RotorParams, small_angle_guard
 
 __all__ = [
@@ -39,7 +34,7 @@ _BRANCH_PAIR = {"plus": ("m0", "m+1"), "minus": ("m0", "m-1")}
 class ResonanceSolution:
     value: float       # solved parameter (field strength here)
     branch: str        # "plus" (0 <-> +1) or "minus" (0 <-> -1)
-    residual: float    # full-model crossing-center mismatch after refinement
+    residual: float    # distance of the crossing centre from the requested omega
 
 
 def _check_branch(branch: str) -> None:
@@ -95,7 +90,6 @@ def resonant_field(
     omega: float,
     branch: str = "plus",
     d: float = 1.0,
-    refine: bool = True,
 ) -> ResonanceSolution:
     """Axial field strength that compensates the detuning at a given
     rotation frequency.
@@ -106,11 +100,12 @@ def resonant_field(
     for the field where that member is an equal superposition of the two
     crossing levels, within 2% of d of the small-angle root, and keeps the
     more strongly mixed member, as `avoided_crossing` does along omega. The
-    residual is the distance from omega of the crossing centre that one
-    65-point `avoided_crossing` scan finds at the solved field. When no
-    member reaches equal weight in that bracket, no field in (0, d)
-    compensates near the small-angle root, and `RegimeError` is raised, as
-    at theta = 0.
+    residual is the distance from omega of the crossing centre at the
+    solved field: in a two-level crossing the member weights differ by
+    Delta / sep, and the detuning Delta moves one-to-one with omega, so it
+    is |w_i - w_j| sep of the kept member there. When no member reaches
+    equal weight in that bracket, no field in (0, d) compensates near the
+    small-angle root, and `RegimeError` is raised, as at theta = 0.
     """
     _check_branch(branch)
     if omega == 0:
@@ -126,12 +121,10 @@ def resonant_field(
     root = _small_angle_root(theta, omega, branch, d)
     if root > 1e-6 * d:
         small_angle_guard(d, root, theta)
-    if not refine:
-        return ResonanceSolution(value=root, branch=branch, residual=math.nan)
 
     pair = _BRANCH_PAIR[branch]
     p_ref = RotorParams(omega=omega, theta=theta, d=d, delta=root)
-    nh = auto_harmonics(p_ref)[0].n_harmonics
+    nh = auto_harmonics(p_ref).n_harmonics
 
     def members(delta: float) -> tuple[float, np.ndarray]:
         return _pair_members(p_ref.with_(delta=float(delta)), pair, nh)
@@ -147,12 +140,8 @@ def resonant_field(
             f"no resonant field in (0, {d:.3g}) for theta = {theta:.4g}, "
             f"omega = {omega:.4g}: no pair member reaches equal weight"
         )
-    value = found[0]
-    window = sorted((0.85 * omega, 1.15 * omega))
-    rep = avoided_crossing(p_ref.with_(delta=value), pair, window,
-                           axis="omega", points=65, n_harmonics=nh)
-    return ResonanceSolution(value=value, branch=branch,
-                             residual=abs(rep.omega_res - omega))
+    value, sep, diff = found
+    return ResonanceSolution(value=value, branch=branch, residual=abs(diff) * sep)
 
 
 def angle_uncertainty(omega: float, theta: float, delta_rabi: float) -> float:

@@ -333,7 +333,7 @@ def test_criterion_10_method_cross_validation():
                         theta=float(RNG.uniform(0.1, 3.0)),
                         delta=float(RNG.uniform(0.1, 0.9)))
         _, lam_m = monodromy(p, 4096)
-        quasi = auto_harmonics(p)[0].quasi
+        quasi = auto_harmonics(p).quasi
         for q in quasi:
             worst_field = max(worst_field,
                               min(fold_dist(q, x, p.omega) for x in lam_m))
@@ -377,8 +377,8 @@ def test_criterion_11_numerical_hygiene():
         m, _ = monodromy(p, 4096)
         worst_drift = max(worst_drift, unitarity_defect(m))
     p6 = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
-    modes, edge = auto_harmonics(p6)
-    n = modes.n_harmonics
+    modes = auto_harmonics(p6)
+    n, edge = modes.n_harmonics, modes.edge_weight
     doubled = physical_modes(p6, 2 * n).quasi
     movement = max(min(fold_dist(q, r, p6.omega) for r in doubled)
                    for q in modes.quasi)

@@ -302,8 +302,8 @@ class TestRun:
     @staticmethod
     def _largest_truncation_met(points):
         met = [auto_harmonics(RotorParams(**kw)) for kw in points]
-        return (str(max(modes.n_harmonics for modes, _ in met)),
-                f"{max(edge for _, edge in met):.3e}")
+        return (str(max(modes.n_harmonics for modes in met)),
+                f"{max(modes.edge_weight for modes in met):.3e}")
 
     def test_theta_sweep_truncation_is_the_largest_met(self):
         # N = 12 certifies theta = 1.0; theta = 1.2 and 1.4 need N = 24
@@ -420,6 +420,16 @@ class TestCli:
         # a tilt of pi/2 makes the uncertainty diverge
         assert main(["sensitivity", "--omega", "1.0",
                      "--theta", str(math.pi / 2), "--delta-rabi", "0.01"]) == 3
+
+    def test_non_finite_stdout_table_exits_3(self, capsys):
+        # the uncertainty overflows at the smallest subnormal omega; the
+        # stdout route refuses it as the file route does, before any line
+        code = main(["sensitivity", "--omega", "5e-324", "--theta", "0.2",
+                     "--delta-rabi", "0.3"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "numeric failure: non-finite value in output: inf\n"
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0"],

@@ -187,7 +187,7 @@ class TestFloquetOracle:
             psi0 /= np.linalg.norm(psi0)
             trace = evolve(p, psi0, 20 * p.period)
 
-            ms = auto_harmonics(p)[0]
+            ms = auto_harmonics(p)
             n = ms.n_harmonics
             c = ms.fourier.reshape(3 * (2 * n + 1), 3)  # (harmonic x spin, mode)
             fc = floquet_matrix(p, n) @ c

@@ -169,9 +169,9 @@ class TestAutoHarmonics:
     def test_modes_are_those_at_the_converged_truncation(self):
         for p in (RotorParams(omega=0.5, theta=0.3, delta=0.3),
                   RotorParams(omega=-0.2, theta=math.pi / 100, delta=0.803)):
-            ms, edge = auto_harmonics(p)
+            ms = auto_harmonics(p)
             ref = physical_modes(p, ms.n_harmonics)
-            assert edge == ms.edge_weight <= 1e-14
+            assert ms.edge_weight <= 1e-14
             # the certified modes stay put when the truncation doubles
             doubled = physical_modes(p, 2 * ms.n_harmonics)
             assert circ_worst(ms.quasi, doubled.quasi, p.omega) < 1e-9
@@ -182,9 +182,9 @@ class TestAutoHarmonics:
     def test_large_edge_weight_doubles_the_truncation(self):
         p = RotorParams(omega=0.3, theta=1.4, delta=0.9)
         assert physical_modes(p, 12).edge_weight > 1e-14
-        ms, edge = auto_harmonics(p)
+        ms = auto_harmonics(p)
         assert ms.n_harmonics == 24
-        assert edge <= 1e-14
+        assert ms.edge_weight <= 1e-14
 
     def test_matches_a_160_harmonic_reference(self):
         # 44 points: |omega| log-uniform in [0.01, 3] of both signs, theta
@@ -198,7 +198,7 @@ class TestAutoHarmonics:
                      else rng.uniform(0.0, math.pi))
             p = RotorParams(omega=float(omega), theta=float(theta),
                             delta=float(rng.uniform(-2.0, 2.0)))
-            quasi = auto_harmonics(p)[0].quasi
+            quasi = auto_harmonics(p).quasi
             worst = max(worst, circ_worst(quasi, banded_quasienergies(p, 160),
                                           p.omega))
             if i in (0, 2):

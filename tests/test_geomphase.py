@@ -247,7 +247,7 @@ class TestFieldPhases:
                             theta=float(RNG.uniform(0.1, 3.0)),
                             phi0=float(RNG.uniform(0, 2 * math.pi)),
                             delta=float(RNG.uniform(-0.9, 0.9)))
-            ms = auto_harmonics(p)[0]
+            ms = auto_harmonics(p)
             idx = _assign_labels(ms.weights)
             g = geometric_phases_with_field(p)
             ref = split_integrand_quadrature(p, ms, idx, 4096)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from rotorspin.errors import DivergenceError, InvalidArgumentError, RegimeError
-from rotorspin.floquet import auto_harmonics, avoided_crossing
+from rotorspin.floquet import _pair_members, auto_harmonics, avoided_crossing
 from rotorspin.model import RotorParams, derived_scales
-from rotorspin.sensing import angle_uncertainty, resonant_field, resonant_omega
+from rotorspin.sensing import (
+    _small_angle_root,
+    angle_uncertainty,
+    resonant_field,
+    resonant_omega,
+)
 
 TH = math.pi / 100
 BOUNDARY_OMEGA = 1.0 / math.cos(TH)  # zero-field resonance: the field is ~0
@@ -19,7 +24,7 @@ def crossing_residual(theta, omega, delta, branch="plus"):
     p = RotorParams(omega=omega, theta=theta, delta=delta)
     window = sorted((0.85 * omega, 1.15 * omega))
     rep = avoided_crossing(p, pair, window, axis="omega", points=65,
-                           n_harmonics=auto_harmonics(p)[0].n_harmonics)
+                           n_harmonics=auto_harmonics(p).n_harmonics)
     return abs(rep.omega_res - omega)
 
 
@@ -69,16 +74,15 @@ class TestResonantField:
         (TH, BOUNDARY_OMEGA, 4.062590025795703e-08),
     ])
     def test_small_angle_root_pinned(self, theta, omega, expected):
-        sol = resonant_field(theta, omega, refine=False)
-        assert sol.value == pytest.approx(expected, abs=1e-12)
-        assert math.isnan(sol.residual)
+        root = _small_angle_root(theta, omega, "plus", 1.0)
+        assert root == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("theta, omega, branch", [
         (TH, 0.2, "plus"), (0.01, 0.25, "plus"), (0.02, 0.3, "plus"),
         (0.01, -1.2, "minus"),
     ])
     def test_small_angle_root_zeroes_the_condition(self, theta, omega, branch):
-        root = resonant_field(theta, omega, branch, refine=False).value
+        root = _small_angle_root(theta, omega, branch, 1.0)
         sc = derived_scales(RotorParams(omega=omega, theta=theta, delta=root))
         if branch == "plus":
             residual = sc.d_tilde - sc.delta_tilde - omega
@@ -87,8 +91,8 @@ class TestResonantField:
         assert abs(residual) <= 1e-13
 
     def test_small_angle_solution_without_refinement(self):
-        sol = resonant_field(math.pi / 100, 0.2, refine=False)
-        assert sol.value == pytest.approx(0.803, rel=5e-3)
+        root = _small_angle_root(math.pi / 100, 0.2, "plus", 1.0)
+        assert root == pytest.approx(0.803, rel=5e-3)
 
     def test_refined_solution_and_residual(self):
         sol = resonant_field(math.pi / 100, 0.2)
@@ -112,6 +116,23 @@ class TestResonantField:
         assert sol.residual <= 1e-6
         assert crossing_residual(0.01, -1.2, sol.value, "minus") <= 1e-6
 
+    @pytest.mark.parametrize("theta, omega, branch", [
+        (TH, 0.2, "plus"), (0.01, 0.25, "plus"), (TH, BOUNDARY_OMEGA, "plus"),
+        (0.01, -1.2, "minus"),
+    ])
+    @pytest.mark.parametrize("shift", [1e-4, 1e-3])
+    def test_residual_formula_off_the_solution(self, theta, omega, branch, shift):
+        # the residual |w_i - w_j| sep of a pair member, away from the solved
+        # field, against the crossing centre that a scan along omega finds;
+        # it must hold for both members, whichever one the solve keeps
+        delta = resonant_field(theta, omega, branch).value + shift
+        p = RotorParams(omega=omega, theta=theta, delta=delta)
+        pair = ("m0", "m+1") if branch == "plus" else ("m0", "m-1")
+        sep, w = _pair_members(p, pair, auto_harmonics(p).n_harmonics)
+        offsets = np.abs(w[:, 0] - w[:, 1]) * sep
+        scanned = crossing_residual(theta, omega, delta, branch)
+        assert np.abs(offsets / scanned - 1.0).max() <= 0.1
+
     @pytest.mark.parametrize("omega, root", [
         (-BOUNDARY_OMEGA, 0.0),
         (-BOUNDARY_OMEGA - 1e-4, 9.995935933014933e-05),
@@ -119,8 +140,8 @@ class TestResonantField:
     def test_no_positive_compensating_field_raises(self, omega, root):
         # the 0 <-> -1 crossing needs a small negative field here, while
         # the small-angle root is clamped to 0 or lies just above it
-        sol = resonant_field(TH, omega, "minus", refine=False)
-        assert sol.value == pytest.approx(root, abs=1e-12)
+        assert _small_angle_root(TH, omega, "minus", 1.0) \
+            == pytest.approx(root, abs=1e-12)
         with pytest.raises(RegimeError, match="no resonant field"):
             resonant_field(TH, omega, "minus")
 
@@ -136,7 +157,7 @@ class TestResonantField:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         resonant_field(TH, 0.2)
-        assert 0 < count <= 150
+        assert 0 < count <= 25
 
     def test_consistency_with_zero_field_resonance(self):
         th = math.pi / 100

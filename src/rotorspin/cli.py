@@ -64,7 +64,7 @@ def _merge_config(args: argparse.Namespace):
 
 def _selftest() -> int:
     from .dynamics import monodromy, propagator_zero_field
-    from .floquet import cubic_quasienergies, fold, physical_modes
+    from .floquet import auto_harmonics, cubic_quasienergies, fold
     from .geomphase import verify_gauge_sign
     from .model import RotorParams, h_interaction
     from .sensing import resonant_field
@@ -93,9 +93,11 @@ def _selftest() -> int:
 
     p = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
     _, lam_m = monodromy(p, 4096)
-    lam_f = np.sort(fold(physical_modes(p, 32).quasi, p.omega))
+    modes = auto_harmonics(p)
+    lam_f = np.sort(fold(modes.quasi, p.omega))
     dev = float(np.abs(np.sort(fold(lam_m, p.omega)) - lam_f).max())
-    check("monodromy vs harmonic matrix", dev < 1e-8, f"max deviation {dev:.2e}")
+    check("monodromy vs harmonic matrix", dev < 1e-8,
+          f"max deviation {dev:.2e} at N = {modes.n_harmonics}")
 
     p = RotorParams(omega=0.7, theta=math.pi / 5)
     udef = unitarity_defect(propagator_zero_field(p, 3.7))

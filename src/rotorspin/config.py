@@ -44,7 +44,6 @@ class SweepConfig:
     delta: float = 0.0
     axis: AxisSpec | None = None
     steps_per_period: int = 4096
-    n_harmonics: int | str = "auto"
     output_path: str | None = None
     physical_d: float | None = None
     psi0: str = "0"
@@ -114,8 +113,6 @@ def parse_mapping(pairs: dict[str, str], lines: dict[str, int] | None = None) ->
             kw[key] = raw
         elif key == "steps_per_period":
             kw[key] = _parse_int(key, raw, ln)
-        elif key == "n_harmonics":
-            kw[key] = "auto" if raw == "auto" else _parse_int(key, raw, ln)
         else:
             kw[key] = _parse_float(key, raw, ln)
 
@@ -139,8 +136,6 @@ def _validate(cfg: SweepConfig) -> None:
         raise ConfigError(f"branch: must be 'plus' or 'minus', got {cfg.branch!r}")
     if cfg.steps_per_period < 256:
         raise ConfigError("steps_per_period: must be >= 256")
-    if isinstance(cfg.n_harmonics, int) and cfg.n_harmonics < 1:
-        raise ConfigError("n_harmonics: must be >= 1 or 'auto'")
     if cfg.physical_d is not None and cfg.physical_d <= 0:
         raise ConfigError("physical_d: must be positive")
     if cfg.t_end is not None and cfg.t_end <= 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -236,14 +237,6 @@ def auto_harmonics(p: RotorParams) -> ModeSet:
         f"harmonic truncation did not converge below N = {_N_MAX}")
 
 
-def _resolve_harmonics(p: RotorParams, n_harmonics) -> ModeSet:
-    """Drive modes at a fixed truncation, or at the converged one for
-    "auto"."""
-    if n_harmonics == "auto":
-        return auto_harmonics(p)
-    return physical_modes(p, int(n_harmonics))
-
-
 @dataclass(frozen=True)
 class SpectrumBranch:
     label: str
@@ -256,7 +249,7 @@ class QuasiSpectrum:
     axis_name: str
     axis_values: np.ndarray
     branches: tuple[SpectrumBranch, SpectrumBranch, SpectrumBranch]
-    n_harmonics: int          # largest truncation met, 0 if none was solved
+    truncation: int           # largest n_harmonics met, 0 if none was solved
     edge_weight: float        # largest edge weight met (see ModeSet)
 
     def branch(self, label: str) -> SpectrumBranch:
@@ -266,7 +259,7 @@ class QuasiSpectrum:
         raise KeyError(label)
 
 
-def _point_modes(p: RotorParams, n_harmonics):
+def _point_modes(p: RotorParams):
     """Quasi-energies, t=0 states and spin weights at one point.
 
     Returns (values, mode0 (3, modes), weights (modes, 3), width, ms): width
@@ -283,7 +276,7 @@ def _point_modes(p: RotorParams, n_harmonics):
         es = hermitian_eigensystem(static_part(p))
         weights = (np.abs(es.vectors) ** 2).T
         return es.values, es.vectors, weights, 0.0, None
-    ms = _resolve_harmonics(p, n_harmonics)
+    ms = auto_harmonics(p)
     return ms.quasi, ms.mode0, ms.weights, abs(p.omega), ms
 
 
@@ -300,17 +293,17 @@ def quasienergy_spectrum(
     p_template: RotorParams,
     axis: str,
     values,
-    n_harmonics="auto",
 ) -> QuasiSpectrum:
     """Three continuously tracked quasi-energy branches along a sweep axis.
 
     Branches are tracked from point to point by maximal overlap of the
-    t = 0 states. With a field and omega != 0 the values are folded, and
-    each branch is unfolded by one rule: its distance from its slope-rule
-    target stays continuous, so it takes the copy nearest its target plus
-    its offset from the target at the previous folded point (nearest the
-    target itself at the first). The curves reproduce the familiar fan of
-    levels emanating from the zero-rotation eigenvalues.
+    t = 0 states. In a sweep with a field (along delta, or at delta != 0)
+    every point with omega != 0 is unfolded by one rule, the zero-field
+    closed form at delta = 0 included: a branch's distance from its
+    slope-rule target stays continuous, so it takes the copy nearest its
+    target plus its offset from the target at the previous unfolded point
+    (nearest the target itself at the first). The curves reproduce the
+    familiar fan of levels emanating from the zero-rotation eigenvalues.
     """
     if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
@@ -331,13 +324,15 @@ def quasienergy_spectrum(
     base_slope = {"omega": 1.5, "delta": 1.5,
                   "theta": (abs(p_template.omega) + p_template.d) / p_template.d}[axis]
     min_slope = base_slope * p_template.d
+    field = axis == "delta" or p_template.delta != 0
     reps = np.empty((len(values), 3))
     modes = np.empty((len(values), 3, 3), dtype=complex)
     offset = np.zeros(3)  # representative minus slope-rule target
     n_max, edge_max = 0, 0.0
     for i, x in enumerate(values):
         p = p_template.with_(**{axis: float(x)})
-        folded, m0, weights, width, ms = _point_modes(p, n_harmonics)
+        folded, m0, weights, _, ms = _point_modes(p)
+        width = abs(p.omega) if field else 0.0  # delta = 0 points as well
         if ms is not None:
             n_max = max(n_max, ms.n_harmonics)
             edge_max = max(edge_max, ms.edge_weight)
@@ -383,7 +378,7 @@ def quasienergy_spectrum(
         for b, lab in enumerate(LABELS)
     )
     return QuasiSpectrum(axis_name=axis, axis_values=values.copy(),
-                         branches=branches, n_harmonics=n_max, edge_weight=edge_max)
+                         branches=branches, truncation=n_max, edge_weight=edge_max)
 
 
 @dataclass(frozen=True)
@@ -393,8 +388,8 @@ class CrossingReport:
     branch_pair: tuple[str, str]
 
 
-def _pair_members(p: RotorParams, pair: tuple[str, str],
-                  n_harmonics) -> tuple[float, np.ndarray]:
+def _pair_members(p: RotorParams,
+                  pair: tuple[str, str]) -> tuple[float, np.ndarray]:
     """Separation of the branch pair and the pair-spin weights of its two
     members at a single parameter point.
 
@@ -405,7 +400,7 @@ def _pair_members(p: RotorParams, pair: tuple[str, str],
     min(weight_i, weight_j) peaks (with a corner) where that member is an
     equal superposition of the crossing levels.
     """
-    folded, _, weights, width, _ = _point_modes(p, n_harmonics)
+    folded, _, weights, width, _ = _point_modes(p)
     i, j = SPIN_INDEX[pair[0]], SPIN_INDEX[pair[1]]
     spec_spin = ({0, 1, 2} - {i, j}).pop()
     spectator = int(np.argmax(weights[:, spec_spin]))
@@ -417,14 +412,15 @@ def _pair_members(p: RotorParams, pair: tuple[str, str],
     return sep, weights[np.ix_(members, [i, j])]
 
 
-def _strongest_equal_mixing(members, xs, weights, xtol: float):
+def _strongest_equal_mixing(members, xs, xtol: float):
     """Equal-superposition point of the more strongly mixed pair member.
 
     `members(x)` returns the pair separation and (2, 2) member weights as
-    `_pair_members` does; `weights` holds those weights at the ascending
-    samples `xs`. Each member's weight difference is solved for a root by
-    Brent's method between adjacent samples where it changes sign, and the
-    root with the larger mixing min(weight_i, weight_j) is kept. Returns
+    `_pair_members` does; it is read at the ascending samples `xs`, at every
+    Brent step and at each root, so callers cache it to solve no point
+    twice. Each member's weight difference is solved for a root by Brent's
+    method between adjacent samples where it changes sign, and the root
+    with the larger mixing min(weight_i, weight_j) is kept. Returns
     (x, separation, weight difference of the kept member) there, or None
     when no member changes sign.
     """
@@ -432,7 +428,7 @@ def _strongest_equal_mixing(members, xs, weights, xtol: float):
         w = members(x)[1][member]
         return w[0] - w[1]
 
-    diff = weights[:, :, 0] - weights[:, :, 1]
+    diff = np.array([[weight_diff(x, m) for m in (0, 1)] for x in xs])
     peaks = []
     for m in (0, 1):
         for k in range(len(xs) - 1):
@@ -453,7 +449,6 @@ def avoided_crossing(
     window: tuple[float, float],
     axis: str = "omega",
     points: int = 129,
-    n_harmonics="auto",
 ) -> CrossingReport:
     """Locate an avoided crossing of two branches inside a parameter window.
 
@@ -472,10 +467,12 @@ def avoided_crossing(
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvalidArgumentError("window must satisfy lo < hi")
+    if points < 3:
+        raise InvalidArgumentError("points must be >= 3")
 
+    @cache
     def members(x: float) -> tuple[float, np.ndarray]:
-        p = p_template.with_(**{axis: float(x)})
-        return _pair_members(p, branch_pair, n_harmonics)
+        return _pair_members(p_template.with_(**{axis: float(x)}), branch_pair)
 
     xs = np.linspace(lo, hi, points)
     seps = np.empty(points)
@@ -501,7 +498,7 @@ def avoided_crossing(
     # higher one is kept, so the nearby lower peak cannot capture the search.
     imix = int(np.argmax(mix))
     k0, k1 = max(0, imix - 3), min(points - 1, imix + 3)
-    found = _strongest_equal_mixing(members, xs[k0:k1 + 1], weights[k0:k1 + 1],
+    found = _strongest_equal_mixing(members, xs[k0:k1 + 1],
                                     xtol=1e-10 * max(1.0, abs(xs[imix])))
     if found is None:
         raise NoCrossingError(

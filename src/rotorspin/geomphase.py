@@ -21,7 +21,7 @@ from .floquet import (
     SPIN_INDEX,
     _assign_labels,
     _circ_dist,
-    _resolve_harmonics,
+    auto_harmonics,
     quasienergies_zero_field,
 )
 from .model import RotorParams, drive_amplitude
@@ -43,14 +43,14 @@ class GeometricPhaseSet:
     For each label, gamma = term1 - term2: term1 is the total cyclic phase
     contribution, term2 the subtracted dynamical part. Phases are not
     reduced mod 2*pi, so adiabatic values near 2*pi survive intact.
-    n_harmonics and edge_weight are those of the modes (see ModeSet), 0 in
-    the closed form.
+    truncation and edge_weight are the harmonic truncation N and edge
+    weight of the modes (see ModeSet), 0 in the closed form.
     """
 
     gamma: dict[str, float]
     term1: dict[str, float]
     term2: dict[str, float]
-    n_harmonics: int = 0
+    truncation: int = 0
     edge_weight: float = 0.0
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -103,8 +103,7 @@ def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
     return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
 
 
-def geometric_phases_with_field(p: RotorParams,
-                                n_harmonics="auto") -> GeometricPhaseSet:
+def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
     """Geometric phases in the presence of a static axial field.
 
     Each drive mode u(t) = sum_k c_k e^{ik omega t} comes from the harmonic
@@ -120,7 +119,7 @@ def geometric_phases_with_field(p: RotorParams,
     the closed form, so reversing the rotation direction flips the phases.
     """
     t_signed = math.copysign(p.period, p.omega)
-    ms = _resolve_harmonics(p, n_harmonics)
+    ms = auto_harmonics(p)
     idx = _assign_labels(ms.weights)
     for i, a in enumerate(LABELS):
         for b in LABELS[i + 1:]:
@@ -146,7 +145,7 @@ def geometric_phases_with_field(p: RotorParams,
         term1[lab] = float(t_signed * p.omega * sz / norm)
         term2[lab] = term1[lab] - gamma[lab]
     return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2,
-                             n_harmonics=ms.n_harmonics, edge_weight=ms.edge_weight)
+                             truncation=ms.n_harmonics, edge_weight=ms.edge_weight)
 
 
 #: Slow reference rotation at which the pinned gauge sign is checked.

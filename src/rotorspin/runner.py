@@ -101,7 +101,7 @@ def _per_point(axis_name: str, values, point) -> list:
 def _run_spectrum(cfg: SweepConfig) -> Dataset:
     values = _axis_values(cfg)
     p = _params(cfg)
-    spec = quasienergy_spectrum(p, cfg.axis.name, values, cfg.n_harmonics)
+    spec = quasienergy_spectrum(p, cfg.axis.name, values)
     lam = np.stack([spec.branch(lab).quasienergy for lab in LABELS], axis=1)
     gaps = np.min(
         [np.abs(lam[:, i] - lam[:, j]) for i in range(3) for j in range(i + 1, 3)],
@@ -115,7 +115,7 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
         columns=[values, *lam.T, flags],
         kinds=[_AXIS_KINDS[cfg.axis.name], _FREQ, _FREQ, _FREQ, _PLAIN],
-        provenance=_truncation(cfg, [spec]),
+        provenance=_truncation([spec]),
     )
 
 
@@ -167,23 +167,22 @@ def _run_geomphase(cfg: SweepConfig) -> Dataset:
         p = p0.with_(**{cfg.axis.name: v})
         if p.delta == 0:
             return geometric_phases_zero_field(p)
-        return geometric_phases_with_field(p, cfg.n_harmonics)
+        return geometric_phases_with_field(p)
 
     sets = _per_point(cfg.axis.name, values, point)
     return Dataset(
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
         columns=[values, *np.transpose([s.as_tuple() for s in sets])],
         kinds=[_AXIS_KINDS[cfg.axis.name], _PLAIN, _PLAIN, _PLAIN],
-        provenance=_truncation(cfg, sets),
+        provenance=_truncation(sets),
     )
 
 
-def _truncation(cfg: SweepConfig, results) -> dict:
+def _truncation(results) -> dict:
     """The largest harmonic truncation and edge weight among `results`, as
-    provenance of an automatic run; nothing for a fixed truncation or a run
-    without a harmonic solve."""
-    n_max = max(r.n_harmonics for r in results)
-    if cfg.n_harmonics != "auto" or n_max == 0:
+    provenance; nothing for a run without a harmonic solve."""
+    n_max = max(r.truncation for r in results)
+    if n_max == 0:
         return {}
     return {"harmonics_n_max": str(n_max), "harmonics_edge_weight_max":
             f"{max(r.edge_weight for r in results):.3e}"}
@@ -240,7 +239,7 @@ def run(cfg: SweepConfig) -> Dataset:
 
 def _provenance(cfg: SweepConfig) -> dict:
     recorded = ("mode", "omega", "theta", "d", "phi0", "delta",
-                "steps_per_period", "n_harmonics", "psi0", "branch")
+                "steps_per_period", "psi0", "branch")
     prov = {"engine": f"rotorspin {__version__}",
             **{key: format_value(getattr(cfg, key)) for key in recorded},
             "units": "physical" if cfg.physical_d is not None else "dimensionless"}

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidArgumentError, RegimeError
-from .floquet import _pair_members, _strongest_equal_mixing, auto_harmonics
+from .floquet import _pair_members, _strongest_equal_mixing
 from .model import RotorParams, small_angle_guard
 
 __all__ = [
@@ -47,8 +48,7 @@ def resonant_omega(theta: float, branch: str = "plus", d: float = 1.0) -> float:
     without a field: +d/cos(theta) for the 0 <-> +1 branch, the negative
     for 0 <-> -1. Diverges as the tilt approaches a right angle."""
     _check_branch(branch)
-    if not 0.0 <= theta <= math.pi:
-        raise InvalidArgumentError("theta must lie in [0, pi]")
+    RotorParams(omega=0.0, theta=theta, d=d)  # finite, d > 0, theta in [0, pi]
     if theta >= math.pi / 2.0 - 1e-6:
         raise DivergenceError("resonant frequency diverges as theta -> pi/2")
     value = d / math.cos(theta)
@@ -108,6 +108,7 @@ def resonant_field(
     small-angle root, and `RegimeError` is raised, as at theta = 0.
     """
     _check_branch(branch)
+    p = RotorParams(omega=omega, theta=theta, d=d)
     if omega == 0:
         raise InvalidArgumentError("omega must be nonzero")
 
@@ -123,18 +124,16 @@ def resonant_field(
         small_angle_guard(d, root, theta)
 
     pair = _BRANCH_PAIR[branch]
-    p_ref = RotorParams(omega=omega, theta=theta, d=d, delta=root)
-    nh = auto_harmonics(p_ref).n_harmonics
 
+    @cache
     def members(delta: float) -> tuple[float, np.ndarray]:
-        return _pair_members(p_ref.with_(delta=float(delta)), pair, nh)
+        return _pair_members(p.with_(delta=float(delta)), pair)
 
     # the crossing field moves roughly one-to-one with omega, so a narrow
     # bracket around the small-angle root holds the equal-weight points
     lo = max(0.0, root - 0.02 * d)
     hi = min(0.995 * d, root + 0.02 * d)
-    ends = np.array([members(lo)[1], members(hi)[1]])
-    found = _strongest_equal_mixing(members, (lo, hi), ends, xtol=1e-12 * d)
+    found = _strongest_equal_mixing(members, (lo, hi), xtol=1e-12 * d)
     if found is None:
         raise RegimeError(
             f"no resonant field in (0, {d:.3g}) for theta = {theta:.4g}, "
@@ -147,10 +146,11 @@ def resonant_field(
 def angle_uncertainty(omega: float, theta: float, delta_rabi: float) -> float:
     """Tilt-angle uncertainty propagated from an uncertainty of the
     measured coupling strength: delta_rabi / (sqrt(2) |omega| cos theta)."""
+    RotorParams(omega=omega, theta=theta)  # finite, theta in [0, pi]
     if omega == 0:
         raise InvalidArgumentError("omega must be nonzero")
-    if delta_rabi < 0:
-        raise InvalidArgumentError("delta_rabi must be nonnegative")
+    if not (math.isfinite(delta_rabi) and delta_rabi >= 0):
+        raise InvalidArgumentError("delta_rabi must be finite and nonnegative")
     c = abs(math.cos(theta))
     if c < 1e-6:
         raise DivergenceError("angle uncertainty diverges as theta -> pi/2")

@@ -136,12 +136,12 @@ class TestResonantFieldSolves:
     `brentq` (the counts were taken with it) and lands on the same float."""
 
     @pytest.mark.parametrize("theta, omega, expected", [
-        (0.0314159265, 0.2, 19),  # README call
+        (0.0314159265, 0.2, 12),  # README call
         # the three solves of the first `resonance` benchmark call, seed 11
-        (0.015644473666496114, 0.2908662946710971, 17),
-        (0.018644473666496113, 0.2908662946710971, 17),
-        # one solve fewer to fix the truncation, one more Brent step at N = 12
-        (0.021644473666496113, 0.2908662946710971, 19),
+        (0.015644473666496114, 0.2908662946710971, 10),
+        (0.018644473666496113, 0.2908662946710971, 10),
+        # two Brent steps more
+        (0.021644473666496113, 0.2908662946710971, 12),
     ])
     def test_eigensolve_count_and_value(self, monkeypatch, theta, omega, expected):
         count = 0

@@ -53,8 +53,6 @@ _COMMON = {
     "d": (_OPTIONAL | _numbers(0.1, 3.0), ["0", "-1", *_NON_NUMERIC]),
     "phi0": (_OPTIONAL | _numbers(-7.0, 7.0), _NON_NUMERIC),
     "physical_d": (_OPTIONAL | _numbers(0.1, 5.0), ["0", "-2.87", *_NON_NUMERIC]),
-    "n_harmonics": (_OPTIONAL | st.sampled_from(["auto", "4"]),
-                    ["0", "-3", "many", "2.5"]),
 }
 _ZERO_FIELD = {
     "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),

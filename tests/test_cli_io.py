@@ -13,7 +13,7 @@ from rotorspin.cli import main
 from rotorspin.config import (AXIS_NAMES, MODES, AxisSpec, SweepConfig,
                               parse_config, serialize)
 from rotorspin.errors import ConfigError, NumericFailureError
-from rotorspin.floquet import auto_harmonics
+from rotorspin.floquet import LABELS, auto_harmonics, quasienergy_spectrum
 from rotorspin.model import RotorParams
 from rotorspin.runner import Dataset, emit_csv, format_float, run
 
@@ -79,7 +79,6 @@ _FIELD_VALUES = {
     "delta": _finite(),
     "axis": st.none() | _axes(),
     "steps_per_period": st.integers(min_value=256),
-    "n_harmonics": st.just("auto") | st.integers(min_value=1),
     # config text strips blanks and cuts comments, so paths avoid both
     "output_path": st.none() | st.text("abc/._-=0", max_size=12),
     "physical_d": st.none() | _POSITIVE,
@@ -136,7 +135,7 @@ class TestParseConfig:
     def test_round_trip(self):
         cfg = parse_config(
             "mode=geomphase\naxis=omega:0.1:1.5:31\ntheta=0.3141592653589793\n"
-            "delta=0\nsteps_per_period=1024\nn_harmonics=auto\npsi0=0\n")
+            "delta=0\nsteps_per_period=1024\npsi0=0\n")
         assert parse_config(serialize(cfg)) == cfg
 
     @settings(max_examples=300, deadline=None)
@@ -504,18 +503,28 @@ class TestCli:
         assert "omega = 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("n_harmonics, reported", [("40", False),
-                                                       ("auto", True)])
-    def test_truncation_provenance_only_when_automatic(self, tmp_path,
-                                                       n_harmonics, reported):
+    def test_field_sweep_records_truncation(self, tmp_path):
         out = str(tmp_path / "g.csv")
         code = main(["geomphase", "--omega", "0.3", "--delta", "0.4",
-                     "--n-harmonics", n_harmonics,
                      "--axis", "theta:0.1:0.3:3", "--output", out])
         assert code == 0
         text = Path(out).read_text()
-        assert ("# harmonics_n_max=" in text) == reported
-        assert ("# harmonics_edge_weight_max=" in text) == reported
+        assert "# harmonics_n_max=" in text
+        assert "# harmonics_edge_weight_max=" in text
+        assert "n_harmonics" not in text
+
+    def test_truncation_flag_and_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+            main(["geomphase", "--omega", "0.3", "--delta", "0.4",
+                  "--n-harmonics", "12", "--axis", "theta:0.1:0.3:3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-harmonics 12" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=geomphase\nn_harmonics=auto\n")
+        code = main(["geomphase", "--config", str(cfg), "--omega", "0.3",
+                     "--delta", "0.4", "--axis", "theta:0.1:0.3:3"])
+        assert code == 2
+        assert "line 2: unknown key 'n_harmonics'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
     def test_omega_sweep_truncation_provenance_is_reproducible(self, tmp_path,
@@ -551,6 +560,22 @@ class TestCli:
         code = main(["sensitivity", "--config", str(cfgfile), "--omega", "2.0",
                      "--output", out])
         assert code == 0
+
+    @pytest.mark.parametrize("points", [5, 41])
+    def test_delta_sweep_through_exact_zero_field(self, tmp_path, points):
+        out = str(tmp_path / "s.csv")
+        assert main(["spectrum", "--omega", "0.45", "--theta", "0.8",
+                     "--axis", f"delta:-0.2:0.2:{points}", "--output", out]) == 0
+        table = [ln for ln in Path(out).read_text().splitlines()
+                 if not ln.startswith("#")]
+        rows = np.loadtxt(table[1:], delimiter=",")
+        assert rows[points // 2, 0] == 0.0
+        near = np.linspace(-0.2, 0.2, points)
+        near[points // 2] = 1e-12
+        spec = quasienergy_spectrum(RotorParams(omega=0.45, theta=0.8),
+                                    "delta", near)
+        ref = np.stack([spec.branch(lab).quasienergy for lab in LABELS], axis=1)
+        np.testing.assert_allclose(rows[:, 1:4], ref, rtol=0, atol=1e-11)
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

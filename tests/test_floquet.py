@@ -307,6 +307,21 @@ class TestSpectrumSweep:
         sp = quasienergy_spectrum(p, "omega", np.linspace(-1.2, -0.05, 61))
         assert np.all(np.diff(sp.branch("m-1").quasienergy[-10:]) > 0)
 
+    @pytest.mark.parametrize("points", [5, 41, 401])
+    def test_delta_sweep_through_exact_zero_field(self, points):
+        # an odd symmetric grid holds an exact 0, solved in closed form; it
+        # is unfolded like every other point, so the branches match those
+        # of the same grid with 1e-12 in place of the 0
+        p = RotorParams(omega=0.45, theta=0.8)
+        grid = np.linspace(-0.2, 0.2, points)
+        near = grid.copy()
+        near[points // 2] = 1e-12
+        got, ref = (quasienergy_spectrum(p, "delta", g) for g in (grid, near))
+        for lab in LABELS:
+            np.testing.assert_allclose(got.branch(lab).quasienergy,
+                                       ref.branch(lab).quasienergy,
+                                       rtol=0, atol=1e-11)
+
     def test_rejects_unsorted_axis(self):
         with pytest.raises(InvalidArgumentError):
             quasienergy_spectrum(RotorParams(omega=0.0, theta=0.1), "omega",
@@ -317,8 +332,7 @@ class TestSpectrumSweep:
         # while the states stay fully mixed, so labeling cannot start there
         p = RotorParams(omega=0.2, theta=1e-6, delta=0.8)
         with pytest.raises(TrackingError):
-            quasienergy_spectrum(p, "omega", np.linspace(0.2, 0.21, 5),
-                                 n_harmonics=12)
+            quasienergy_spectrum(p, "omega", np.linspace(0.2, 0.21, 5))
 
 
 class TestAvoidedCrossing:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from rotorspin import floquet, sensing
 from rotorspin.errors import DivergenceError, InvalidArgumentError, RegimeError
-from rotorspin.floquet import _pair_members, auto_harmonics, avoided_crossing
+from rotorspin.floquet import _pair_members, avoided_crossing
 from rotorspin.model import RotorParams, derived_scales
 from rotorspin.sensing import (
     _small_angle_root,
@@ -23,8 +24,7 @@ def crossing_residual(theta, omega, delta, branch="plus"):
     pair = ("m0", "m+1") if branch == "plus" else ("m0", "m-1")
     p = RotorParams(omega=omega, theta=theta, delta=delta)
     window = sorted((0.85 * omega, 1.15 * omega))
-    rep = avoided_crossing(p, pair, window, axis="omega", points=65,
-                           n_harmonics=auto_harmonics(p).n_harmonics)
+    rep = avoided_crossing(p, pair, window, axis="omega", points=65)
     return abs(rep.omega_res - omega)
 
 
@@ -128,7 +128,7 @@ class TestResonantField:
         delta = resonant_field(theta, omega, branch).value + shift
         p = RotorParams(omega=omega, theta=theta, delta=delta)
         pair = ("m0", "m+1") if branch == "plus" else ("m0", "m-1")
-        sep, w = _pair_members(p, pair, auto_harmonics(p).n_harmonics)
+        sep, w = _pair_members(p, pair)
         offsets = np.abs(w[:, 0] - w[:, 1]) * sep
         scanned = crossing_residual(theta, omega, delta, branch)
         assert np.abs(offsets / scanned - 1.0).max() <= 0.1
@@ -157,7 +157,7 @@ class TestResonantField:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         resonant_field(TH, 0.2)
-        assert 0 < count <= 25
+        assert 0 < count <= 12
 
     def test_consistency_with_zero_field_resonance(self):
         th = math.pi / 100
@@ -195,3 +195,46 @@ class TestAngleUncertainty:
     def test_rejects_zero_frequency(self):
         with pytest.raises(InvalidArgumentError):
             angle_uncertainty(0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("module, solve", [
+    (sensing, lambda: resonant_field(TH, 0.2)),
+    (floquet, lambda: avoided_crossing(RotorParams(omega=1.0, theta=math.pi / 20),
+                                       ("m0", "m+1"), (0.9, 1.15))),
+], ids=["resonant_field", "avoided_crossing"])
+def test_no_point_solved_twice(monkeypatch, module, solve):
+    seen = []
+
+    def recording(p, pair):
+        seen.append(p)
+        return _pair_members(p, pair)
+
+    monkeypatch.setattr(module, "_pair_members", recording)
+    solve()
+    assert 0 < len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("call, args, kwargs", [
+    (resonant_field, (math.nan, 0.2), {}),
+    (resonant_field, (0.01, math.inf), {}),
+    (resonant_field, (4.0, 0.2), {}),
+    (resonant_field, (0.01, 0.2), {"d": -1.0}),
+    (resonant_omega, (0.3,), {"d": 0.0}),
+    (resonant_omega, (math.nan,), {}),
+    (angle_uncertainty, (0.2, math.nan, 0.1), {}),
+    (angle_uncertainty, (math.inf, 0.2, 0.1), {}),
+    (angle_uncertainty, (0.2, 4.0, 0.1), {}),
+    (angle_uncertainty, (0.2, 0.2, math.inf), {}),
+    (angle_uncertainty, (0.2, 0.2, math.nan), {}),
+    (avoided_crossing, (RotorParams(omega=1.0, theta=0.3), ("m0", "m+1"),
+                        (0.9, 1.1)), {"points": 0}),
+    (avoided_crossing, (RotorParams(omega=1.0, theta=0.3), ("m0", "m+1"),
+                        (0.9, 1.1)), {"points": 2}),
+], ids=["field-nan-theta", "field-inf-omega", "field-theta-above-pi",
+        "field-negative-d", "omega-zero-d", "omega-nan-theta",
+        "uncertainty-nan-theta", "uncertainty-inf-omega",
+        "uncertainty-theta-above-pi", "uncertainty-inf-rabi",
+        "uncertainty-nan-rabi", "crossing-0-points", "crossing-2-points"])
+def test_malformed_arguments_raise(call, args, kwargs):
+    with pytest.raises(InvalidArgumentError):
+        call(*args, **kwargs)

@@ -92,7 +92,7 @@ def _selftest() -> int:
     check("cubic vs eigensolver", worst < 1e-10, f"max deviation {worst:.2e}")
 
     p = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
-    _, lam_m = monodromy(p, 4096)
+    _, lam_m = monodromy(p)
     modes = auto_harmonics(p)
     lam_f = np.sort(fold(modes.quasi, p.omega))
     dev = float(np.abs(np.sort(fold(lam_m, p.omega)) - lam_f).max())

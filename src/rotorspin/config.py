@@ -43,7 +43,6 @@ class SweepConfig:
     phi0: float = 0.0
     delta: float = 0.0
     axis: AxisSpec | None = None
-    steps_per_period: int = 4096
     output_path: str | None = None
     physical_d: float | None = None
     psi0: str = "0"
@@ -111,8 +110,6 @@ def parse_mapping(pairs: dict[str, str], lines: dict[str, int] | None = None) ->
             kw["axis"] = _parse_axis(raw, ln)
         elif key in ("mode", "output_path", "psi0", "branch"):
             kw[key] = raw
-        elif key == "steps_per_period":
-            kw[key] = _parse_int(key, raw, ln)
         else:
             kw[key] = _parse_float(key, raw, ln)
 
@@ -134,8 +131,6 @@ def _validate(cfg: SweepConfig) -> None:
         raise ConfigError(f"psi0: must be one of {_PSI0_LABELS}, got {cfg.psi0!r}")
     if cfg.branch not in ("plus", "minus"):
         raise ConfigError(f"branch: must be 'plus' or 'minus', got {cfg.branch!r}")
-    if cfg.steps_per_period < 256:
-        raise ConfigError("steps_per_period: must be >= 256")
     if cfg.physical_d is not None and cfg.physical_d <= 0:
         raise ConfigError("physical_d: must be positive")
     if cfg.t_end is not None and cfg.t_end <= 0:

@@ -30,9 +30,14 @@ __all__ = [
     "evolve",
     "rabi_fit",
     "MAX_TRACE_SAMPLES",
+    "STEPS_PER_PERIOD",
 ]
 
 MAX_TRACE_SAMPLES = 20000
+
+#: integrator steps per drive period for `evolve` and `monodromy`; the
+#: monodromy agrees with a 4x finer one to 1e-9 for |omega| >= 0.01
+STEPS_PER_PERIOD = 4096
 
 # fourth-order two-exponential splitting weights and Gauss nodes
 _C1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
@@ -73,52 +78,43 @@ def _expmh_stack(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _period_data(p: RotorParams, spp: int):
-    """Prefix propagators over one drive period.
+def period_propagators(p: RotorParams, steps_per_period: int):
+    """Cached prefix propagators over one drive period.
 
-    Returns (prefix, monodromy): prefix has shape (spp + 1, 3, 3) with
-    prefix[k] the propagator from t = 0 to t = k * dt; monodromy is
-    prefix[-1], the full-period propagator.
+    Returns (prefix, monodromy): prefix has shape (steps_per_period + 1,
+    3, 3) with prefix[k] the propagator from t = 0 to t = k * dt; monodromy
+    is prefix[-1], the full-period propagator.
     """
-    dt = p.period / spp
-    t0 = np.arange(spp) * dt
+    dt = p.period / steps_per_period
+    t0 = np.arange(steps_per_period) * dt
     h1 = h_rotating(p, t0 + _NODE_LO * dt)
     h2 = h_rotating(p, t0 + _NODE_HI * dt)
     ua = _expmh_stack(_C1 * h1 + _C2 * h2, dt)
     ub = _expmh_stack(_C2 * h1 + _C1 * h2, dt)
-    prefix = np.empty((spp + 1, 3, 3), dtype=complex)
+    prefix = np.empty((steps_per_period + 1, 3, 3), dtype=complex)
     prefix[0] = np.eye(3)
-    for k in range(spp):
+    for k in range(steps_per_period):
         prefix[k + 1] = ua[k] @ ub[k] @ prefix[k]
     return prefix, prefix[-1].copy()
 
 
-def period_propagators(p: RotorParams, steps_per_period: int):
-    """Cached (prefix propagators, monodromy) for one drive period."""
-    return _period_data(p, int(steps_per_period))
-
-
-def monodromy(p: RotorParams, steps_per_period: int = 4096):
-    """One-period propagator and its three folded eigenphase quasi-energies."""
-    _, m = period_propagators(p, steps_per_period)
+def monodromy(p: RotorParams):
+    """One-period propagator and its three folded eigenphase quasi-energies,
+    at STEPS_PER_PERIOD steps."""
+    _, m = period_propagators(p, STEPS_PER_PERIOD)
     mu = np.linalg.eigvals(m)
     lam = fold(-np.angle(mu) / p.period, p.omega)
     return m, np.sort(lam)
 
 
-def evolve(
-    p: RotorParams,
-    psi0,
-    t_end: float,
-    steps_per_period: int = 4096,
-) -> EvolutionTrace:
+def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     """Integrate the frame Schroedinger equation and sample the trajectory.
 
-    Sampling is at integrator steps, decimated by a uniform stride when a
-    trace would exceed MAX_TRACE_SAMPLES; integration always proceeds at
-    full step resolution. The elapsed periods enter through powers of the
-    monodromy, so the cost does not grow with t_end; at most 2**53 steps
-    are resolved.
+    Sampling is at integrator steps, STEPS_PER_PERIOD per drive period,
+    decimated by a uniform stride when a trace would exceed
+    MAX_TRACE_SAMPLES; integration always proceeds at full step resolution.
+    The elapsed periods enter through powers of the monodromy, so the cost
+    does not grow with t_end; at most 2**53 steps are resolved.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -138,11 +134,8 @@ def evolve(
         pops = np.abs(states) ** 2
         return EvolutionTrace(times=times, states=states, populations=pops)
 
-    if steps_per_period < 256:
-        raise InvalidArgumentError("steps_per_period must be >= 256")
-    spp = int(steps_per_period)
-    prefix, m = period_propagators(p, spp)
-    dt = p.period / spp
+    prefix, m = period_propagators(p, STEPS_PER_PERIOD)
+    dt = p.period / STEPS_PER_PERIOD
 
     steps = t_end / dt - 1e-9
     if not steps <= 2.0**53:
@@ -159,7 +152,7 @@ def evolve(
     # extended precision: in double the error of M^(2^b) doubles with each
     # squaring, to 5e-13 after 2^15 periods against 1e-14 for stepping
     # period by period.
-    per, step = np.divmod(idx, spp)
+    per, step = np.divmod(idx, STEPS_PER_PERIOD)
     periods, which = np.unique(per, return_inverse=True)
     psi = np.tile(psi0, (len(periods), 1))
     power = m.astype(np.clongdouble)

@@ -56,8 +56,10 @@ SLOPE = {"m+1": -1.0, "m0": 0.0, "m-1": +1.0}
 
 
 def fold(x, omega: float):
-    """Reduce quasi-energies to the window [-|omega|/2, |omega|/2)."""
+    """Reduce quasi-energies to [-|omega|/2, |omega|/2); omega finite, nonzero."""
     w = abs(omega)
+    if not 0.0 < w < math.inf:
+        raise InvalidArgumentError(f"fold: omega must be finite and nonzero: {omega!r}")
     return ((np.asarray(x) + w / 2.0) % w) - w / 2.0
 
 
@@ -77,6 +79,7 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     trigonometric method for three real roots; near-degenerate cases fall
     back to the numeric eigensolver for robustness.
     """
+    params = RotorParams(d=d, omega=omega, theta=theta)  # validates the inputs
     b = -2.0 * d
     c = -(omega * omega - d * d)
     e = omega * omega * d * math.sin(theta) ** 2
@@ -86,8 +89,7 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     scale = max(d, abs(omega)) ** 6
     if disc < 1e-13 * scale or p >= 0.0:
         # degenerate or marginal: diagonalize instead
-        h = h_interaction(RotorParams(d=d, omega=omega, theta=theta))
-        return hermitian_eigensystem(h).values
+        return hermitian_eigensystem(h_interaction(params)).values
     m = 2.0 * math.sqrt(-p / 3.0)
     arg = 3.0 * q / (p * m)
     arg = min(1.0, max(-1.0, arg))
@@ -467,8 +469,8 @@ def avoided_crossing(
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvalidArgumentError("window must satisfy lo < hi")
-    if points < 3:
-        raise InvalidArgumentError("points must be >= 3")
+    if not isinstance(points, (int, np.integer)) or points < 3:
+        raise InvalidArgumentError(f"points must be an integer >= 3, got {points!r}")
 
     @cache
     def members(x: float) -> tuple[float, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import SweepConfig, format_value
-from .dynamics import evolve, monodromy, rabi_fit
+from .dynamics import STEPS_PER_PERIOD, evolve, monodromy, rabi_fit
 from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
 from .floquet import LABELS, quasienergy_spectrum
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
@@ -130,7 +130,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
             t_end = 10.0 * p.period
         else:
             raise ConfigError("t_end required when omega = 0 and theta in {0, pi}")
-    trace = evolve(p, _PSI0[cfg.psi0], t_end, cfg.steps_per_period)
+    trace = evolve(p, _PSI0[cfg.psi0], t_end)
     ds = Dataset(
         header=["t", "p_plus1", "p_0", "p_minus1",
                 "re_a_plus1", "im_a_plus1", "re_a_0", "im_a_0",
@@ -141,8 +141,9 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
     norms = np.linalg.norm(trace.states, axis=1)
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
     if p.omega != 0:
-        m, _ = monodromy(p, cfg.steps_per_period)
+        m, _ = monodromy(p)
         ds.provenance["unitarity_drift_per_period"] = f"{unitarity_defect(m):.3e}"
+        ds.provenance["steps_per_period"] = str(STEPS_PER_PERIOD)
     # the populations swing at quasi-energy differences shifted by the first
     # drive harmonics, all below W = (level spread) + 2|omega|; samples
     # farther apart than pi/W alias them, so nothing is fitted
@@ -238,8 +239,8 @@ def run(cfg: SweepConfig) -> Dataset:
 
 
 def _provenance(cfg: SweepConfig) -> dict:
-    recorded = ("mode", "omega", "theta", "d", "phi0", "delta",
-                "steps_per_period", "psi0", "branch")
+    recorded = ("mode", "omega", "theta", "d", "phi0", "delta", "psi0",
+                "branch")
     prov = {"engine": f"rotorspin {__version__}",
             **{key: format_value(getattr(cfg, key)) for key in recorded},
             "units": "physical" if cfg.physical_d is not None else "dimensionless"}

@@ -145,7 +145,8 @@ def resonant_field(
 
 def angle_uncertainty(omega: float, theta: float, delta_rabi: float) -> float:
     """Tilt-angle uncertainty propagated from an uncertainty of the
-    measured coupling strength: delta_rabi / (sqrt(2) |omega| cos theta)."""
+    measured coupling strength: delta_rabi / (sqrt(2) |omega| cos theta).
+    Raises DivergenceError where the quotient is not a finite number."""
     RotorParams(omega=omega, theta=theta)  # finite, theta in [0, pi]
     if omega == 0:
         raise InvalidArgumentError("omega must be nonzero")
@@ -154,4 +155,8 @@ def angle_uncertainty(omega: float, theta: float, delta_rabi: float) -> float:
     c = abs(math.cos(theta))
     if c < 1e-6:
         raise DivergenceError("angle uncertainty diverges as theta -> pi/2")
-    return delta_rabi / (math.sqrt(2.0) * abs(omega) * c)
+    denom = math.sqrt(2.0) * abs(omega) * c  # may underflow to zero
+    value = delta_rabi / denom if denom > 0 else math.inf
+    if not math.isfinite(value):
+        raise DivergenceError(f"angle uncertainty overflows at omega = {omega:.3g}")
+    return value

@@ -332,7 +332,7 @@ def test_criterion_10_method_cross_validation():
         p = RotorParams(omega=float(RNG.uniform(0.15, 1.5)),
                         theta=float(RNG.uniform(0.1, 3.0)),
                         delta=float(RNG.uniform(0.1, 0.9)))
-        _, lam_m = monodromy(p, 4096)
+        _, lam_m = monodromy(p)
         quasi = auto_harmonics(p).quasi
         for q in quasi:
             worst_field = max(worst_field,
@@ -342,7 +342,7 @@ def test_criterion_10_method_cross_validation():
         p = RotorParams(omega=float(RNG.uniform(0.2, 1.5)),
                         theta=float(RNG.uniform(0.1, 3.0)))
         roots = fold(cubic_quasienergies(1.0, p.omega, p.theta), p.omega)
-        _, lam_m = monodromy(p, 4096)
+        _, lam_m = monodromy(p)
         quasi = physical_modes(p, 16).quasi
         for r in roots:
             worst_zero = max(
@@ -374,7 +374,7 @@ def test_criterion_11_numerical_hygiene():
         p = RotorParams(omega=float(RNG.uniform(0.05, 3.0)),
                         theta=float(RNG.uniform(0.0, math.pi)),
                         delta=float(RNG.uniform(-1.0, 1.0)))
-        m, _ = monodromy(p, 4096)
+        m, _ = monodromy(p)
         worst_drift = max(worst_drift, unitarity_defect(m))
     p6 = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
     modes = auto_harmonics(p6)
@@ -409,9 +409,8 @@ def test_criterion_12_direction_reversal_symmetries():
     th = math.pi / 100
     p = RotorParams(omega=1.0 / math.cos(th), theta=th)
     rabi = math.sqrt(2) * p.omega * math.sin(th)
-    fwd_tr = evolve(p, KET_0, 2 * math.pi / rabi, steps_per_period=1024)
-    rev_tr = evolve(p.with_(omega=-p.omega), KET_0, 2 * math.pi / rabi,
-                    steps_per_period=1024)
+    fwd_tr = evolve(p, KET_0, 2 * math.pi / rabi)
+    rev_tr = evolve(p.with_(omega=-p.omega), KET_0, 2 * math.pi / rabi)
     worst_pop = max(
         float(np.abs(fwd_tr.populations[:, 0] - rev_tr.populations[:, 2]).max()),
         float(np.abs(fwd_tr.populations[:, 2] - rev_tr.populations[:, 0]).max()),

@@ -82,8 +82,6 @@ _KINDS = [
         "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),
         "delta": (_OPTIONAL | _numbers(-1.0, 1.0), _NON_NUMERIC),
         "t_end": (_numbers(0.1, 5.0), ["0", "-1", *_NON_NUMERIC]),
-        "steps_per_period": (st.sampled_from(["256", "300"]),
-                             ["100", "-256", "1.5", "x", "1e3"]),
         "psi0": (_OPTIONAL | st.sampled_from(["+1", "0", "-1"]), ["2", "", "up"]),
     }),
     ("resonance", {

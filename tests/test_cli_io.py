@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspin import dynamics
+from rotorspin import dynamics, runner
 from rotorspin.cli import main
 from rotorspin.config import (AXIS_NAMES, MODES, AxisSpec, SweepConfig,
                               parse_config, serialize)
@@ -78,7 +78,6 @@ _FIELD_VALUES = {
     "phi0": _finite(),
     "delta": _finite(),
     "axis": st.none() | _axes(),
-    "steps_per_period": st.integers(min_value=256),
     # config text strips blanks and cuts comments, so paths avoid both
     "output_path": st.none() | st.text("abc/._-=0", max_size=12),
     "physical_d": st.none() | _POSITIVE,
@@ -135,7 +134,7 @@ class TestParseConfig:
     def test_round_trip(self):
         cfg = parse_config(
             "mode=geomphase\naxis=omega:0.1:1.5:31\ntheta=0.3141592653589793\n"
-            "delta=0\nsteps_per_period=1024\npsi0=0\n")
+            "delta=0\npsi0=0\n")
         assert parse_config(serialize(cfg)) == cfg
 
     @settings(max_examples=300, deadline=None)
@@ -194,7 +193,7 @@ class TestEmitCsv:
     @pytest.mark.parametrize("text", [
         "mode=spectrum\naxis=omega:0:1.2:41\ntheta=0.0314159265\ndelta=0\n",
         "mode=evolve\nomega=0.2\ntheta=0.0314159265\ndelta=0.803\npsi0=0\n"
-        "steps_per_period=256\nt_end=400\n",
+        "t_end=400\n",
         "mode=geomphase\naxis=omega:0.5:0.6:3\ntheta=0.3\ndelta=0.3\n",
         "mode=resonance\ntheta=0\nomega=0.2\n",
         "mode=sensitivity\naxis=theta:0:1.2:7\nomega=1.0\ndelta_rabi=0.01\n",
@@ -242,7 +241,7 @@ class TestRun:
 
     def test_evolve_dataset_and_determinism(self, tmp_path):
         text = ("mode=evolve\nomega=0.2\ntheta=0.0314159265\ndelta=0.803\n"
-                "psi0=0\nsteps_per_period=512\nt_end=400\n")
+                "psi0=0\nt_end=400\n")
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run(parse_config(text + f"output_path={p1}\n"))
         run(parse_config(text + f"output_path={p2}\n"))
@@ -368,7 +367,7 @@ class TestCli:
         ["resonance", "--theta", "0", "--omega", "0.2"],
         ["spectrum", "--theta", "0.3", "--delta", "0", "--axis", "omega:0.5:1.2:5"],
         ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0",
-         "--t-end", "50", "--steps-per-period", "256"],
+         "--t-end", "50"],
     ], ids=["resonance", "spectrum", "evolve"])
     def test_stdout_honours_physical_units(self, tmp_path, capsys, argv):
         # the printed table carries the values the CSV holds, to 12 digits
@@ -420,41 +419,41 @@ class TestCli:
         assert main(["sensitivity", "--omega", "1.0",
                      "--theta", str(math.pi / 2), "--delta-rabi", "0.01"]) == 3
 
-    def test_non_finite_stdout_table_exits_3(self, capsys):
-        # the uncertainty overflows at the smallest subnormal omega; the
-        # stdout route refuses it as the file route does, before any line
-        code = main(["sensitivity", "--omega", "5e-324", "--theta", "0.2",
+    def test_non_finite_stdout_table_exits_3(self, monkeypatch, capsys):
+        # a non-finite value in the table: the stdout route refuses it as
+        # the file route does, before any line
+        monkeypatch.setattr(runner, "angle_uncertainty",
+                            lambda *args, **kwargs: math.inf)
+        code = main(["sensitivity", "--omega", "1.0", "--theta", "0.2",
                      "--delta-rabi", "0.3"])
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
         assert err == "numeric failure: non-finite value in output: inf\n"
 
+    def test_overflowing_uncertainty_exits_3(self, capsys):
+        # the uncertainty overflows at the smallest subnormal omega
+        code = main(["sensitivity", "--omega", "5e-324", "--theta", "0.2",
+                     "--delta-rabi", "0.3"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == ("numeric failure: angle uncertainty overflows at "
+                       "omega = 4.94e-324 (at theta = 0.2)\n")
+
     @pytest.mark.parametrize("argv", [
-        ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0"],
-    ], ids=["evolve"])
+        ["spectrum", "--axis", "omega:0.1:0.2:100000000000000"],
+    ], ids=["spectrum"])
     def test_out_of_memory_exit_code(self, argv, tmp_path, capsys):
-        # 1e14 steps per period ask for hundreds of TiB, more than a 64-bit
+        # 1e14 axis points ask for hundreds of TiB, more than a 64-bit
         # address space holds, so the first allocation fails at once
         out = tmp_path / "x.csv"
-        code = main(argv + ["--steps-per-period", "100000000000000",
-                            "--output", str(out)])
+        code = main(argv + ["--output", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: out of memory")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
-
-    def test_field_geomphase_independent_of_steps_per_period(self, tmp_path):
-        texts = []
-        for spp in ("256", "4096"):
-            out = tmp_path / f"g{spp}.csv"
-            assert main(["geomphase", "--theta", "0.3", "--delta", "0.3",
-                         "--axis", "omega:0.5:0.6:3", "--steps-per-period", spp,
-                         "--output", str(out)]) == 0
-            texts.append([line for line in out.read_text().splitlines()
-                          if not line.startswith("# steps_per_period=")])
-        assert texts[0] == texts[1]
 
     def test_failed_rabi_fit_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -463,8 +462,7 @@ class TestCli:
         monkeypatch.setattr(dynamics, "brent_min", fail)
         out = tmp_path / "e.csv"
         code = main(["evolve", "--omega", "0.2", "--theta", "0.0314159265",
-                     "--delta", "0.803", "--psi0", "0",
-                     "--steps-per-period", "256", "--output", str(out)])
+                     "--delta", "0.803", "--psi0", "0", "--output", str(out)])
         assert code == 3
         assert "minimiser budget exhausted" in capsys.readouterr().err
         assert not out.exists()
@@ -525,6 +523,35 @@ class TestCli:
                      "--delta", "0.4", "--axis", "theta:0.1:0.3:3"])
         assert code == 2
         assert "line 2: unknown key 'n_harmonics'" in capsys.readouterr().err
+
+    def test_resolution_flag_and_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+            main(["evolve", "--omega", "0.2", "--theta", "0.03",
+                  "--steps-per-period", "256"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --steps-per-period 256"
+                in capsys.readouterr().err)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=evolve\nsteps_per_period=256\n")
+        code = main(["evolve", "--config", str(cfg), "--omega", "0.2",
+                     "--theta", "0.03"])
+        assert code == 2
+        assert ("line 2: unknown key 'steps_per_period'"
+                in capsys.readouterr().err)
+
+    def test_evolve_records_its_resolution(self, tmp_path):
+        # after the drift, and only where a period is integrated
+        heads = []
+        for omega in ("0.2", "0"):
+            out = tmp_path / f"e{omega}.csv"
+            assert main(["evolve", "--omega", omega, "--theta", "0.03",
+                         "--psi0", "0", "--t-end", "50",
+                         "--output", str(out)]) == 0
+            heads.append([line.split("=")[0] for line in
+                          out.read_text().splitlines() if line.startswith("#")])
+        at = heads[0].index("# steps_per_period")
+        assert heads[0][at - 1] == "# unitarity_drift_per_period"
+        assert "# steps_per_period" not in heads[1]
 
     @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
     def test_omega_sweep_truncation_provenance_is_reproducible(self, tmp_path,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotorspin.dynamics import (
+    STEPS_PER_PERIOD,
     evolve,
     monodromy,
     period_propagators,
@@ -68,7 +69,7 @@ class TestAnalyticPropagator:
 
     def test_matches_step_integrator(self):
         p = RotorParams(omega=1.0005, theta=math.pi / 100)
-        trace = evolve(p, KET_0, 10 * p.period, steps_per_period=2048)
+        trace = evolve(p, KET_0, 10 * p.period)
         worst = 0.0
         for t, psi in zip(trace.times[::311], trace.states[::311]):
             ref = propagator_zero_field(p, t) @ KET_0
@@ -84,7 +85,7 @@ class TestAnalyticPropagator:
 class TestEvolve:
     def test_norm_and_population_invariants(self):
         p = RotorParams(omega=0.3, theta=1.2, delta=0.4)
-        trace = evolve(p, KET_0, 8 * p.period, steps_per_period=512)
+        trace = evolve(p, KET_0, 8 * p.period)
         norms = np.linalg.norm(trace.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
         np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0,
@@ -108,20 +109,20 @@ class TestEvolve:
 
     def test_sample_cap(self):
         p = RotorParams(omega=1.0, theta=0.3)
-        trace = evolve(p, KET_0, 100 * p.period, steps_per_period=4096)
+        trace = evolve(p, KET_0, 100 * p.period)
         assert len(trace.times) <= 20000
 
     @pytest.mark.parametrize("p, psi0, t_end, spp", [
         # README call: every period is sampled
         (RotorParams(omega=0.2, theta=0.0314159265, delta=0.803), KET_0,
-         4000.0, 4096),
+         4000.0, STEPS_PER_PERIOD),
         # ~31800 periods, one sample every ~1.6 periods
-        (RotorParams(omega=0.2, theta=0.03), KET_0, 1e6, 4096),
+        (RotorParams(omega=0.2, theta=0.03), KET_0, 1e6, STEPS_PER_PERIOD),
         (RotorParams(omega=-0.7, theta=0.5, delta=0.2, phi0=0.3),
-         np.array([1.0, 0.0, 0.0], dtype=complex), 5000.0, 512),
+         np.array([1.0, 0.0, 0.0], dtype=complex), 5000.0, STEPS_PER_PERIOD),
     ])
     def test_sampling_matches_period_loop(self, p, psi0, t_end, spp):
-        trace = evolve(p, psi0, t_end, steps_per_period=spp)
+        trace = evolve(p, psi0, t_end)
         ref = states_by_period_loop(p, psi0, trace.times, spp)
         assert np.abs(trace.states - ref).max() <= 1e-13
 
@@ -133,12 +134,12 @@ class TestEvolve:
         assert trace.times[-1] <= 1e12
         # second route: M^k = V diag(mu^k) V^-1, whose own error grows as
         # k times the eigenvalue error (about 4e-16 per period here)
-        prefix, m = period_propagators(p, 4096)
+        prefix, m = period_propagators(p, STEPS_PER_PERIOD)
         mu, v = np.linalg.eig(m)
         coeff = np.linalg.solve(v, KET_0)
-        idx = np.rint(trace.times / (p.period / 4096)).astype(np.int64)
+        idx = np.rint(trace.times / (p.period / STEPS_PER_PERIOD)).astype(np.int64)
         for s in (1, 100, 5000, len(idx) - 1):
-            k, step = divmod(int(idx[s]), 4096)
+            k, step = divmod(int(idx[s]), STEPS_PER_PERIOD)
             ref = prefix[step] @ (v @ (np.exp(k * np.log(mu)) * coeff))
             assert np.abs(trace.states[s] - ref).max() <= 1e-15 * k
 
@@ -146,25 +147,19 @@ class TestEvolve:
     def test_rejects_unresolved_step_count(self, steps):
         p = RotorParams(omega=0.2, theta=0.03)
         with pytest.raises(InvalidArgumentError, match="2\\*\\*53"):
-            evolve(p, KET_0, steps * p.period / 4096)
+            evolve(p, KET_0, steps * p.period / STEPS_PER_PERIOD)
 
     def test_rejects_bad_state(self):
         p = RotorParams(omega=1.0, theta=0.3)
         with pytest.raises(InvalidArgumentError):
             evolve(p, [1.0, 1.0, 0.0], 1.0)
 
-    def test_rejects_too_few_steps(self):
-        p = RotorParams(omega=1.0, theta=0.3)
-        with pytest.raises(InvalidArgumentError):
-            evolve(p, KET_0, 1.0, steps_per_period=100)
-
     def test_direction_reversal_swaps_side_populations(self):
         th = math.pi / 100
         p = RotorParams(omega=1.0 / math.cos(th), theta=th)
         rabi = math.sqrt(2) * p.omega * math.sin(th)
-        fwd = evolve(p, KET_0, 2 * math.pi / rabi, steps_per_period=1024)
-        rev = evolve(p.with_(omega=-p.omega), KET_0, 2 * math.pi / rabi,
-                     steps_per_period=1024)
+        fwd = evolve(p, KET_0, 2 * math.pi / rabi)
+        rev = evolve(p.with_(omega=-p.omega), KET_0, 2 * math.pi / rabi)
         np.testing.assert_allclose(fwd.populations[:, 0], rev.populations[:, 2],
                                    atol=1e-9)
         np.testing.assert_allclose(fwd.populations[:, 2], rev.populations[:, 0],
@@ -206,19 +201,19 @@ class TestFloquetOracle:
 class TestMonodromy:
     def test_unitarity(self):
         p = RotorParams(omega=0.05, theta=2.0, delta=0.7)
-        m, _ = monodromy(p, 4096)
+        m, _ = monodromy(p)
         assert unitarity_defect(m) <= 1e-9
 
     def test_zero_field_matches_cubic(self):
         p = RotorParams(omega=0.5, theta=math.pi / 4)
-        _, lam = monodromy(p, 4096)
+        _, lam = monodromy(p)
         roots = fold(cubic_quasienergies(1.0, 0.5, math.pi / 4), p.omega)
         for r in roots:
             assert min(fold_dist(r, q, p.omega) for q in lam) <= 1e-8
 
     def test_axis_aligned_diagonal(self):
         p = RotorParams(omega=0.5, theta=0.0, delta=0.2)
-        m, lam = monodromy(p, 512)
+        m, lam = monodromy(p)
         off = m - np.diag(np.diag(m))
         assert np.abs(off).max() <= 1e-12
         expected = fold(np.array([1.0 - 0.2, 0.0, 1.0 + 0.2]), p.omega)
@@ -227,7 +222,7 @@ class TestMonodromy:
 
     def test_field_case_matches_harmonic_matrix(self):
         p = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
-        _, lam = monodromy(p, 4096)
+        _, lam = monodromy(p)
         quasi = physical_modes(p, 32).quasi
         for q in quasi:
             assert min(fold_dist(q, x, p.omega) for x in lam) <= 1e-8
@@ -235,6 +230,24 @@ class TestMonodromy:
     def test_rejects_zero_frequency(self):
         with pytest.raises(InvalidArgumentError):
             monodromy(RotorParams(omega=0.0, theta=0.3))
+
+    def test_fixed_resolution_is_converged(self):
+        # against 4x finer steps; |omega| = 0.01 with delta = 2, the most
+        # periods of level phase per drive period, is the worst corner
+        rng = np.random.default_rng(5)
+        points = [RotorParams(omega=0.01, theta=1.5, delta=2.0),
+                  RotorParams(omega=-0.01, theta=math.pi, delta=2.0)]
+        for sign in (1.0, -1.0, 1.0):
+            points.append(RotorParams(
+                omega=sign * 10.0 ** rng.uniform(-2.0, 0.5),
+                theta=rng.uniform(0.0, math.pi), delta=rng.uniform(0.0, 2.0),
+                phi0=rng.uniform(0.0, 2.0 * math.pi)))
+        worst = 0.0
+        for p in points:
+            _, m = period_propagators(p, STEPS_PER_PERIOD)
+            _, ref = period_propagators(p, 4 * STEPS_PER_PERIOD)
+            worst = max(worst, float(np.abs(m - ref).max()))
+        assert worst <= 1e-9
 
 
 class TestRabiFit:

@@ -5,7 +5,8 @@ import pytest
 
 from rotorspin import floquet, sensing
 from rotorspin.errors import DivergenceError, InvalidArgumentError, RegimeError
-from rotorspin.floquet import _pair_members, avoided_crossing
+from rotorspin.floquet import (_pair_members, avoided_crossing,
+                               cubic_quasienergies, fold)
 from rotorspin.model import RotorParams, derived_scales
 from rotorspin.sensing import (
     _small_angle_root,
@@ -196,6 +197,12 @@ class TestAngleUncertainty:
         with pytest.raises(InvalidArgumentError):
             angle_uncertainty(0.0, 0.1, 0.01)
 
+    @pytest.mark.parametrize("omega, theta", [(1e-320, 0.2), (5e-324, 1.5707)],
+                             ids=["overflow", "underflowing-denominator"])
+    def test_non_finite_quotient_diverges(self, omega, theta):
+        with pytest.raises(DivergenceError):
+            angle_uncertainty(omega, theta, 0.1)
+
 
 @pytest.mark.parametrize("module, solve", [
     (sensing, lambda: resonant_field(TH, 0.2)),
@@ -230,11 +237,22 @@ def test_no_point_solved_twice(monkeypatch, module, solve):
                         (0.9, 1.1)), {"points": 0}),
     (avoided_crossing, (RotorParams(omega=1.0, theta=0.3), ("m0", "m+1"),
                         (0.9, 1.1)), {"points": 2}),
+    (avoided_crossing, (RotorParams(omega=1.0, theta=0.3), ("m0", "m+1"),
+                        (0.9, 1.1)), {"points": 5.5}),
+    (cubic_quasienergies, (1.0, math.nan, 0.3), {}),
+    (cubic_quasienergies, (1.0, math.inf, 0.3), {}),
+    (cubic_quasienergies, (-1.0, 0.5, 0.3), {}),
+    (cubic_quasienergies, (1.0, 0.5, 7.0), {}),
+    (fold, (1.0, 0.0), {}),
+    (fold, (1.0, math.inf), {}),
 ], ids=["field-nan-theta", "field-inf-omega", "field-theta-above-pi",
         "field-negative-d", "omega-zero-d", "omega-nan-theta",
         "uncertainty-nan-theta", "uncertainty-inf-omega",
         "uncertainty-theta-above-pi", "uncertainty-inf-rabi",
-        "uncertainty-nan-rabi", "crossing-0-points", "crossing-2-points"])
+        "uncertainty-nan-rabi", "crossing-0-points", "crossing-2-points",
+        "crossing-fractional-points", "cubic-nan-omega", "cubic-inf-omega",
+        "cubic-negative-d", "cubic-theta-above-pi", "fold-zero-omega",
+        "fold-inf-omega"])
 def test_malformed_arguments_raise(call, args, kwargs):
     with pytest.raises(InvalidArgumentError):
         call(*args, **kwargs)

@@ -49,8 +49,8 @@ def probe(argv, tmp_path):
      "--axis", "omega:0.5:0.7:5"],
     ["geomphase", "--theta", "0.3141592653589793", "--delta", "0",
      "--axis", "omega:0.85:1.25:5"],
-    ["geomphase", "--theta", "0.3", "--delta", "0.3", "--steps-per-period",
-     "256", "--axis", "omega:0.5:0.6:2"],
+    ["geomphase", "--theta", "0.3", "--delta", "0.3",
+     "--axis", "omega:0.5:0.6:2"],
     ["sensitivity", "--omega", "1.0", "--theta", "0.5", "--delta-rabi", "0.01"],
 ], ids=["import", "spectrum", "spectrum-field", "geomphase", "geomphase-field",
         "sensitivity"])
@@ -63,7 +63,7 @@ def test_no_scipy_outside_root_finding(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["resonance", "--theta", "0.0314159265", "--omega", "0.2"],
     ["evolve", "--omega", "1.0", "--theta", "0.3", "--psi0", "0",
-     "--t-end", "60", "--steps-per-period", "256"],
+     "--t-end", "60"],
     ["selftest"],
 ], ids=["resonance", "evolve", "selftest"])
 def test_root_finding_loads_no_scipy(argv, tmp_path):

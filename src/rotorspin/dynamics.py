@@ -89,12 +89,12 @@ def period_propagators(p: RotorParams, steps_per_period: int):
     t0 = np.arange(steps_per_period) * dt
     h1 = h_rotating(p, t0 + _NODE_LO * dt)
     h2 = h_rotating(p, t0 + _NODE_HI * dt)
-    ua = _expmh_stack(_C1 * h1 + _C2 * h2, dt)
-    ub = _expmh_stack(_C2 * h1 + _C1 * h2, dt)
+    steps = (_expmh_stack(_C1 * h1 + _C2 * h2, dt)
+             @ _expmh_stack(_C2 * h1 + _C1 * h2, dt))
     prefix = np.empty((steps_per_period + 1, 3, 3), dtype=complex)
     prefix[0] = np.eye(3)
     for k in range(steps_per_period):
-        prefix[k + 1] = ua[k] @ ub[k] @ prefix[k]
+        prefix[k + 1] = steps[k] @ prefix[k]
     return prefix, prefix[-1].copy()
 
 

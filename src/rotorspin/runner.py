@@ -2,7 +2,8 @@
 
 Each run mode maps a validated config onto the library calls and hands
 over its table as whole columns, one array per header name; `emit_csv`
-writes them as CSV with a provenance preamble in one formatting pass. The
+formats them column by column, a chunk of rows at a time, and streams
+the CSV, after a provenance preamble, to the output file. The
 engine always computes in dimensionless units (d = 1 internally is not
 forced, but all defaults assume it); physical-units output only rescales
 columns at serialization time.
@@ -140,14 +141,18 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
     )
     norms = np.linalg.norm(trace.states, axis=1)
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
+    # the populations swing at quasi-energy differences shifted by the first
+    # drive harmonics, all below W = (level spread) + 2|omega|
+    band = np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega)
     if p.omega != 0:
         m, _ = monodromy(p)
         ds.provenance["unitarity_drift_per_period"] = f"{unitarity_defect(m):.3e}"
         ds.provenance["steps_per_period"] = str(STEPS_PER_PERIOD)
-    # the populations swing at quasi-energy differences shifted by the first
-    # drive harmonics, all below W = (level spread) + 2|omega|; samples
-    # farther apart than pi/W alias them, so nothing is fitted
-    band = np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega)
+        # the phase W turns through in one integrator step: the step's
+        # error grows with it, which the unitary steps never show in the
+        # drift or the norm
+        ds.provenance["step_phase"] = f"{p.period / STEPS_PER_PERIOD * band:.3e}"
+    # samples farther apart than pi/W alias the swings, so nothing is fitted
     if len(trace.times) > 1 and trace.times[1] - trace.times[0] > math.pi / band:
         ds.provenance["rabi_fit_skipped"] = "undersampled"
         return ds
@@ -250,16 +255,104 @@ def _provenance(cfg: SweepConfig) -> dict:
     return prov
 
 
-def _compact(text: str) -> str:
-    """Drop the plus sign and leading zeros of every `%e` exponent in text:
-    e+00 becomes e0, e+05 e5 and e-05 e-5."""
-    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
-
-
 def format_float(x: float) -> str:
-    """Scientific notation with a 12-digit mantissa and a compact exponent:
-    0.2 becomes 2.000000000000e-1."""
-    return _compact(f"{x:.12e}")
+    """Scientific notation with a 12-digit mantissa and a compact exponent
+    (no plus sign, no leading zeros): 0.2 becomes 2.000000000000e-1."""
+    return (f"{x:.12e}".replace("e+0", "e").replace("e+", "e")
+            .replace("e-0", "e-"))
+
+
+# `emit_csv` formats _CHUNK_ROWS rows at a time, so its traced peak stays
+# near 2.5 MB for 10 columns whatever the row count. A cell fills a slot of
+# _SLOT bytes: its text padded with zero bytes, then its separator; the
+# zero bytes are dropped before the rows are written.
+_CHUNK_ROWS = 4096
+_SLOT = 21
+# the decimal exponents of finite nonzero float64 values
+_E_MIN, _E_MAX = -324, 308
+# 10**(12 - e) for each exponent e, parsed from decimal text so that every
+# entry is correctly rounded, and the compact exponent text of e padded
+# with zero bytes
+_POW10 = np.array([f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)],
+                  dtype=np.longdouble)
+_EXP_TEXT = (np.array([f"e{e}" for e in range(_E_MIN, _E_MAX + 1)], dtype="S5")
+             .view(np.uint8).reshape(-1, 5))
+# the scaled value s < 1e13 is within eps * 1e13 of the exact
+# |x| * 10**(12 - e), eps that of _POW10's dtype (one rounding in the table,
+# one in the product); where it lies within _TIE, 8 times that, of a
+# rounding tie, the cell is formatted by `format_float` instead
+_TIE = 8.0 * float(np.finfo(_POW10.dtype).eps) * 1e13
+
+
+def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write `format_float` of each value of the finite float64 array x into
+    the rows of the uint8 array out, of shape (len(x), 20), zero-padded."""
+    a = np.abs(x)
+    nonzero = a > 0
+    # e = floor(log10 |x|), so that 1e12 <= s = |x| * 10**(12 - e) < 1e13;
+    # the estimate from log10 is off by one at most, next to a power of ten
+    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
+    a = a.astype(_POW10.dtype)
+    s = a * _POW10[e - _E_MIN]
+    step = (s >= 1e13).astype(np.int64) - (nonzero & (s < 1e12))
+    if step.any():
+        e += step
+        s = a * _POW10[e - _E_MIN]
+    # where _POW10 is float64, 10**(12 - e) overflows for e < -296: s is
+    # inf, or out of range after a step away from inf; such cells fall
+    # back too
+    with np.errstate(invalid="ignore"):
+        mant = np.rint(s)
+        fallback = (~np.isfinite(s) | nonzero & ((s < 1e12) | (s >= 1e13))
+                    | (np.abs(np.abs((s - mant).astype(float)) - 0.5) <= _TIE))
+    mant[fallback] = 0
+    mant = mant.astype(np.int64)
+    # a mantissa that rounds up to 10**13 is 10**12 at the next exponent
+    carry = mant == 10**13
+    mant[carry] = 10**12
+    e += carry
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 2] = ord(".")
+    # the digits from the last; numpy's floor division by a constant is
+    # cheap where its remainder (% or divmod) is not
+    for pos in range(14, 2, -1):
+        q = mant // 10
+        out[:, pos] = mant - q * 10 + ord("0")
+        mant = q
+    out[:, 1] = mant + ord("0")
+    out[:, 15:] = _EXP_TEXT[e - _E_MIN]
+    for i in np.flatnonzero(fallback):
+        text = format_float(float(x[i])).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _int_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write each value of the integer array x in decimal into the rows of
+    the uint8 array out, of shape (len(x), 20): digits right-aligned, the
+    sign of a negative value in the first byte (its magnitude has at most 19
+    digits), zero bytes between."""
+    negative = x < 0
+    n = x.astype(np.uint64)
+    n = np.where(negative, -n, n)  # the magnitude, also of the int64 minimum
+    for pos in range(19, -1, -1):
+        q = n // 10
+        out[:, pos] = np.where((n > 0) | (pos == 19), n - q * 10 + ord("0"), 0)
+        n = q
+    out[negative, 0] = ord("-")
+
+
+def _rows_text(columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of equal-length columns, as `emit_csv` writes them."""
+    buf = np.zeros((len(columns[0]), len(columns), _SLOT), dtype=np.uint8)
+    buf[:, :, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    for j, c in enumerate(columns):
+        if c.dtype.kind in "iu":
+            _int_cells(c, buf[:, j, :-1])
+        else:
+            _float_cells(c.astype(float, copy=False), buf[:, j, :-1])
+    return buf[buf != 0].tobytes()
 
 
 def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
@@ -269,22 +362,27 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
     multiplied by it and the time columns divided. Raises
     NumericFailureError, and writes nothing, if the columns do not match the
     header or a value is not finite, and ConfigError, leaving no file
-    behind, if the path cannot be written."""
+    behind, if the path cannot be written.
+
+    The rows are formatted by whole columns into a byte buffer and streamed
+    to a temporary file a chunk of rows at a time, which then replaces
+    `path`. The digits come from integer arithmetic on each value scaled in
+    extended precision; the few values next to a rounding tie are formatted
+    by `format_float`, so every cell is exactly its `format_float` text."""
     if len(ds.columns) != len(ds.header) or len({len(c) for c in ds.columns}) != 1:
         raise NumericFailureError("columns do not match the header")
     columns = ds.scaled_columns(physical_d)
-    table = np.column_stack(columns)
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\n"
-    head = [f"# {k}={v}" for k, v in ds.provenance.items()] + [",".join(ds.header)]
-    body = "".join(f"{line}\n" for line in head) + _compact(
-        "".join([row % tuple(r) for r in table.tolist()]))
+    head = "".join(f"# {k}={v}\n" for k, v in ds.provenance.items())
+    head += ",".join(ds.header) + "\n"
 
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rotorspin-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.write(body)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(head.encode())
+                for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+                    fh.write(_rows_text([c[lo:lo + _CHUNK_ROWS] for c in columns]))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

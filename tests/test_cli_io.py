@@ -1,6 +1,8 @@
 import math
 import os
+import tracemalloc
 from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,92 @@ class TestEmitCsv:
             path = tmp_path / "edge.csv"
             emit_csv(ds, str(path), physical_d=physical_d)
             _assert_matches_reference(path, ds, physical_d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(_finite(), st.integers(-2**63, 2**63 - 1)),
+                          max_size=40))
+    def test_any_float_and_int64_match_reference_writer(self, tmp_path_factory,
+                                                         cells):
+        # subnormals and both zeros included: st.floats draws them
+        ds = Dataset(header=["x", "n"],
+                     columns=[np.array([x for x, _ in cells], dtype=float),
+                              np.array([n for _, n in cells], dtype=np.int64)],
+                     kinds=["plain", "plain"])
+        path = tmp_path_factory.mktemp("any") / "any.csv"
+        emit_csv(ds, str(path))
+        _assert_matches_reference(path, ds, None)
+
+    @pytest.mark.parametrize("precision", [np.longdouble, np.float64])
+    def test_rounding_boundaries_match_reference_writer(self, tmp_path,
+                                                        monkeypatch, precision):
+        # exact ties at the 13th digit, values of 14 significant digits the
+        # last of which is 5: q / 2**j with q odd and q * 5**j of 14 digits,
+        # and such integers times 10 and 100, which the writer scales by an
+        # inexact 10**-k
+        rng = np.random.default_rng(3)
+        ties = [1234567890123.5, 12345678901235.0]
+        for j in range(1, 20):
+            q = rng.integers(-(-10**13 // 5**j), 10**14 // 5**j, 4) | 1
+            ties += [int(k) / 2**j for k in q]
+        q = rng.integers(10**12, 9 * 10**12, 8) * 10 + 5
+        ties += [float(int(k) * 10**j) for k in q for j in (0, 1, 2)]
+        for t in ties:
+            digits = Decimal(t).normalize().as_tuple().digits
+            assert len(digits) == 14 and digits[-1] == 5
+        # inexact values whose scaled mantissa lies within 1e-6 of a tie,
+        # where extended precision alone rounds to the wrong side
+        ties += [9.1589340216595e+154, 9.8643875675505e+273, 5.1426965516665e+173,
+                 5.5899026227055e-268, 9.2572224572265e+121, 7.4128646116145e+108,
+                 9.4694397881785e-107]
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        # 9.9999999999995e{k} rounds up to 1.000000000000e{k + 1} or not
+        round_ups = np.array([float(f"9.9999999999995e{k}") for k in range(-311, 308)])
+        edges = np.concatenate([ties, powers, round_ups, [12345678901232.5]])
+        values = np.concatenate([edges, np.nextafter(edges, 0),
+                                 np.nextafter(edges, np.inf)])
+        values = np.concatenate([values, -values, [0.0, -0.0, 5e-324]])
+        values = values[np.isfinite(values)]
+        if precision is np.float64:
+            # where long double is double: a coarser, partly infinite table
+            # of powers, and more cells formatted one by one
+            monkeypatch.setattr(runner, "_POW10", np.array(
+                [f"1e{12 - e}" for e in range(runner._E_MIN, runner._E_MAX + 1)],
+                dtype=np.float64))
+            monkeypatch.setattr(runner, "_TIE", 8.0 * np.finfo(float).eps * 1e13)
+        ds = Dataset(header=["x"], columns=[values], kinds=["plain"])
+        path = tmp_path / "boundaries.csv"
+        emit_csv(ds, str(path))
+        _assert_matches_reference(path, ds, None)
+
+    @pytest.mark.parametrize("rows", [0, 1, runner._CHUNK_ROWS - 1,
+                                      runner._CHUNK_ROWS, runner._CHUNK_ROWS + 1])
+    def test_row_counts_around_a_chunk(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        ds = Dataset(header=["t", "x", "n"],
+                     columns=[np.arange(rows) * 0.1, values,
+                              -np.arange(rows) * 7919],
+                     kinds=["time", "plain", "plain"],
+                     provenance={"mode": "evolve"})
+        path = tmp_path / "rows.csv"
+        emit_csv(ds, str(path), physical_d=2.87)
+        _assert_matches_reference(path, ds, 2.87)
+        assert len(path.read_text().splitlines()) == rows + 2
+
+    def test_traced_peak_is_bounded(self, tmp_path):
+        # an evolve-sized table: formatting it whole, as a buffer of all its
+        # cells or as rows of Python floats, peaks above 13 MB
+        rng = np.random.default_rng(7)
+        ds = Dataset(header=[f"c{k}" for k in range(10)],
+                     columns=list(rng.standard_normal((10, 20000))),
+                     kinds=["plain"] * 10)
+        tracemalloc.start()
+        try:
+            emit_csv(ds, str(tmp_path / "big.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_rejects_ragged_columns(self, tmp_path):
         ds = Dataset(header=["x", "y"], columns=[[1.0, 2.0], [1.0]],
@@ -551,7 +639,20 @@ class TestCli:
                           out.read_text().splitlines() if line.startswith("#")])
         at = heads[0].index("# steps_per_period")
         assert heads[0][at - 1] == "# unitarity_drift_per_period"
+        assert heads[0][at + 1] == "# step_phase"
         assert "# steps_per_period" not in heads[1]
+        assert "# step_phase" not in heads[1]
+
+    def test_evolve_step_phase_grows_as_rotation_slows(self):
+        # 4096 steps span one period 2 pi / |omega|: the phase a step turns
+        # through, and the step's error with it, grow as |omega| falls
+        phases = []
+        for omega in (0.2, -0.02, 0.002):
+            ds = run(parse_config(f"mode=evolve\nomega={omega}\ntheta=0.3\n"
+                                  "delta=0.8\nt_end=10\n"))
+            phases.append(float(ds.provenance["step_phase"]))
+        assert 0.0 < phases[0] < phases[1] < phases[2]
+        assert phases[2] > 9.0 * phases[1]
 
     @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
     def test_omega_sweep_truncation_provenance_is_reproducible(self, tmp_path,

@@ -2,14 +2,16 @@
 
 One subcommand per run mode plus `selftest`. Every flag mirrors a config
 key and overrides it; a config file is optional when all required keys
-are given as flags. Exit codes: 0 success, 2 configuration error,
-3 numeric failure.
+are given as flags. Exit codes: 0 success, 1 stdout closed by its
+reader before the output was written, 2 configuration error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -112,8 +114,7 @@ def _selftest() -> int:
     return 0 if failures == 0 else 3
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _main(argv) -> int:
     for i in range(len(argv) - 1, 0, -1):  # every flag takes one value
         if (argv[i - 1][:2] == "--" and "=" not in argv[i - 1]
                 and _NEGATIVE_NUMBER.fullmatch(argv[i])):
@@ -147,6 +148,20 @@ def main(argv=None) -> int:
         for row in zip(*columns):
             print(",".join(str(v) for v in row))
     return 0
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; as the `signal` module docs
+        # advise, devnull takes its place, so that the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Time evolution of the rotating spin state.
 
-The workhorse is a fixed-step fourth-order commutator-free exponential
-integrator on the frame Hamiltonian. Each step is a product of two exact
-3x3 matrix exponentials, so every step is unitary to rounding error and
-the one-period propagator can be reused across periods: the state after
-p full periods and k steps is P_k @ M^p @ psi0 with prefix propagators
-P_k and monodromy M computed once.
+`evolve` expands the state in the Floquet modes of the certified harmonic
+solve that the spectrum and the geometric phases use. The second route,
+the oracle of the expansion, is a fixed-step fourth-order commutator-free
+exponential integrator on the frame Hamiltonian: each step is a product
+of two exact 3x3 matrix exponentials, so every step is unitary to
+rounding error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ._brent import brent_min
 from .errors import FlatTraceError, InvalidArgumentError
-from .floquet import SPIN_INDEX, fold
+from .floquet import SPIN_INDEX, auto_harmonics, floquet_matrix, fold
 from .model import RotorParams, h_interaction, h_rotating
 from .spin_algebra import SPIN, hermitian_eigensystem
 
@@ -35,8 +35,8 @@ __all__ = [
 
 MAX_TRACE_SAMPLES = 20000
 
-#: integrator steps per drive period for `evolve` and `monodromy`; the
-#: monodromy agrees with a 4x finer one to 1e-9 for |omega| >= 0.01
+#: steps per drive period of `monodromy` and of the `evolve` sample grid;
+#: the monodromy agrees with a 4x finer one to 1e-9 for |omega| >= 0.01
 STEPS_PER_PERIOD = 4096
 
 # fourth-order two-exponential splitting weights and Gauss nodes
@@ -53,6 +53,8 @@ class EvolutionTrace:
     times: np.ndarray        # ascending, starts at 0
     states: np.ndarray       # (samples, 3) complex unit vectors
     populations: np.ndarray  # (samples, 3) in basis order (+1, 0, -1)
+    truncation: int = 0      # harmonic truncation N of the modes, 0 if none
+    edge_weight: float = 0.0  # their edge weight (see ModeSet)
 
 
 def propagator_zero_field(p: RotorParams, t: float) -> np.ndarray:
@@ -108,13 +110,15 @@ def monodromy(p: RotorParams):
 
 
 def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
-    """Integrate the frame Schroedinger equation and sample the trajectory.
+    """Sample the frame state from t = 0 up to t_end.
 
-    Sampling is at integrator steps, STEPS_PER_PERIOD per drive period,
-    decimated by a uniform stride when a trace would exceed
-    MAX_TRACE_SAMPLES; integration always proceeds at full step resolution.
-    The elapsed periods enter through powers of the monodromy, so the cost
-    does not grow with t_end; at most 2**53 steps are resolved.
+    At omega != 0 the state is the Floquet mode expansion psi(t) =
+    sum_m a_m exp(-i eps_m t) sum_k c_mk exp(i k omega t) of the
+    `auto_harmonics` modes (Shirley, Phys. Rev. 138, B979, 1965), eps_m the
+    Rayleigh quotient c^H F c / c^H c of each mode's harmonic vector. The
+    samples lie on the T / STEPS_PER_PERIOD grid of the second route,
+    `period_propagators`, at a uniform stride that keeps a trace within
+    MAX_TRACE_SAMPLES; at most 2**53 grid steps are resolved.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -134,38 +138,40 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
         pops = np.abs(states) ** 2
         return EvolutionTrace(times=times, states=states, populations=pops)
 
-    prefix, m = period_propagators(p, STEPS_PER_PERIOD)
     dt = p.period / STEPS_PER_PERIOD
-
-    steps = t_end / dt - 1e-9
+    steps = t_end / dt + 1e-9
     if not steps <= 2.0**53:
         raise InvalidArgumentError(
-            f"t_end spans {steps:.3g} integrator steps; at most 2**53 are "
+            f"t_end spans {steps:.3g} sample-grid steps; at most 2**53 are "
             "resolved")
-    n_total = math.ceil(steps)
+    n_total = math.floor(steps)
     stride = max(1, math.ceil((n_total + 1) / MAX_TRACE_SAMPLES))
     idx = np.arange(0, n_total + 1, stride)
     times = idx * dt
 
-    # M^p @ psi0 for each sampled period p by binary powering: M^(2^b) is
-    # applied to the periods whose index has bit b set. The squarings run in
-    # extended precision: in double the error of M^(2^b) doubles with each
-    # squaring, to 5e-13 after 2^15 periods against 1e-14 for stepping
-    # period by period.
+    ms = auto_harmonics(p)
+    n = ms.n_harmonics
+    c = ms.fourier.reshape(3 * (2 * n + 1), 3)  # (harmonic x spin, mode)
+    eps = (np.einsum("im,im->m", c.conj(), floquet_matrix(p, n) @ c)
+           / np.einsum("im,im->m", c.conj(), c)).real
+    a = np.linalg.solve(ms.fourier.sum(axis=0), psi0)
+    # the periodic factor sum_k a_m c_mk exp(i k omega t) is tabled on one
+    # period's grid and read at t mod T, a table's worth of samples at a
+    # time; the phase eps t is taken as eps (period index T) + eps (t mod T)
+    k = np.arange(-n, n + 1)
+    tau = np.arange(STEPS_PER_PERIOD) * dt
+    periodic = (np.exp(1j * p.omega * np.outer(tau, k))
+                @ (ms.fourier * a).reshape(2 * n + 1, 9)).reshape(-1, 3, 3)
     per, step = np.divmod(idx, STEPS_PER_PERIOD)
-    periods, which = np.unique(per, return_inverse=True)
-    psi = np.tile(psi0, (len(periods), 1))
-    power = m.astype(np.clongdouble)
-    while True:
-        odd = (periods & 1).astype(bool)
-        psi[odd] = psi[odd] @ power.astype(complex).T
-        periods >>= 1
-        if not periods.any():
-            break
-        power = power @ power
-    states = np.einsum("nij,nj->ni", prefix[step], psi[which])
+    states = np.empty((len(idx), 3), dtype=complex)
+    for lo in range(0, len(idx), STEPS_PER_PERIOD):
+        at = slice(lo, lo + STEPS_PER_PERIOD)
+        phase = np.exp(-1j * (np.outer(per[at] * p.period, eps)
+                              + np.outer(tau[step[at]], eps)))
+        states[at] = np.einsum("tsm,tm->ts", periodic[step[at]], phase)
     pops = np.abs(states) ** 2
-    return EvolutionTrace(times=times, states=states, populations=pops)
+    return EvolutionTrace(times=times, states=states, populations=pops,
+                          truncation=n, edge_weight=ms.edge_weight)
 
 
 def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:

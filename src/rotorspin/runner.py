@@ -20,13 +20,12 @@ import numpy as np
 
 from . import __version__
 from .config import SweepConfig, format_value
-from .dynamics import STEPS_PER_PERIOD, evolve, monodromy, rabi_fit
+from .dynamics import evolve, rabi_fit
 from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
 from .floquet import LABELS, quasienergy_spectrum
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
 from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
-from .spin_algebra import unitarity_defect
 
 __all__ = ["Dataset", "run", "emit_csv", "format_float"]
 
@@ -138,21 +137,14 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
                 "re_a_minus1", "im_a_minus1"],
         columns=[trace.times, *trace.populations.T, *trace.states.view(float).T],
         kinds=[_TIME] + [_PLAIN] * 9,
+        provenance=_truncation([trace]),
     )
     norms = np.linalg.norm(trace.states, axis=1)
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
     # the populations swing at quasi-energy differences shifted by the first
-    # drive harmonics, all below W = (level spread) + 2|omega|
+    # drive harmonics, all below W = (level spread) + 2|omega|; samples
+    # farther apart than pi/W alias the swings, so nothing is fitted
     band = np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega)
-    if p.omega != 0:
-        m, _ = monodromy(p)
-        ds.provenance["unitarity_drift_per_period"] = f"{unitarity_defect(m):.3e}"
-        ds.provenance["steps_per_period"] = str(STEPS_PER_PERIOD)
-        # the phase W turns through in one integrator step: the step's
-        # error grows with it, which the unitary steps never show in the
-        # drift or the norm
-        ds.provenance["step_phase"] = f"{p.period / STEPS_PER_PERIOD * band:.3e}"
-    # samples farther apart than pi/W alias the swings, so nothing is fitted
     if len(trace.times) > 1 and trace.times[1] - trace.times[0] > math.pi / band:
         ds.provenance["rabi_fit_skipped"] = "undersampled"
         return ds

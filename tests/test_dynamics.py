@@ -12,13 +12,7 @@ from rotorspin.dynamics import (
     rabi_fit,
 )
 from rotorspin.errors import FlatTraceError, InvalidArgumentError
-from rotorspin.floquet import (
-    auto_harmonics,
-    cubic_quasienergies,
-    floquet_matrix,
-    fold,
-    physical_modes,
-)
+from rotorspin.floquet import cubic_quasienergies, fold, physical_modes
 from rotorspin.model import RotorParams
 from rotorspin.spin_algebra import unitarity_defect
 
@@ -112,36 +106,30 @@ class TestEvolve:
         trace = evolve(p, KET_0, 100 * p.period)
         assert len(trace.times) <= 20000
 
-    @pytest.mark.parametrize("p, psi0, t_end, spp", [
-        # README call: every period is sampled
-        (RotorParams(omega=0.2, theta=0.0314159265, delta=0.803), KET_0,
-         4000.0, STEPS_PER_PERIOD),
-        # ~31800 periods, one sample every ~1.6 periods
-        (RotorParams(omega=0.2, theta=0.03), KET_0, 1e6, STEPS_PER_PERIOD),
-        (RotorParams(omega=-0.7, theta=0.5, delta=0.2, phi0=0.3),
-         np.array([1.0, 0.0, 0.0], dtype=complex), 5000.0, STEPS_PER_PERIOD),
-    ])
-    def test_sampling_matches_period_loop(self, p, psi0, t_end, spp):
-        trace = evolve(p, psi0, t_end)
-        ref = states_by_period_loop(p, psi0, trace.times, spp)
-        assert np.abs(trace.states - ref).max() <= 1e-13
-
     def test_long_run_is_sampled_without_stepping_periods(self):
-        # 1.3e14 integrator steps, up to 3.2e10 periods per sample
+        # up to 3.2e10 periods per sample; against the exact zero-field
+        # propagator, both routes round the phase eps t, which bounds their
+        # agreement to about 1e-15 per period here
         p = RotorParams(omega=0.2, theta=0.03)
         trace = evolve(p, KET_0, 1e12)
         assert len(trace.times) <= 20000
         assert trace.times[-1] <= 1e12
-        # second route: M^k = V diag(mu^k) V^-1, whose own error grows as
-        # k times the eigenvalue error (about 4e-16 per period here)
-        prefix, m = period_propagators(p, STEPS_PER_PERIOD)
-        mu, v = np.linalg.eig(m)
-        coeff = np.linalg.solve(v, KET_0)
-        idx = np.rint(trace.times / (p.period / STEPS_PER_PERIOD)).astype(np.int64)
-        for s in (1, 100, 5000, len(idx) - 1):
-            k, step = divmod(int(idx[s]), STEPS_PER_PERIOD)
-            ref = prefix[step] @ (v @ (np.exp(k * np.log(mu)) * coeff))
+        for s in (1, 100, 5000, len(trace.times) - 1):
+            k = int(trace.times[s] // p.period)
+            ref = propagator_zero_field(p, trace.times[s]) @ KET_0
             assert np.abs(trace.states[s] - ref).max() <= 1e-15 * k
+
+    def test_samples_end_at_t_end(self):
+        # the last sample is the last grid point at or before t_end
+        rng = np.random.default_rng(3)
+        draws = [(0.2, 0.01), *zip(rng.choice([-1.0, 1.0], 20)
+                                   * 10.0 ** rng.uniform(-2.0, 0.5, 20),
+                                   10.0 ** rng.uniform(-2.0, 5.0, 20))]
+        for omega, t_end in draws:
+            p = RotorParams(omega=float(omega), theta=0.3, delta=0.4)
+            times = evolve(p, KET_0, float(t_end)).times
+            spacing = times[1] if len(times) > 1 else p.period / STEPS_PER_PERIOD
+            assert t_end - spacing < times[-1] <= t_end
 
     @pytest.mark.parametrize("steps", [2.0**53 + 2**12, 1e300, math.inf])
     def test_rejects_unresolved_step_count(self, steps):
@@ -168,9 +156,8 @@ class TestEvolve:
 
 class TestFloquetOracle:
     def test_evolve_matches_floquet_mode_expansion(self):
-        # psi(t) = sum_n a_n exp(-i eps_n t) sum_k c_nk exp(i k omega t), with
-        # eps_n the unfolded quasi-energy c^H F c / c^H c of each mode's
-        # harmonic vector: a route through neither propagators nor folding
+        # evolve, the Floquet mode expansion, against the second route: the
+        # stepper's period propagators, applied period by period
         rng = np.random.default_rng(11)
         worst = 0.0
         for sign in (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0):
@@ -181,21 +168,19 @@ class TestFloquetOracle:
             psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
             psi0 /= np.linalg.norm(psi0)
             trace = evolve(p, psi0, 20 * p.period)
-
-            ms = auto_harmonics(p)
-            n = ms.n_harmonics
-            c = ms.fourier.reshape(3 * (2 * n + 1), 3)  # (harmonic x spin, mode)
-            fc = floquet_matrix(p, n) @ c
-            eps = (np.einsum("im,im->m", c.conj(), fc)
-                   / np.einsum("im,im->m", c.conj(), c)).real
-            a = np.linalg.solve(ms.fourier.sum(axis=0), psi0)
-            k = np.arange(-n, n + 1)
-            t = trace.times
-            harm = np.exp(1j * p.omega * np.outer(t, k))  # (time, harmonic)
-            ref = np.einsum("tk,ksm,tm->ts", harm, ms.fourier,
-                            a * np.exp(-1j * np.outer(t, eps)))
+            ref = states_by_period_loop(p, psi0, trace.times, STEPS_PER_PERIOD)
             worst = max(worst, float(np.abs(trace.states - ref).max()))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("omega, theta", [(0.001, 1.5), (-0.001, 3.0)])
+    def test_slow_rotation_matches_finer_stepper(self, omega, theta):
+        # at |omega| = 0.001 and delta = 2 one of 4096 steps per period
+        # turns the level phase by about 6 rad, and the stepper misses by
+        # up to 7e-7; 8 times as many steps resolve it
+        p = RotorParams(omega=omega, theta=theta, delta=2.0)
+        trace = evolve(p, KET_0, 3 * p.period)
+        ref = states_by_period_loop(p, KET_0, trace.times, 8 * STEPS_PER_PERIOD)
+        assert np.abs(trace.states - ref).max() <= 1e-10
 
 
 class TestMonodromy:

@@ -5,7 +5,10 @@ and come straight from the time-independent frame Hamiltonian. With a field
 the periodic drive cannot be rotated away, so the spectrum comes from a
 truncated harmonic (block-tridiagonal) matrix, folded into a window of
 width |omega| and unfolded again for plotting via the slope rule that
-connects each branch to its zero-rotation eigenvalue.
+connects each branch to its zero-rotation eigenvalue. The matrix is real
+symmetric at phi0 = 0 and one solve there serves every phi0, which only
+phases the harmonic blocks of the eigenvectors, so the quasi-energies do
+not depend on phi0.
 """
 
 from __future__ import annotations
@@ -174,11 +177,21 @@ class ModeSet:
 
 def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
     """Diagonalize the truncated harmonic matrix and pick the three modes
-    carrying the most weight in the central harmonic block."""
+    carrying the most weight in the central harmonic block.
+
+    The matrix is solved at phi0 = 0, where it is real symmetric. A nonzero
+    phi0 only shifts the time origin: F(phi0) = D F(0) D^H with D the
+    phase e^{ik phi0} on harmonic block k, so the eigenvalues serve every
+    phi0 and block k of each eigenvector takes that phase, with phi0 reduced
+    to (-pi, pi] as the drive amplitude sees it.
+    """
     n = int(n_harmonics)
-    f = floquet_matrix(p, n)
+    f = floquet_matrix(p.with_(phi0=0.0), n).real
     vals, vecs = np.linalg.eigh(f)
     blocks = vecs.reshape(2 * n + 1, 3, -1)
+    if p.phi0 != 0:
+        phi = np.angle(np.exp(1j * p.phi0))
+        blocks = blocks * np.exp(1j * phi * np.arange(-n, n + 1))[:, None, None]
     central = (np.abs(blocks[n]) ** 2).sum(axis=0)
     # greedy pick by central-harmonic weight, skipping harmonic copies of an
     # already chosen mode (copies share the same t = 0 state and a folded

@@ -140,8 +140,8 @@ class TestResonantFieldSolves:
         # the three solves of the first `resonance` benchmark call, seed 11
         (0.015644473666496114, 0.2908662946710971, 10),
         (0.018644473666496113, 0.2908662946710971, 10),
-        # two Brent steps more
-        (0.021644473666496113, 0.2908662946710971, 12),
+        # one Brent step more
+        (0.021644473666496113, 0.2908662946710971, 11),
     ])
     def test_eigensolve_count_and_value(self, monkeypatch, theta, omega, expected):
         count = 0

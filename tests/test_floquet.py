@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
+from rotorspin import dynamics, floquet
+from rotorspin.cli import main
 from rotorspin.errors import InvalidArgumentError, NoCrossingError, TrackingError
 from rotorspin.floquet import (
     LABELS,
+    ModeSet,
     _best_permutation,
     auto_harmonics,
     avoided_crossing,
@@ -210,6 +213,137 @@ class TestAutoHarmonics:
                                    circ_worst(ref, quasi, p.omega))
         assert worst <= 1e-12
         assert worst_picked <= 1e-12
+
+
+def complex_modes(p, n):
+    """The three drive modes from the complex Hermitian eigh of F(phi0)
+    itself: the largest central-block weights among distinct folded
+    quasi-energies, with weights, t = 0 states and edge weight formed as
+    ModeSet documents them."""
+    vals, vecs = np.linalg.eigh(floquet_matrix(p, n))
+    blocks = vecs.reshape(2 * n + 1, 3, -1)
+    central = (np.abs(blocks[n]) ** 2).sum(axis=0)
+    pick = []
+    for j in np.argsort(central)[::-1]:
+        if all(fold_dist(vals[j], vals[i], p.omega) > 1e-6 * abs(p.omega)
+               for i in pick):
+            pick.append(int(j))
+        if len(pick) == 3:
+            break
+    fourier = blocks[:, :, pick]
+    weights = (np.abs(fourier) ** 2).sum(axis=0).T
+    mode0 = fourier.sum(axis=0)
+    return ModeSet(quasi=fold(vals[pick], p.omega), fourier=fourier,
+                   weights=weights / weights.sum(axis=1, keepdims=True),
+                   mode0=mode0 / np.linalg.norm(mode0, axis=0),
+                   n_harmonics=n,
+                   edge_weight=float((np.abs(fourier[[0, -1]]) ** 2)
+                                     .sum(axis=(0, 1)).max()))
+
+
+class TestRealHarmonicSolve:
+    """The harmonic matrix is solved once, real symmetric, at phi0 = 0;
+    phi0 enters only as the phase e^{ik phi0} of harmonic block k."""
+
+    def test_matches_the_complex_solve(self):
+        # 40 points: |omega| log-uniform in [0.01, 3] of both signs, theta in
+        # [0, pi], delta in [-2, 2], d in [0.5, 2], phi0 nonzero and 1e300
+        # at the first point
+        rng = np.random.default_rng(1707)
+        worst = {"quasi": 0.0, "weights": 0.0, "fourier": 0.0}
+        for i in range(40):
+            p = RotorParams(
+                omega=float(rng.choice([-1.0, 1.0])
+                            * 10 ** rng.uniform(-2.0, math.log10(3.0))),
+                theta=float(rng.uniform(0.0, math.pi)),
+                delta=float(rng.uniform(-2.0, 2.0)),
+                d=float(rng.uniform(0.5, 2.0)),
+                phi0=1e300 if i == 0 else float(rng.uniform(-5.0, 5.0)))
+            n = auto_harmonics(p).n_harmonics
+            assert np.all(floquet_matrix(p.with_(phi0=0.0), n).imag == 0)
+            got, ref = physical_modes(p, n), complex_modes(p, n)
+            for m in range(3):
+                dist = [fold_dist(got.quasi[m], q, p.omega) for q in ref.quasi]
+                r = int(np.argmin(dist))
+                c, c_ref = got.fourier[:, :, m], ref.fourier[:, :, r]
+                unit = np.vdot(c_ref, c)
+                unit /= abs(unit)
+                worst["quasi"] = max(worst["quasi"], dist[r])
+                worst["weights"] = max(worst["weights"], np.abs(
+                    got.weights[m] - ref.weights[r]).max())
+                worst["fourier"] = max(worst["fourier"],
+                                       np.abs(c - unit * c_ref).max())
+        assert max(worst.values()) <= 1e-12, worst
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--theta", "0.3", "--delta", "0.3", "--phi0", "0.4",
+         "--axis", "omega:0.3:0.5:3"],
+        ["geomphase", "--theta", "0.3", "--delta", "0.4", "--phi0", "0.4",
+         "--axis", "omega:0.3:0.5:3"],
+        ["resonance", "--theta", "0.0314159265", "--omega", "0.2"],
+        ["evolve", "--omega", "0.2", "--theta", "0.3", "--delta", "0.3",
+         "--phi0", "0.4", "--t-end", "10"],
+    ])
+    def test_no_floquet_solve_is_complex(self, monkeypatch, tmp_path, argv):
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            if np.shape(a)[-1] > 3:
+                dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+        assert dtypes and all(dt == np.float64 for dt in dtypes), dtypes
+
+    def test_huge_phi0_spectrum_equals_phi0_zero(self, capsys):
+        # k phi0 overflows for phi0 = 1.7e308; the reduced angle does not
+        argv = ["spectrum", "--theta", "0.3", "--delta", "0.3",
+                "--axis", "omega:0.1:0.2:3"]
+        assert main([*argv, "--phi0", "1.7e308"]) == 0
+        huge = capsys.readouterr().out
+        assert main(argv) == 0
+        assert huge == capsys.readouterr().out
+
+    def test_huge_phi0_evolve_matches_the_complex_solve(self, monkeypatch):
+        p = RotorParams(omega=0.2, theta=0.3, delta=0.3, phi0=1e300)
+        psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
+        got = dynamics.evolve(p, psi0, 10.0).states
+        monkeypatch.setattr(floquet, "physical_modes", complex_modes)
+        ref = dynamics.evolve(p, psi0, 10.0).states
+        assert np.abs(got - ref).max() <= 1e-12
+
+    @staticmethod
+    def body(tmp_path, argv, phi0):
+        out = tmp_path / f"{argv[0]}{phi0}.csv"
+        assert main([*argv, "--phi0", phi0, "--output", str(out)]) == 0
+        return [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+
+    def test_field_spectrum_does_not_depend_on_phi0(self, tmp_path):
+        # 11 of these 201 rows moved at phi0 = 1.3 with a solve per phi0
+        argv = ["spectrum", "--theta", "0.3", "--delta", "0.3",
+                "--axis", "omega:0.05:1.2:201"]
+        ref = self.body(tmp_path, argv, "0")
+        for phi0 in ("1.3", "-2.1"):
+            assert self.body(tmp_path, argv, phi0) == ref
+
+    def test_phases_and_crossing_do_not_depend_on_phi0(self, tmp_path):
+        argv = ["geomphase", "--theta", "0.3", "--delta", "0.4",
+                "--axis", "omega:0.3:0.8:11"]
+        cells = {phi0: np.array([[float(x) for x in ln.split(",")]
+                                 for ln in self.body(tmp_path, argv, phi0)[1:]])
+                 for phi0 in ("0", "1.3", "-2.1")}
+        for phi0 in ("1.3", "-2.1"):
+            assert np.abs(cells[phi0] - cells["0"]).max() <= 1e-12
+        # the compensated resonance of the README, located along omega
+        p = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.8039019)
+        reps = [avoided_crossing(p.with_(phi0=phi0), ("m0", "m+1"), (0.19, 0.21))
+                for phi0 in (0.0, 1.3, -2.1)]
+        for rep in reps[1:]:
+            assert abs(rep.omega_res - reps[0].omega_res) <= 1e-12
+            assert abs(rep.gap - reps[0].gap) <= 1e-12
 
 
 class TestSpectrumSweep:

@@ -1,63 +1,113 @@
-"""Command-line surface.
+"""Command-line surface: `rotorspin COMMAND [--flag VALUE | --flag=VALUE]...`.
 
-One subcommand per run mode plus `selftest`. Every flag mirrors a config
+One command per run mode plus `selftest`. Every flag mirrors a config
 key and overrides it; a config file is optional when all required keys
-are given as flags. Exit codes: 0 success, 1 stdout closed by its
-reader before the output was written, 2 configuration error, 3 numeric
+are given as flags. Without `--output` the table goes to stdout as the
+CSV body. Exit codes: 0 success, 1 stdout closed by its reader before
+the output was written, 2 configuration or usage error, 3 numeric
 failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
-import re
 import sys
 
 import numpy as np
 
 from .config import _KEYS, MODES, _read_pairs, parse_mapping
 from .errors import ConfigError, InvalidArgumentError, RotorSpinError
-from .runner import run
+from .runner import run, table_chunks
 
-# the subcommand sets the mode, and --output the output path
+_COMMANDS = (*MODES, "selftest")
+
+# the command sets the mode, and --output the output path
 _FLAG_KEYS = tuple(key for key in _KEYS if key not in ("mode", "output_path"))
 
-# argparse reads a separate flag value that starts with "-" as an option
-# unless it matches its own negative-number pattern, which has no exponent
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+# flag -> key of the run commands; every flag takes exactly one value
+_FLAGS = {"--config": "config", "--output": "output_path",
+          **{f"--{key.replace('_', '-')}": key for key in _FLAG_KEYS}}
+
+_USAGE = "usage: rotorspin COMMAND [--flag VALUE | --flag=VALUE]..."
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rotorspin",
-        description="Quasi-energy spectra, spin dynamics and geometric phases "
-                    "of a spin-1 defect in a rotating frame.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=f"run a {mode} computation")
-        sp.add_argument("--config", help="config file (key=value lines)")
-        sp.add_argument("--output", dest="output_path", help="CSV output path")
-        for key in _FLAG_KEYS:
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-    sub.add_parser("selftest", help="run internal consistency checks")
-    return parser
+def _help() -> str:
+    commands = "".join(f"  {mode:<12} run the {mode} mode\n" for mode in MODES)
+    flags = "".join(f"  {flag} VALUE\n" for flag, key in _FLAGS.items()
+                    if key in _FLAG_KEYS)
+    return (f"{_USAGE}\n\n"
+            "Quasi-energy spectra, spin dynamics and geometric phases of a "
+            "spin-1 defect\nin a rotating frame.\n\n"
+            f"commands:\n{commands}  {'selftest':<12} run internal consistency "
+            "checks (takes no flags)\n\n"
+            "flags of the run modes, each with one value, which overrides the "
+            "config key\nof its name:\n"
+            "  --config PATH      config file (key=value lines)\n"
+            "  --output PATH      CSV output path; without it the table goes to "
+            "stdout\n"
+            f"{flags}")
 
 
-def _merge_config(args: argparse.Namespace):
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}\nrotorspin: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, dict[str, str]] | None:
+    """The command and its flag values (key -> raw text) of `argv`, or
+    None when it asks for help. The last of a repeated flag wins; a value
+    may start with one dash but not two. A usage error writes the usage
+    and the error to stderr and raises SystemExit(2)."""
+    if not argv:
+        _usage_error("the following arguments are required: COMMAND")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        return None
+    if command not in _COMMANDS:
+        _usage_error(f"invalid choice: {command!r} "
+                     f"(choose from {', '.join(_COMMANDS)})")
+    flags: dict[str, str] = {}
+    unknown: list[str] = []
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, value = token.partition("=")
+        taken = [token]
+        if not eq:
+            if i + 1 < len(rest) and not rest[i + 1].startswith("--"):
+                value = rest[i + 1]
+                taken.append(value)
+            else:
+                value = None
+        i += len(taken)
+        key = _FLAGS.get(flag) if command != "selftest" else None
+        if key is None:
+            unknown += taken
+        elif value is None:
+            _usage_error(f"argument {flag}: expected one argument")
+        else:
+            flags[key] = value
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, flags
+
+
+def _merge_config(command: str, flags: dict[str, str]):
     text = ""
-    if args.config:
+    path = flags.get("config")
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     pairs, lines = _read_pairs(text)
-    # the subcommand sets the mode and flags win; a flag value has no line
+    # the command sets the mode and flags win; a flag value has no line
     for key in _KEYS:
-        value = args.command if key == "mode" else getattr(args, key)
+        value = command if key == "mode" else flags.get(key)
         if value is not None:
             pairs[key] = value
             lines.pop(key, None)
@@ -114,20 +164,31 @@ def _selftest() -> int:
     return 0 if failures == 0 else 3
 
 
-def _main(argv) -> int:
-    for i in range(len(argv) - 1, 0, -1):  # every flag takes one value
-        if (argv[i - 1][:2] == "--" and "=" not in argv[i - 1]
-                and _NEGATIVE_NUMBER.fullmatch(argv[i])):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _build_parser().parse_args(argv)
-    if args.command == "selftest":
+def _write_stdout(chunks) -> None:
+    """Write byte chunks to stdout: to its binary buffer, after any text
+    written before, or decoded to a text stream that has none."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
+    else:
+        sys.stdout.flush()
+        buffer.writelines(chunks)
+
+
+def _main(argv: list[str]) -> int:
+    parsed = _parse_args(argv)
+    if parsed is None:
+        sys.stdout.write(_help())
+        return 0
+    command, flags = parsed
+    if command == "selftest":
         try:
             return _selftest()
         except RotorSpinError as exc:
             print(f"selftest error: {exc}", file=sys.stderr)
             return 3
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(command, flags)
         ds = run(cfg)
         # the file route has written its table; the stdout route checks it
         columns = None if cfg.output_path else ds.scaled_columns(cfg.physical_d)
@@ -143,17 +204,14 @@ def _main(argv) -> int:
     if columns is None:
         print(f"wrote {len(ds.columns[0])} rows to {cfg.output_path}")
     else:
-        # no file requested: print the table to stdout
-        print(",".join(ds.header))
-        for row in zip(*columns):
-            print(",".join(str(v) for v in row))
+        # no file requested: the CSV body, without its provenance, to stdout
+        _write_stdout(table_chunks(ds.header, columns))
     return 0
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code = _main(argv)
+        code = _main(list(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

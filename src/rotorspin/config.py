@@ -9,7 +9,7 @@ which overrides the file value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -23,8 +23,7 @@ AXIS_NAMES = ("omega", "theta", "delta")
 _PSI0_LABELS = ("+1", "0", "-1")
 
 
-@dataclass(frozen=True)
-class AxisSpec:
+class AxisSpec(NamedTuple):
     name: str
     min: float
     max: float
@@ -34,8 +33,7 @@ class AxisSpec:
         return f"{self.name}:{self.min!r}:{self.max!r}:{self.points}"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     mode: str
     omega: float = 0.0
     theta: float = 0.0
@@ -51,7 +49,7 @@ class SweepConfig:
     delta_rabi: float = 0.0
 
 
-_KEYS = tuple(f.name for f in fields(SweepConfig))
+_KEYS = SweepConfig._fields
 
 
 def format_value(value) -> str:
@@ -172,5 +170,5 @@ def parse_config(text: str) -> SweepConfig:
 def serialize(cfg: SweepConfig) -> str:
     """Render a config back to the flat text format (round-trip safe); keys
     whose value is None are left out."""
-    values = ((key, getattr(cfg, key)) for key in _KEYS)
-    return "".join(f"{key}={format_value(v)}\n" for key, v in values if v is not None)
+    return "".join(f"{key}={format_value(v)}\n" for key, v in zip(_KEYS, cfg)
+                   if v is not None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _NODE_LO = 0.5 - math.sqrt(3.0) / 6.0
 _NODE_HI = 0.5 + math.sqrt(3.0) / 6.0
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
+class EvolutionTrace(NamedTuple):
     """Sampled trajectory of the frame state."""
 
     times: np.ndarray        # ascending, starts at 0
@@ -118,7 +117,8 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     Rayleigh quotient c^H F c / c^H c of each mode's harmonic vector. The
     samples lie on the T / STEPS_PER_PERIOD grid of the second route,
     `period_propagators`, at a uniform stride that keeps a trace within
-    MAX_TRACE_SAMPLES; at most 2**53 grid steps are resolved.
+    MAX_TRACE_SAMPLES; t_end must span at least one grid step, and at most
+    2**53 are resolved.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
@@ -145,6 +145,10 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
             f"t_end spans {steps:.3g} sample-grid steps; at most 2**53 are "
             "resolved")
     n_total = math.floor(steps)
+    if n_total == 0:
+        raise InvalidArgumentError(
+            f"t_end = {t_end:.6g} is shorter than one sample step T / "
+            f"{STEPS_PER_PERIOD} = {dt:.6g}, so the trace would hold t = 0 alone")
     stride = max(1, math.ceil((n_total + 1) / MAX_TRACE_SAMPLES))
     idx = np.arange(0, n_total + 1, stride)
     times = idx * dt

@@ -14,9 +14,9 @@ not depend on phi0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     return f.reshape(3 * (2 * n + 1), 3 * (2 * n + 1))
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(NamedTuple):
     """The three physical drive modes at one parameter point."""
 
     quasi: np.ndarray        # folded quasi-energies, one per mode
@@ -252,15 +251,13 @@ def auto_harmonics(p: RotorParams) -> ModeSet:
         f"harmonic truncation did not converge below N = {_N_MAX}")
 
 
-@dataclass(frozen=True)
-class SpectrumBranch:
+class SpectrumBranch(NamedTuple):
     label: str
     quasienergy: np.ndarray   # unfolded slope-rule representative per point
     mode0: np.ndarray         # (points, 3) frame state at t = 0
 
 
-@dataclass(frozen=True)
-class QuasiSpectrum:
+class QuasiSpectrum(NamedTuple):
     axis_name: str
     axis_values: np.ndarray
     branches: tuple[SpectrumBranch, SpectrumBranch, SpectrumBranch]
@@ -396,8 +393,7 @@ def quasienergy_spectrum(
                          branches=branches, truncation=n_max, edge_weight=edge_max)
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     omega_res: float
     gap: float
     branch_pair: tuple[str, str]

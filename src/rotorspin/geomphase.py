@@ -11,7 +11,7 @@ periodic drive mode, summed exactly over the mode's harmonic coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeometricPhaseSet:
+class GeometricPhaseSet(NamedTuple):
     """Per-branch geometric phases (radians) with their decomposition.
 
     For each label, gamma = term1 - term2: term1 is the total cyclic phase

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class RotorParams:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class DerivedScales:
+class DerivedScales(NamedTuple):
     """Convenience frequencies derived from the raw parameters."""
 
     rabi: float          # sqrt(2) * |omega| * sin(theta)

@@ -3,7 +3,8 @@
 Each run mode maps a validated config onto the library calls and hands
 over its table as whole columns, one array per header name; `emit_csv`
 formats them column by column, a chunk of rows at a time, and streams
-the CSV, after a provenance preamble, to the output file. The
+the CSV, after a provenance preamble, to the output file; `table_chunks`
+gives the same bytes without the preamble to the stdout route. The
 engine always computes in dimensionless units (d = 1 internally is not
 forced, but all defaults assume it); physical-units output only rescales
 columns at serialization time.
@@ -27,7 +28,7 @@ from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
 from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
 
-__all__ = ["Dataset", "run", "emit_csv", "format_float"]
+__all__ = ["Dataset", "run", "emit_csv", "format_float", "table_chunks"]
 
 # column scaling kinds for physical-units output, and that of each axis
 _FREQ, _TIME, _PLAIN = "freq", "time", "plain"
@@ -51,13 +52,8 @@ class Dataset:
     kinds: list[str]
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def rows(self) -> list[tuple]:
-        """The table as row tuples: a read-only view of `columns`."""
-        return list(zip(*self.columns))
-
     def scaled_columns(self, physical_d: float | None) -> list[np.ndarray]:
-        """`columns` as arrays, as both output routes print them; with
+        """`columns` as arrays, as both output routes write them; with
         `physical_d` the freq columns are multiplied by it and the time
         columns divided. Raises NumericFailureError if a value is not
         finite."""
@@ -347,6 +343,14 @@ def _rows_text(columns: list[np.ndarray]) -> bytes:
     return buf[buf != 0].tobytes()
 
 
+def table_chunks(header: list[str], columns: list[np.ndarray]):
+    """The CSV body of equal-length columns as bytes: the header line, then
+    the rows, _CHUNK_ROWS at a time. Both output routes write these."""
+    yield (",".join(header) + "\n").encode()
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield _rows_text([c[lo:lo + _CHUNK_ROWS] for c in columns])
+
+
 def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
     """Write the dataset atomically: provenance block, header, then one line
     per row. Integer-dtype columns are written as integers, all others as
@@ -365,7 +369,6 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
         raise NumericFailureError("columns do not match the header")
     columns = ds.scaled_columns(physical_d)
     head = "".join(f"# {k}={v}\n" for k, v in ds.provenance.items())
-    head += ",".join(ds.header) + "\n"
 
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -373,8 +376,7 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(head.encode())
-                for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-                    fh.write(_rows_text([c[lo:lo + _CHUNK_ROWS] for c in columns]))
+                fh.writelines(table_chunks(ds.header, columns))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

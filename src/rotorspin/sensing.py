@@ -12,8 +12,8 @@ from the weights and separation of the pair at the solved field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ __all__ = [
 _BRANCH_PAIR = {"plus": ("m0", "m+1"), "minus": ("m0", "m-1")}
 
 
-@dataclass(frozen=True)
-class ResonanceSolution:
+class ResonanceSolution(NamedTuple):
     value: float       # solved parameter (field strength here)
     branch: str        # "plus" (0 <-> +1) or "minus" (0 <-> -1)
     residual: float    # distance of the crossing centre from the requested omega

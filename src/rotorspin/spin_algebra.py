@@ -8,7 +8,7 @@ top/bottom of the column vector respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpinOperatorSet:
+class SpinOperatorSet(NamedTuple):
     """The five standard spin-1 operators in the fixed basis order."""
 
     sx: np.ndarray
@@ -56,8 +55,7 @@ SZ2 = _frozen(SPIN.sz @ SPIN.sz)
 IDENTITY = _frozen(np.eye(3, dtype=complex))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Ascending eigenvalues with orthonormal column eigenvectors."""
 
     values: np.ndarray

@@ -145,7 +145,7 @@ def test_cli_exits_0_2_or_3(call):
                 contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejects the command line
+            except SystemExit as exc:  # a usage error
                 code = exc.code
     assert code in (0, 2, 3), argv
     if code == 0 and output is None:

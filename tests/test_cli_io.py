@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -32,14 +31,19 @@ def _reference_float(x: float) -> str:
     return f"{mant}e{'-' if neg else ''}{digits}"
 
 
+def _rows(ds: Dataset) -> list[tuple]:
+    """The table of `ds` as row tuples."""
+    return list(zip(*ds.columns))
+
+
 def _reference_csv(ds: Dataset, physical_d=None) -> str:
-    """The CSV text written cell by cell from `ds.rows`: the reference the
+    """The CSV text written cell by cell from `_rows(ds)`: the reference the
     one-pass writer must reproduce byte for byte."""
     fscale = physical_d if physical_d is not None else 1.0
     scales = {"freq": fscale, "time": 1.0 / fscale, "plain": 1.0}
     lines = [f"# {k}={v}" for k, v in ds.provenance.items()]
     lines.append(",".join(ds.header))
-    for row in ds.rows:
+    for row in _rows(ds):
         cells = []
         for v, kind in zip(row, ds.kinds):
             if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
@@ -150,7 +154,7 @@ class TestParseConfig:
 
     def test_round_trip_draws_every_field(self):
         # a new config field needs a strategy here to be round-tripped
-        assert set(_FIELD_VALUES) == {f.name for f in fields(SweepConfig)}
+        assert set(_FIELD_VALUES) == set(SweepConfig._fields)
 
 
 class TestFloatFormat:
@@ -327,8 +331,8 @@ class TestRun:
         ds = run(cfg)
         assert ds.header == ["axis", "lambda_m1", "lambda_0", "lambda_p1",
                              "gap_min_flag"]
-        assert len(ds.rows) == 41
-        flags = [r[-1] for r in ds.rows]
+        assert len(_rows(ds)) == 41
+        flags = [r[-1] for r in _rows(ds)]
         assert 1 in flags  # the avoided crossing leaves a gap-minimum mark
 
     def test_evolve_dataset_and_determinism(self, tmp_path):
@@ -345,20 +349,20 @@ class TestRun:
             "delta=0\n")
         ds = run(cfg)
         assert ds.header == ["axis", "gamma_m1", "gamma_0", "gamma_p1"]
-        assert len(ds.rows) == 7
+        assert len(_rows(ds)) == 7
 
     def test_resonance_dataset(self):
         cfg = parse_config("mode=resonance\ntheta=0\nomega=0.2\n")
         ds = run(cfg)
         assert ds.header == ["theta", "omega", "delta_solution", "residual"]
-        assert ds.rows[0][2] == pytest.approx(0.8)
+        assert _rows(ds)[0][2] == pytest.approx(0.8)
 
     def test_sensitivity_dataset(self):
         cfg = parse_config(
             "mode=sensitivity\naxis=theta:0:1.0:5\nomega=1.0\ndelta_rabi=0.01\n")
         ds = run(cfg)
         assert ds.header == ["theta", "omega", "delta_rabi", "delta_theta"]
-        assert ds.rows[0][3] == pytest.approx(0.01 / math.sqrt(2))
+        assert _rows(ds)[0][3] == pytest.approx(0.01 / math.sqrt(2))
 
     @pytest.mark.parametrize("text", [
         "omega=0.2\ntheta=0.03\npsi0=0\nt_end=1e12\n",
@@ -452,7 +456,8 @@ class TestCli:
         # theta = 0 has the closed form delta = d - omega, residual 0
         assert main(["resonance", "--theta", "0", "--omega", "0.2"]) == 0
         assert capsys.readouterr().out == (
-            "theta,omega,delta_solution,residual\n0.0,0.2,0.8,0.0\n")
+            "theta,omega,delta_solution,residual\n"
+            "0.000000000000e0,2.000000000000e-1,8.000000000000e-1,0.000000000000e0\n")
 
     def test_spectrum_prints_integer_flags(self, capsys):
         assert main(["spectrum", "--theta", "0.0314159265", "--delta", "0",
@@ -484,6 +489,26 @@ class TestCli:
                                        np.array(want.split(","), dtype=float),
                                        rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("argv", [
+        ["resonance", "--theta", "0", "--omega", "0.2"],
+        ["spectrum", "--theta", "0.0314159265", "--delta", "0",
+         "--axis", "omega:0:1.2:41", "--physical-d", "2.87"],
+        ["evolve", "--omega", "0.2", "--theta", "0.0314159265", "--delta",
+         "0.803", "--psi0", "0", "--t-end", "1000"],
+    ], ids=["resonance", "spectrum", "evolve"])
+    def test_stdout_is_the_file_body(self, tmp_path, capsysbinary, argv):
+        # one writer for both routes: stdout is the CSV after its
+        # provenance lines, byte for byte, over several chunks of rows too
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        body = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"#"))
+        assert printed == body
+        assert printed.count(b"\n") > (runner._CHUNK_ROWS if argv[0] == "evolve"
+                                       else 1)
+
     @pytest.mark.parametrize("target", ["missing/x.csv", "dir"],
                              ids=["missing_directory", "directory"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
@@ -503,12 +528,88 @@ class TestCli:
     @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-.5e1"])
     def test_negative_exponent_value_as_separate_argument(self, tmp_path,
                                                           value):
-        # argparse's own negative-number pattern has no exponent
+        # a value that starts with a dash follows its flag, in exponent
+        # form too
         outs = [str(tmp_path / f"{k}.csv") for k in range(2)]
         rest = ["--theta", "0.5", "--delta-rabi", "0.01", "--output"]
         assert main(["sensitivity", f"--omega={value}", *rest, outs[0]]) == 0
         assert main(["sensitivity", "--omega", value, *rest, outs[1]]) == 0
         assert Path(outs[1]).read_bytes() == Path(outs[0]).read_bytes()
+
+    @staticmethod
+    def _usage_error(argv, capsys) -> str:
+        """The error line of a command line rejected with exit 2, after
+        the usage line."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert out == ""
+        assert usage == "usage: rotorspin COMMAND [--flag VALUE | --flag=VALUE]..."
+        assert error.startswith("rotorspin: error: ")
+        return error
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["spectrum", "-h"],
+        ["evolve", "--omega", "0.2", "--help", "--theta"],
+    ])
+    def test_help_names_every_command_and_flag(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("usage: rotorspin COMMAND ")
+        words = set(out.split())
+        assert {*MODES, "selftest"} <= words
+        flags = {f"--{key.replace('_', '-')}" for key in SweepConfig._fields
+                 if key not in ("mode", "output_path")}
+        assert flags | {"--config", "--output"} <= words
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--theta"],
+        ["spectrum", "--theta", "--delta", "0"],
+    ], ids=["last", "before_flag"])
+    def test_missing_value_exits_2(self, capsys, argv):
+        assert (self._usage_error(argv, capsys)
+                == "rotorspin: error: argument --theta: expected one argument")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: COMMAND"),
+        (["spectra", "--theta", "0.3"], "invalid choice: 'spectra'"),
+        (["--theta", "0.3", "spectrum"], "invalid choice: '--theta'"),
+    ], ids=["missing", "unknown", "flag_first"])
+    def test_missing_or_unknown_command_exits_2(self, capsys, argv, message):
+        assert message in self._usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv, unrecognized", [
+        (["spectrum", "--the", "0.3", "--delta", "0"], "--the 0.3"),
+        (["spectrum", "--the=0.3"], "--the=0.3"),
+        (["selftest", "--theta", "1"], "--theta 1"),
+        (["resonance", "0.3", "--omega", "0.2", "--bogus"], "0.3 --bogus"),
+    ], ids=["abbreviated", "abbreviated_equals", "selftest", "positional"])
+    def test_unrecognized_arguments_exit_2(self, capsys, argv, unrecognized):
+        # every flag is named in full: an abbreviation is no flag
+        assert (self._usage_error(argv, capsys)
+                == f"rotorspin: error: unrecognized arguments: {unrecognized}")
+
+    def test_repeated_flag_last_value_wins(self, tmp_path):
+        outs = [str(tmp_path / f"{k}.csv") for k in range(2)]
+        rest = ["--delta-rabi", "0.01", "--output"]
+        assert main(["sensitivity", "--omega", "1.0", "--theta=0.1",
+                     "--omega=-3", "--theta", "0.5", *rest, outs[0]]) == 0
+        assert main(["sensitivity", "--omega", "-3", "--theta", "0.5",
+                     *rest, outs[1]]) == 0
+        assert Path(outs[1]).read_bytes() == Path(outs[0]).read_bytes()
+
+    def test_evolve_shorter_than_a_sample_step_exits_2(self, tmp_path, capsys):
+        # at |omega| = 1e-5 the sample grid steps 153.4 > t_end
+        out = tmp_path / "e.csv"
+        code = main(["evolve", "--omega", "1e-5", "--theta", "1.5", "--delta",
+                     "2", "--psi0", "0", "--t-end", "100", "--output", str(out)])
+        assert code == 2
+        assert "shorter than one sample step T / 4096 = 153.398" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_config_error_exit_code(self, capsys):
         assert main(["evolve", "--theta", "9"]) == 2
@@ -611,7 +712,7 @@ class TestCli:
         assert "n_harmonics" not in text
 
     def test_truncation_flag_and_key_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:  # a usage error
             main(["geomphase", "--omega", "0.3", "--delta", "0.4",
                   "--n-harmonics", "12", "--axis", "theta:0.1:0.3:3"])
         assert exc.value.code == 2
@@ -624,7 +725,7 @@ class TestCli:
         assert "line 2: unknown key 'n_harmonics'" in capsys.readouterr().err
 
     def test_resolution_flag_and_key_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:  # a usage error
             main(["evolve", "--omega", "0.2", "--theta", "0.03",
                   "--steps-per-period", "256"])
         assert exc.value.code == 2
@@ -662,8 +763,8 @@ class TestCli:
     ], ids=["spectrum", "selftest"])
     def test_closed_stdout_exits_1_quietly(self, argv):
         # the reader is gone before the first write, as after `| head -1`;
-        # stdout is block-buffered, so the spectrum fails in a print and the
-        # selftest in the final flush
+        # stdout is block-buffered, so the spectrum fails in a write of its
+        # first chunk of rows and the selftest in the final flush
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         read, write = os.pipe()
         os.close(read)

@@ -137,6 +137,15 @@ class TestEvolve:
         with pytest.raises(InvalidArgumentError, match="2\\*\\*53"):
             evolve(p, KET_0, steps * p.period / STEPS_PER_PERIOD)
 
+    @pytest.mark.parametrize("omega, t_end", [(1e-5, 100.0), (-0.2, 0.0076)])
+    def test_rejects_t_end_below_one_sample_step(self, omega, t_end):
+        # the grid steps 153.4 and 0.00767: the trace would hold t = 0 alone
+        p = RotorParams(omega=omega, theta=1.5, delta=2.0)
+        with pytest.raises(InvalidArgumentError, match="one sample step"):
+            evolve(p, KET_0, t_end)
+        times = evolve(p, KET_0, p.period / STEPS_PER_PERIOD).times
+        assert len(times) == 2
+
     def test_rejects_bad_state(self):
         p = RotorParams(omega=1.0, theta=0.3)
         with pytest.raises(InvalidArgumentError):

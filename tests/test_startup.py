@@ -1,7 +1,9 @@
 """Start-up cost guard: no run loads scipy, neither the import of the
 package, the closed-form and Floquet-spectrum runs, nor the runs that seek
 a root or a minimum (resonance, avoided crossings and the Rabi fit), which
-use the package's own Brent solvers.
+use the package's own Brent solvers. No run loads argparse either. The
+package defines only two dataclasses, since `dataclasses` compiles the
+methods of each at every start; its other records are named tuples.
 
 Each case runs in a fresh interpreter, since this process already holds
 scipy through the other test modules.
@@ -14,9 +16,18 @@ import sys
 
 import pytest
 
+from rotorspin.config import AxisSpec, SweepConfig
+from rotorspin.dynamics import EvolutionTrace
+from rotorspin.floquet import CrossingReport, ModeSet, QuasiSpectrum, SpectrumBranch
+from rotorspin.geomphase import GeometricPhaseSet
+from rotorspin.model import DerivedScales
+from rotorspin.sensing import ResonanceSolution
+from rotorspin.spin_algebra import EigenSystem, SpinOperatorSet
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# prints the CLI exit code (or null) and the loaded scipy modules as JSON
+# prints as JSON the CLI exit code (or null), the loaded scipy modules,
+# whether argparse is loaded, and the package's dataclasses
 _PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -26,9 +37,19 @@ if argv is None:
 else:
     from rotorspin.cli import main
     code = main(argv)
+classes = {cls for name, mod in list(sys.modules.items())
+           if name.split(".")[0] == "rotorspin"
+           for cls in vars(mod).values()
+           if isinstance(cls, type) and cls.__module__ == name}
 print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "argparse": "argparse" in sys.modules,
+    "dataclasses": sorted(cls.__name__ for cls in classes
+                          if "__dataclass_fields__" in vars(cls))}))
 """
+
+# validated or mutable: every other record is a named tuple
+DATACLASSES = ["Dataset", "RotorParams"]
 
 
 def probe(argv, tmp_path):
@@ -38,7 +59,10 @@ def probe(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["argparse"] is False
+    assert out["dataclasses"] == DATACLASSES
+    return out
 
 
 @pytest.mark.parametrize("argv", [
@@ -70,3 +94,19 @@ def test_root_finding_loads_no_scipy(argv, tmp_path):
     out = probe(argv, tmp_path)
     assert out["code"] == 0
     assert out["scipy"] == []
+
+
+@pytest.mark.parametrize("record", [
+    SpinOperatorSet, EigenSystem, DerivedScales, AxisSpec, SweepConfig,
+    ModeSet, SpectrumBranch, QuasiSpectrum, CrossingReport, EvolutionTrace,
+    GeometricPhaseSet, ResonanceSolution,
+], ids=lambda record: record.__name__)
+def test_records_refuse_assignment(record):
+    # a named tuple's fields are read-only and it has no instance dict
+    rec = record._make(range(len(record._fields)))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    with pytest.raises(AttributeError):
+        rec.extra = None
+    assert tuple(rec) == tuple(range(len(record._fields)))

@@ -91,6 +91,8 @@ def _parse_axis(raw: str, line: int | None) -> AxisSpec:
     pts = _parse_int("axis points", parts[3], line)
     if not lo < hi:
         raise ConfigError(_at(line, "axis: min must be < max"))
+    if not math.isfinite(hi - lo):
+        raise ConfigError(_at(line, "axis: max - min must be finite"))
     if pts < 2:
         raise ConfigError(_at(line, "axis: points must be >= 2"))
     return AxisSpec(name=name, min=lo, max=hi, points=pts)

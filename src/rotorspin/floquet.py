@@ -88,8 +88,12 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     e = omega * omega * d * math.sin(theta) ** 2
     p = c - b * b / 3.0
     q = e - b * c / 3.0 + 2.0 * b ** 3 / 27.0
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    scale = max(d, abs(omega)) ** 6
+    try:
+        disc = -4.0 * p ** 3 - 27.0 * q * q
+        scale = max(d, abs(omega)) ** 6
+    except OverflowError:  # a float power raises where a product gives inf
+        raise NumericFailureError(
+            f"zero-field cubic overflows at omega = {omega:.3g}") from None
     if disc < 1e-13 * scale or p >= 0.0:
         # degenerate or marginal: diagonalize instead
         return hermitian_eigensystem(h_interaction(params)).values
@@ -133,9 +137,9 @@ def quasienergies_zero_field(p: RotorParams):
     """
     if p.delta != 0:
         raise InvalidArgumentError("quasienergies_zero_field requires delta = 0")
-    h = h_interaction(p)
-    es = hermitian_eigensystem(h)
+    # the cubic first: it refuses an |omega| whose frame matrix overflows
     roots = cubic_quasienergies(p.d, p.omega, p.theta)
+    es = hermitian_eigensystem(h_interaction(p))
     # match each numeric eigenpair with its nearest analytic root
     order = np.argsort(np.abs(es.values[:, None] - roots[None, :]), axis=1)
     lams = roots[order[:, 0]]
@@ -154,6 +158,12 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     if n_harmonics < 1:
         raise InvalidArgumentError("n_harmonics must be >= 1")
     n = int(n_harmonics)
+    # each eigenvalue lies within d + |delta| + (N + 3) |omega| of zero, and
+    # the difference of two must stay a finite number
+    if not math.isfinite(2.0 * (p.d + abs(p.delta) + (n + 3) * abs(p.omega))):
+        raise NumericFailureError(
+            f"harmonic matrix at N = {n} overflows at omega = {p.omega:.3g}, "
+            f"delta = {p.delta:.3g}")
     k = np.arange(2 * n + 1)
     b = drive_amplitude(p)
     f = np.zeros((2 * n + 1, 3, 2 * n + 1, 3), dtype=complex)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -33,6 +34,9 @@ __all__ = ["Dataset", "run", "emit_csv", "format_float", "table_chunks"]
 # column scaling kinds for physical-units output, and that of each axis
 _FREQ, _TIME, _PLAIN = "freq", "time", "plain"
 _AXIS_KINDS = {"theta": _PLAIN, "omega": _FREQ, "delta": _FREQ}
+
+# the most float64 values one array can hold: its size in bytes is an intp
+_MAX_FLOATS = sys.maxsize // 8
 
 _PSI0 = {
     "+1": np.array([1.0, 0.0, 0.0], dtype=complex),
@@ -59,8 +63,12 @@ class Dataset:
         finite."""
         scales = ({} if physical_d is None
                   else {_FREQ: physical_d, _TIME: 1.0 / physical_d})
-        columns = [np.asarray(c) * scales[kind] if kind in scales else np.asarray(c)
-                   for c, kind in zip(self.columns, self.kinds)]
+        # a product past the float64 range is inf, 0 * inf is nan: both
+        # are refused below, so numpy need not warn of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = [np.asarray(c) * scales[kind] if kind in scales
+                       else np.asarray(c)
+                       for c, kind in zip(self.columns, self.kinds)]
         for c in columns:
             finite = np.isfinite(c)
             if not finite.all():
@@ -80,6 +88,12 @@ def _params(cfg: SweepConfig) -> RotorParams:
 def _axis_values(cfg: SweepConfig) -> np.ndarray:
     if cfg.axis is None:
         raise ConfigError(f"mode {cfg.mode!r} requires an axis")
+    if cfg.axis.points > _MAX_FLOATS:
+        # numpy fails on such a count with a ValueError or an IndexError,
+        # not with the MemoryError of a count that only does not fit
+        raise NumericFailureError(
+            f"out of memory: {cfg.axis.points} axis points exceed the "
+            f"{_MAX_FLOATS} float64 values an array can index")
     return np.linspace(cfg.axis.min, cfg.axis.max, cfg.axis.points)
 
 

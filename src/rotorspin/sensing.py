@@ -69,8 +69,12 @@ def _small_angle_root(theta: float, omega: float, branch: str, d: float) -> floa
     s = 1.0 if branch == "plus" else -1.0
     th2 = theta * theta
     c = d - s * omega * (1.0 - 0.5 * th2)
-    roots = np.roots([2.0 * s, 3.0 * d * th2 - 2.0 * c,
-                      s * d * d * (th2 - 2.0), 2.0 * c * d * d])
+    coeffs = [2.0 * s, 3.0 * d * th2 - 2.0 * c, s * d * d * (th2 - 2.0),
+              2.0 * c * d * d]
+    # a coefficient overflows only where |c| is far beyond d, and so is the
+    # residual at every field in [0, d)
+    roots = (np.roots(coeffs) if all(map(math.isfinite, coeffs))
+             else np.empty(0, dtype=complex))
     real = roots[np.abs(roots.imag) <= 1e-12 * d].real
     inside = real[(real >= 0.0) & (real <= 0.98 * d)]
     if len(inside) > 0:

@@ -8,6 +8,7 @@ top/bottom of the column vector respectively.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +129,10 @@ def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError("input must be a square matrix")
     scale = max(1.0, float(np.abs(a).max()))
+    # the checks below sum up to 2n products of an entry and a unit value
+    if not math.isfinite(2.0 * len(a) * scale):
+        raise NumericFailureError(
+            f"matrix entry of magnitude {scale:.3g} leaves no float64 headroom")
     if hermiticity_defect(a) > 1e-12 * scale:
         raise InvalidArgumentError(
             f"matrix is not Hermitian (defect {hermiticity_defect(a):.3e})"

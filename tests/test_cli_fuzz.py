@@ -1,13 +1,18 @@
 """CLI fuzz test: whatever the arguments and config text, `main` ends with
-exit code 0, 2 or 3 and never raises, and a table it prints on exit 0
-holds only finite cells.
+exit code 0, 2 or 3 and never raises; on exit 0 it writes nothing to
+stderr and a table it prints holds only finite cells, and on exit 2 or 3
+it writes exactly one line to stderr. Under the suite's warning filter a
+numpy warning that leaks out fails the draw as well.
 
 Only the cheap modes are drawn (`spectrum` and `geomphase` with or
 without a field, `sensitivity`, `evolve` over a short time, `resonance` at
-theta <= 0.03 over at most 3 points), and sweeps have at most 5 points, so
-a draw runs in tens of milliseconds at most. A draw is valid, or spoils
-one key with an out-of-range, non-numeric or non-finite value, a
-malformed axis, a junk config line or an unusable path.
+theta <= 0.03 over at most 3 points), and sweeps have at most 5 points or
+at least 1e14, which no array can hold, so a draw runs in tens of
+milliseconds at most. omega, delta and physical_d also take the extreme
+magnitudes 5e-324, 1e-300, 1e52 and 1e308. A draw is valid, or spoils one
+key with an out-of-range, non-numeric or non-finite value, a malformed
+axis, a junk config line, a config file that is not UTF-8 or an unusable
+path.
 """
 
 import contextlib
@@ -26,7 +31,12 @@ def _numbers(lo: float, hi: float):
     return st.floats(lo, hi).map(repr)
 
 
-_OMEGA = _numbers(-3.0, -0.05) | _numbers(0.05, 3.0)
+# magnitudes at the ends of the float64 range and past the zero-field
+# cubic's (|omega|**6 overflows from about 5.6e51)
+_TINY_AND_HUGE = ["5e-324", "1e-300", "1e52", "1e308"]
+_EXTREMES = st.sampled_from([sign + m for m in _TINY_AND_HUGE
+                             for sign in ("", "-")])
+_OMEGA = _numbers(-3.0, -0.05) | _numbers(0.05, 3.0) | _EXTREMES
 _OPTIONAL = st.none()
 _NON_NUMERIC = ["nan", "inf", "-inf", "1e400", "abc", "", "0x10", "1,5"]
 
@@ -38,7 +48,8 @@ def _axes(names, theta_max=math.pi, max_points=5):
         lo, hi = (0.0, theta_max) if name == "theta" else (-3.0, 3.0)
         a, b = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2,
                                     unique=True)))
-        return f"{name}:{a!r}:{b!r}:{draw(st.integers(2, max_points))}"
+        points = draw(st.integers(2, max_points) | st.integers(10**14, 10**30))
+        return f"{name}:{a!r}:{b!r}:{points}"
     return axis()
 
 
@@ -52,18 +63,20 @@ _COMMON = {
     "theta": (_OPTIONAL | _numbers(0.0, math.pi), ["4.0", "-0.5", *_NON_NUMERIC]),
     "d": (_OPTIONAL | _numbers(0.1, 3.0), ["0", "-1", *_NON_NUMERIC]),
     "phi0": (_OPTIONAL | _numbers(-7.0, 7.0), _NON_NUMERIC),
-    "physical_d": (_OPTIONAL | _numbers(0.1, 5.0), ["0", "-2.87", *_NON_NUMERIC]),
+    "physical_d": (_OPTIONAL | _numbers(0.1, 5.0) | st.sampled_from(_TINY_AND_HUGE),
+                   ["0", "-2.87", *_NON_NUMERIC,
+                    *(f"-{m}" for m in _TINY_AND_HUGE)]),
 }
 _ZERO_FIELD = {
-    "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),
+    "omega": (_OPTIONAL | _numbers(-3.0, 3.0) | _EXTREMES, _NON_NUMERIC),
     "delta": (_OPTIONAL | st.just("0"), _NON_NUMERIC),
     "axis": (_axes(("omega", "theta")), _BAD_AXES + ["delta:0:1:3x"]),
 }
 # omega sweeps over [-3, 3] may reach or cross omega = 0
 _FIELD = {
-    "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),
-    "delta": (_numbers(-2.0, 2.0).filter(lambda v: float(v) != 0.0),
-              _NON_NUMERIC),
+    "omega": (_OPTIONAL | _numbers(-3.0, 3.0) | _EXTREMES, _NON_NUMERIC),
+    "delta": (_numbers(-2.0, 2.0).filter(lambda v: float(v) != 0.0)
+              | _EXTREMES, _NON_NUMERIC),
     "axis": (_axes(("omega", "theta", "delta")), _BAD_AXES),
 }
 # (subcommand, keys) of each kind of call
@@ -79,8 +92,8 @@ _KINDS = [
                  _BAD_AXES + ["delta:0:1:3"]),
     }),
     ("evolve", {
-        "omega": (_OPTIONAL | _numbers(-3.0, 3.0), _NON_NUMERIC),
-        "delta": (_OPTIONAL | _numbers(-1.0, 1.0), _NON_NUMERIC),
+        "omega": (_OPTIONAL | _numbers(-3.0, 3.0) | _EXTREMES, _NON_NUMERIC),
+        "delta": (_OPTIONAL | _numbers(-1.0, 1.0) | _EXTREMES, _NON_NUMERIC),
         "t_end": (_numbers(0.1, 5.0), ["0", "-1", *_NON_NUMERIC]),
         "psi0": (_OPTIONAL | st.sampled_from(["+1", "0", "-1"]), ["2", "", "up"]),
     }),
@@ -93,16 +106,19 @@ _KINDS = [
     }),
 ]
 _JUNK_LINES = ["just words", "bogus=1", "=3", "mode=evolve", "omega"]
+# bytes that no UTF-8 text holds: a UTF-16 byte-order mark, a lone
+# continuation byte, a truncated sequence
+_NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xe2\x82"]
 
 
 @st.composite
 def _calls(draw):
-    """(argv without --config and --output, config text or None, output
+    """(argv without --config and --output, config bytes or None, output
     target or None, whether the config file is missing)."""
     mode, kind = draw(st.sampled_from(_KINDS))
     keys = {**_COMMON, **kind}
     spoil = draw(st.none() | st.sampled_from(
-        sorted(keys) + ["config", "junk"]))
+        sorted(keys) + ["config", "junk", "encoding"]))
     values = {}
     for key, (valid, spoiled) in keys.items():
         value = draw(st.sampled_from(spoiled) if key == spoil else valid)
@@ -113,41 +129,49 @@ def _calls(draw):
     for key, value in values.items():
         if key not in in_file:
             argv += [f"--{key.replace('_', '-')}", value]
-    text = None
-    if in_file or spoil in ("config", "junk"):
+    config = None
+    if in_file or spoil in ("config", "junk", "encoding"):
         lines = [f"{k}={values[k]}" for k in sorted(in_file)]
         if spoil == "junk":
             lines.insert(draw(st.integers(0, len(lines))),
                          draw(st.sampled_from(_JUNK_LINES)))
-        text = "\n".join(lines) + "\n"
+        config = ("\n".join(lines) + "\n").encode()
+        if spoil == "encoding":
+            at = draw(st.integers(0, len(config)))
+            config = (config[:at] + draw(st.sampled_from(_NOT_UTF8))
+                      + config[at:])
     output = draw(st.sampled_from([None, "file", "missing", "directory"]))
-    return argv, text, output, spoil == "config"
+    return argv, config, output, spoil == "config"
 
 
 @settings(max_examples=120, deadline=None)
 @given(call=_calls())
 def test_cli_exits_0_2_or_3(call):
-    argv, text, output, config_missing = call
+    argv, config_bytes, output, config_missing = call
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        if text is not None:
+        if config_bytes is not None:
             config = root / ("absent.cfg" if config_missing else "run.cfg")
             if not config_missing:
-                config.write_text(text)
+                config.write_bytes(config_bytes)
             argv = argv + ["--config", str(config)]
         (root / "directory").mkdir()
         targets = {"file": root / "out.csv", "missing": root / "no" / "out.csv",
                    "directory": root / "directory"}
         if output is not None:
             argv = argv + ["--output", str(targets[output])]
-        stdout = io.StringIO()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # every flag is known and no value starts with two dashes, so no
+        # draw is a usage error, which would raise SystemExit
         with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # a usage error
-                code = exc.code
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
     assert code in (0, 2, 3), argv
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     if code == 0 and output is None:
         cells = [c for line in stdout.getvalue().splitlines()[1:]
                  for c in line.split(",")]

@@ -72,8 +72,10 @@ def _finite(**bounds):
 def _axes(draw):
     name = draw(st.sampled_from(AXIS_NAMES))
     bounds = {"min_value": 0.0, "max_value": math.pi} if name == "theta" else {}
+    # an axis whose max - min overflows is refused
     lo, hi = sorted(draw(st.lists(_finite(**bounds), min_size=2, max_size=2,
-                                  unique=True)))
+                                  unique=True)
+                         .filter(lambda ends: math.isfinite(ends[1] - ends[0]))))
     return AxisSpec(name=name, min=lo, max=hi, points=draw(st.integers(2, 10**6)))
 
 
@@ -136,6 +138,10 @@ class TestParseConfig:
     def test_bad_axis(self):
         with pytest.raises(ConfigError, match="axis"):
             parse_config("mode=spectrum\naxis=omega:1:0:10\n")
+
+    def test_axis_span_must_be_finite(self):
+        with pytest.raises(ConfigError, match="line 2: axis: max - min"):
+            parse_config("mode=spectrum\naxis=delta:-1e308:1.5e308:3\n")
 
     def test_missing_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -643,10 +649,14 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--axis", "omega:0.1:0.2:100000000000000"],
-    ], ids=["spectrum"])
+        ["spectrum", "--axis", "omega:0.1:0.2:4611686018427387904"],
+        ["spectrum", "--axis", "omega:0.1:0.2:9223372036854775807"],
+        ["spectrum", "--axis", "omega:0.1:0.2:99999999999999999999"],
+    ], ids=["spectrum", "2**62", "2**63-1", "1e20-1"])
     def test_out_of_memory_exit_code(self, argv, tmp_path, capsys):
         # 1e14 axis points ask for hundreds of TiB, more than a 64-bit
-        # address space holds, so the first allocation fails at once
+        # address space holds, so the first allocation fails at once; from
+        # 2**60 points on no float64 array can even be indexed
         out = tmp_path / "x.csv"
         code = main(argv + ["--output", str(out)])
         assert code == 3
@@ -654,6 +664,69 @@ class TestCli:
         assert err.startswith("numeric failure: out of memory")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the frequencies of the table times 1e308 overflow
+        ["spectrum", "--theta", "0.3", "--delta", "0", "--axis",
+         "omega:0:1:2", "--physical-d", "1e308"],
+        # the times over 5e-324 overflow, and t = 0 times inf is nan
+        ["evolve", "--omega", "0.2", "--theta", "0.03", "--psi0", "0",
+         "--t-end", "10", "--physical-d", "5e-324"],
+    ], ids=["overflow", "invalid"])
+    @pytest.mark.parametrize("route", ["file", "stdout"])
+    def test_non_finite_physical_units_exit_3_quietly(self, argv, route,
+                                                      tmp_path, capsys):
+        # one line on stderr and no numpy warning (an error under pytest)
+        out = tmp_path / "x.csv"
+        code = main(argv + (["--output", str(out)] if route == "file" else []))
+        stdout, err = capsys.readouterr()
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("numeric failure: non-finite value in output: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
+    def test_zero_field_cubic_overflow_exits_3(self, mode, tmp_path, capsys):
+        # omega**6 passes the float64 range between 1e51 and 1e52
+        out = tmp_path / "x.csv"
+        argv = [mode, "--theta", "0.3", "--delta", "0", "--output", str(out)]
+        assert main(argv + ["--axis", "omega:1:1e51:2"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--axis", "omega:1:1e52:2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: zero-field cubic overflows at "
+                              "omega = 1e+52")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",
+          "--axis", "theta:0:1:3"], "harmonic matrix at N = 12 overflows"),
+        (["evolve", "--theta", "0.3", "--omega", "1e308", "--t-end",
+          "1e-300"], "harmonic matrix at N = 12 overflows"),
+        (["resonance", "--theta", "0.02", "--omega", "1e308"],
+         "no resonant field"),
+    ], ids=["spectrum", "evolve", "resonance"])
+    def test_levels_past_the_float64_range_exit_3(self, argv, message, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xff\xfemode=spectrum\n")
+        assert main(["spectrum", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {str(config)!r}")
+        assert err.count("\n") == 1
+
+    def test_axis_span_overflow_exits_2(self, capsys):
+        # max - min = inf; numpy's linspace would warn of it
+        assert main(["spectrum", "--theta", "0.3", "--delta", "0",
+                     "--axis", "omega:-1e308:1e308:3"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: axis: max - min must be finite\n")
 
     def test_failed_rabi_fit_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -8,7 +8,8 @@ from scipy.linalg import eig_banded
 
 from rotorspin import dynamics, floquet
 from rotorspin.cli import main
-from rotorspin.errors import InvalidArgumentError, NoCrossingError, TrackingError
+from rotorspin.errors import (InvalidArgumentError, NoCrossingError,
+                              NumericFailureError, TrackingError)
 from rotorspin.floquet import (
     LABELS,
     ModeSet,
@@ -48,6 +49,13 @@ class TestCubic:
         roots = cubic_quasienergies(1.0, 0.7, 1.1)
         vals = hermitian_eigensystem(h_interaction(p)).values
         np.testing.assert_allclose(roots, vals, atol=1e-10)
+
+    @pytest.mark.parametrize("omega", [1e52, -1e52, 1e308])
+    def test_overflow_raises(self, omega):
+        with pytest.raises(NumericFailureError, match="omega = "):
+            cubic_quasienergies(1.0, omega, 0.3)
+        with pytest.raises(NumericFailureError, match="omega = "):
+            quasienergies_zero_field(RotorParams(omega=omega, theta=0.3))
 
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(0.0, 3.0), theta=st.floats(0.0, math.pi))
@@ -121,6 +129,14 @@ class TestHarmonicMatrix:
     def test_rejects_zero_frequency(self):
         with pytest.raises(InvalidArgumentError):
             floquet_matrix(RotorParams(omega=0.0, theta=0.1), 4)
+
+    @pytest.mark.parametrize("omega, delta, n", [
+        (1e308, 0.3, 12), (-1e307, 1e308, 12), (1e300, 1e308, 12),
+        (1e306, 0.3, 512)])
+    def test_rejects_levels_past_the_float64_range(self, omega, delta, n):
+        p = RotorParams(omega=omega, theta=0.3, delta=delta)
+        with pytest.raises(NumericFailureError, match="overflows"):
+            floquet_matrix(p, n)
 
     def test_equals_block_by_block_build(self):
         def reference(p, n):

@@ -69,6 +69,13 @@ class TestResonantField:
         with pytest.raises(RegimeError):
             resonant_field(0.0, -0.2, branch="minus")
 
+    @pytest.mark.parametrize("omega", [1e308, -1e308])
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_no_field_where_the_small_angle_cubic_overflows(self, omega,
+                                                            branch):
+        with pytest.raises(RegimeError, match="no resonant field"):
+            resonant_field(0.02, omega, branch=branch)
+
     @pytest.mark.parametrize("theta, omega, expected", [
         (TH, 0.2, 0.8039254113815276),
         (0.01, 0.25, 0.7502915336680831),

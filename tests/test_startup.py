@@ -4,11 +4,14 @@ a root or a minimum (resonance, avoided crossings and the Rabi fit), which
 use the package's own Brent solvers. No run loads argparse either. The
 package defines only two dataclasses, since `dataclasses` compiles the
 methods of each at every start; its other records are named tuples.
+A CLI process freezes its heap as it exits, so that the interpreter's
+exit-time collections skip it; importing the package does not.
 
 Each case runs in a fresh interpreter, since this process already holds
 scipy through the other test modules.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -16,6 +19,7 @@ import sys
 
 import pytest
 
+from rotorspin.cli import main
 from rotorspin.config import AxisSpec, SweepConfig
 from rotorspin.dynamics import EvolutionTrace
 from rotorspin.floquet import CrossingReport, ModeSet, QuasiSpectrum, SpectrumBranch
@@ -26,26 +30,28 @@ from rotorspin.spin_algebra import EigenSystem, SpinOperatorSet
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# prints as JSON the CLI exit code (or null), the loaded scipy modules,
-# whether argparse is loaded, and the package's dataclasses
+# prints as JSON at exit the CLI exit code (or null), the loaded scipy
+# modules, whether argparse is loaded, the package's dataclasses, and the
+# number of frozen objects; its exit handler, registered before the
+# package is imported, runs after every handler that the package registers
 _PROBE = """
-import json, sys
+import atexit, gc, json, sys
 argv = json.loads(sys.argv[1])
-code = None
+out = {"code": None}
+atexit.register(lambda: print(json.dumps({**out, "frozen": gc.get_freeze_count()})))
 if argv is None:
     import rotorspin
 else:
     from rotorspin.cli import main
-    code = main(argv)
+    out["code"] = main(argv)
 classes = {cls for name, mod in list(sys.modules.items())
            if name.split(".")[0] == "rotorspin"
            for cls in vars(mod).values()
            if isinstance(cls, type) and cls.__module__ == name}
-print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy"),
-    "argparse": "argparse" in sys.modules,
-    "dataclasses": sorted(cls.__name__ for cls in classes
-                          if "__dataclass_fields__" in vars(cls))}))
+out.update(scipy=sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+           argparse="argparse" in sys.modules,
+           dataclasses=sorted(cls.__name__ for cls in classes
+                              if "__dataclass_fields__" in vars(cls)))
 """
 
 # validated or mutable: every other record is a named tuple
@@ -94,6 +100,30 @@ def test_root_finding_loads_no_scipy(argv, tmp_path):
     out = probe(argv, tmp_path)
     assert out["code"] == 0
     assert out["scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["sensitivity", "--omega", "1.0", "--theta", "0.5", "--delta-rabi", "0.01"],
+    ["spectrum", "--axis", "omega:0.1:0.2:100000000000000"],
+], ids=["import", "cli", "cli-exit-3"])
+def test_cli_process_exits_with_its_heap_frozen(argv, tmp_path):
+    # numpy and the package alone leave more than 10,000 tracked objects
+    out = probe(argv, tmp_path)
+    if argv is None:
+        assert out["frozen"] == 0
+    else:
+        assert out["code"] in (0, 3)
+        assert out["frozen"] >= 10_000
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    for _ in range(3):
+        assert main(["sensitivity", "--omega", "1.0", "--theta", "0.5",
+                     "--delta-rabi", "0.01",
+                     "--output", str(tmp_path / "out.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("record", [

@@ -28,8 +28,6 @@ from .model import (
     DerivedScales,
     RotorParams,
     derived_scales,
-    h_adiabatic_effective,
-    h_effective_small_angle,
     h_interaction,
     h_rotating,
 )
@@ -76,7 +74,7 @@ __all__ = [
     "SPIN", "SpinOperatorSet", "EigenSystem", "make_spin_operators",
     "spin1_exp", "hermitian_eigensystem", "unitarity_defect",
     "RotorParams", "DerivedScales", "derived_scales", "h_rotating",
-    "h_interaction", "h_adiabatic_effective", "h_effective_small_angle",
+    "h_interaction",
     "LABELS", "QuasiSpectrum", "CrossingReport", "cubic_quasienergies",
     "quasienergies_zero_field", "floquet_matrix", "physical_modes",
     "quasienergy_spectrum", "avoided_crossing", "fold",

@@ -10,7 +10,6 @@ rounding error.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ from ._brent import brent_min
 from .errors import FlatTraceError, InvalidArgumentError
 from .floquet import SPIN_INDEX, auto_harmonics, floquet_matrix, fold
 from .model import RotorParams, h_interaction, h_rotating
-from .spin_algebra import SPIN, hermitian_eigensystem
+from .spin_algebra import hermitian_eigensystem
 
 __all__ = [
     "EvolutionTrace",
@@ -78,9 +77,8 @@ def _expmh_stack(h: np.ndarray, dt: float) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", vecs, phases, vecs.conj())
 
 
-@functools.lru_cache(maxsize=16)
 def period_propagators(p: RotorParams, steps_per_period: int):
-    """Cached prefix propagators over one drive period.
+    """Prefix propagators over one drive period.
 
     Returns (prefix, monodromy): prefix has shape (steps_per_period + 1,
     3, 3) with prefix[k] the propagator from t = 0 to t = k * dt; monodromy
@@ -96,7 +94,7 @@ def period_propagators(p: RotorParams, steps_per_period: int):
     prefix[0] = np.eye(3)
     for k in range(steps_per_period):
         prefix[k + 1] = steps[k] @ prefix[k]
-    return prefix, prefix[-1].copy()
+    return prefix, prefix[-1]
 
 
 def monodromy(p: RotorParams):

@@ -102,6 +102,10 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     arg = min(1.0, max(-1.0, arg))
     phi = math.acos(arg) / 3.0
     roots = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0) - b / 3.0
+    # the trig formula subtracts numbers of size |omega| and loses the root
+    # nearest zero; the product of the three roots, -e, gives it back
+    k = int(np.argmin(np.abs(roots)))
+    roots[k] = -e / (roots[k - 1] * roots[k - 2]) if e else 0.0
     return np.sort(roots)
 
 
@@ -132,17 +136,15 @@ def quasienergies_zero_field(p: RotorParams):
     """Labeled (quasi-energy, frame eigenvector) triples at zero field.
 
     Quasi-energies come from the cubic; eigenvectors from the numeric
-    diagonalization, matched root-to-eigenvalue. Labels follow the spin
-    character so each branch connects to its slow-rotation parent level.
+    diagonalization, paired in their common ascending order. Labels follow
+    the spin character so each branch connects to its slow-rotation parent
+    level.
     """
     if p.delta != 0:
         raise InvalidArgumentError("quasienergies_zero_field requires delta = 0")
     # the cubic first: it refuses an |omega| whose frame matrix overflows
-    roots = cubic_quasienergies(p.d, p.omega, p.theta)
+    lams = cubic_quasienergies(p.d, p.omega, p.theta)
     es = hermitian_eigensystem(h_interaction(p))
-    # match each numeric eigenpair with its nearest analytic root
-    order = np.argsort(np.abs(es.values[:, None] - roots[None, :]), axis=1)
-    lams = roots[order[:, 0]]
     weights = np.abs(es.vectors.T) ** 2  # (mode, spin)
     idx = _assign_labels(weights)
     return [(lab, float(lams[idx[lab]]), es.vectors[:, idx[lab]].copy()) for lab in LABELS]

@@ -18,13 +18,12 @@ import numpy as np
 from .errors import DegeneracyError, InvalidArgumentError, NumericFailureError
 from .floquet import (
     LABELS,
-    SPIN_INDEX,
     _assign_labels,
     _circ_dist,
     auto_harmonics,
     quasienergies_zero_field,
 )
-from .model import RotorParams, drive_amplitude
+from .model import RotorParams, drive_amplitude, harmonic_sum
 from .spin_algebra import SPIN
 
 __all__ = [
@@ -73,13 +72,9 @@ def gauge_operator(p: RotorParams, t) -> np.ndarray:
     sin phi S_y)) with phi = omega t + phi0, assembled from its harmonic
     components; the overall sign is pinned so the slow-rotation limit
     yields +2 pi (1 - cos theta) on the upper branch (see
-    verify_gauge_sign). An array of times gives a stack of matrices, shape
-    t.shape + (3, 3).
+    verify_gauge_sign). An array t gives a stack over t.
     """
-    a0, a_minus = _gauge_harmonics(p)
-    phase = np.exp(-1j * p.omega * np.asarray(t, dtype=float))[..., None, None]
-    hop = phase * a_minus
-    return a0 + hop + np.swapaxes(hop.conj(), -1, -2)
+    return harmonic_sum(*_gauge_harmonics(p), p.omega, t)
 
 
 def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:

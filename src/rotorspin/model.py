@@ -20,10 +20,9 @@ __all__ = [
     "RotorParams",
     "DerivedScales",
     "derived_scales",
+    "harmonic_sum",
     "h_rotating",
     "h_interaction",
-    "h_adiabatic_effective",
-    "h_effective_small_angle",
     "static_part",
     "drive_amplitude",
 ]
@@ -85,16 +84,18 @@ def derived_scales(p: RotorParams) -> DerivedScales:
     )
 
 
-def h_rotating(p: RotorParams, t) -> np.ndarray:
-    """Time-dependent co-rotating-frame Hamiltonian at time t.
+def harmonic_sum(a0: np.ndarray, a_minus: np.ndarray, omega: float, t) -> np.ndarray:
+    """a0 + e^{-i omega t} a_minus + h.c. for a Hermitian a0, the form of
+    every periodic frame operator; an array t gives a stack over t."""
+    phase = np.exp(-1j * omega * np.asarray(t, dtype=float))[..., None, None]
+    hop = phase * a_minus
+    return a0 + hop + np.swapaxes(hop.conj(), -1, -2)
 
-    The Fourier-static part plus the periodic transverse drive. An array
-    of times gives a stack of matrices, shape t.shape + (3, 3).
-    """
-    phase = np.exp(-1j * (p.omega * np.asarray(t, dtype=float) + p.phi0))
-    phase = phase[..., None, None]
-    drive = phase * SPIN.s_plus + np.conj(phase) * SPIN.s_minus
-    return static_part(p) - 0.5 * p.omega * math.sin(p.theta) * drive
+
+def h_rotating(p: RotorParams, t) -> np.ndarray:
+    """Co-rotating-frame Hamiltonian at time t (a stack over an array t):
+    the Fourier-static part plus the periodic transverse drive."""
+    return harmonic_sum(static_part(p), drive_amplitude(p), p.omega, t)
 
 
 def static_part(p: RotorParams) -> np.ndarray:
@@ -131,16 +132,6 @@ def h_interaction(p: RotorParams) -> np.ndarray:
     )
 
 
-def h_adiabatic_effective(p: RotorParams) -> np.ndarray:
-    """Diagonal effective Hamiltonian in the slow-rotation limit.
-
-    Keeps only the splitting and the rotation-induced level shift: the
-    static part without a field."""
-    if p.delta != 0:
-        raise InvalidArgumentError("h_adiabatic_effective requires delta = 0")
-    return static_part(p)
-
-
 def period_guard(p: RotorParams) -> None:
     """Raise where the rotation has no usable drive period:
     InvalidArgumentError at omega = 0, NumericFailureError where
@@ -167,15 +158,3 @@ def small_angle_guard(d: float, delta: float, theta: float) -> None:
             f"theta = {theta:.4g} outside the small-angle regime "
             f"(needs theta < {_SMALL_ANGLE_FACTOR * (1.0 - delta / d):.4g})"
         )
-
-
-def h_effective_small_angle(p: RotorParams) -> tuple[np.ndarray, DerivedScales]:
-    """Static part of the second-order small-angle effective Hamiltonian.
-
-    Returns the matrix d_tilde * S_z^2 - delta_tilde * S_z together with the
-    corrected scales, so the caller can form the resonance residual
-    d_tilde - delta_tilde - omega directly.
-    """
-    small_angle_guard(p.d, p.delta, p.theta)
-    sc = derived_scales(p)
-    return sc.d_tilde * SZ2 - sc.delta_tilde * SPIN.sz, sc

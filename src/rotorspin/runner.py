@@ -139,7 +139,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
         elif p.omega != 0:
             t_end = 10.0 * p.period
         else:
-            raise ConfigError("t_end required when omega = 0 and theta in {0, pi}")
+            raise ConfigError("t_end required when omega = 0")
     trace = evolve(p, _PSI0[cfg.psi0], t_end)
     ds = Dataset(
         header=["t", "p_plus1", "p_0", "p_minus1",

@@ -122,8 +122,8 @@ def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
     """Full eigen-decomposition of a Hermitian matrix.
 
     Eigenvalues are returned ascending; eigenvectors are orthonormal columns
-    with a deterministic phase convention. Handles dimensions up to the
-    truncated drive-matrix sizes used elsewhere (a few hundred).
+    with a deterministic phase convention. It serves the 3x3 level
+    problems; the harmonic matrix goes straight to np.linalg.eigh.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

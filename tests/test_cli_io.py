@@ -617,8 +617,58 @@ class TestCli:
             capsys.readouterr().err)
         assert not out.exists()
 
-    def test_config_error_exit_code(self, capsys):
-        assert main(["evolve", "--theta", "9"]) == 2
+    def test_evolve_at_zero_omega_needs_t_end(self, capsys):
+        # at omega = 0 the Rabi frequency is 0 at every tilt
+        assert main(["evolve", "--omega", "0", "--theta", "0.5",
+                     "--psi0", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: t_end required when omega = 0\n")
+
+    def test_evolve_default_t_end_is_ten_periods_without_rabi(self, tmp_path):
+        # theta = 0: no Rabi frequency, so ten drive periods on the T / 4096
+        # grid, 40961 steps at a stride of 3
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--omega", "0.3", "--theta", "0", "--psi0",
+                     "0", "--output", str(out)]) == 0
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 13654
+        period = 2.0 * math.pi / 0.3
+        t_last = float(rows[-1].split(",")[0])
+        assert 10 * period - 3 * period / 4096 < t_last <= 10 * period
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evolve", "--theta", "9"], "theta: must lie in [0, pi], got 9.0"),
+        (["evolve", "--omega", "0.2", "--psi0", "2"],
+         "psi0: must be one of ('+1', '0', '-1'), got '2'"),
+        (["resonance", "--omega", "0.2", "--theta", "0.03", "--branch", "up"],
+         "branch: must be 'plus' or 'minus', got 'up'"),
+        (["sensitivity", "--omega", "1", "--theta", "0.5", "--delta-rabi",
+          "0.01", "--physical-d", "0"], "physical_d: must be positive"),
+        (["evolve", "--omega", "0.2", "--psi0", "0", "--t-end", "-1"],
+         "t_end: must be positive"),
+        (["sensitivity", "--omega", "1", "--theta", "0.5",
+          "--delta-rabi=-0.01"], "delta_rabi: must be nonnegative"),
+        (["spectrum", "--axis", "phi0:0:1:3"],
+         "axis: unknown axis name 'phi0'"),
+        (["spectrum", "--axis", "omega:0:1:1"], "axis: points must be >= 2"),
+    ], ids=["theta", "psi0", "branch", "physical_d", "t_end", "delta_rabi",
+            "axis_name", "axis_points"])
+    def test_config_error_exit_code(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_branch_continuity_violation_exits_3(self, capsys):
+        argv = ["spectrum", "--omega", "0.06685243528735864",
+                "--delta", "-1.8437378669767424",
+                "--theta", "2.1414048907407683",
+                "--axis", "theta:0.22355746622332429:0.8867371946170196:5"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: branch continuity violated near theta = "
+            "0.886737; use a finer grid\n")
 
     def test_numeric_error_exit_code(self, capsys):
         # a tilt of pi/2 makes the uncertainty diverge

@@ -225,6 +225,16 @@ class TestMonodromy:
         with pytest.raises(InvalidArgumentError):
             monodromy(RotorParams(omega=0.0, theta=0.3))
 
+    def test_writing_into_a_result_leaves_later_calls_intact(self):
+        p = RotorParams(omega=0.4, theta=0.7, delta=0.3)
+        ref_prefix, ref_m = (a.copy() for a in period_propagators(p, 64))
+        prefix, m = period_propagators(p, 64)
+        prefix += 1.0
+        m += 1.0
+        prefix, m = period_propagators(p, 64)
+        np.testing.assert_array_equal(prefix, ref_prefix)
+        np.testing.assert_array_equal(m, ref_m)
+
     def test_fixed_resolution_is_converged(self):
         # against 4x finer steps; |omega| = 0.01 with delta = 2, the most
         # periods of level phase per drive period, is the worst corner

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,14 +36,37 @@ def fold_dist(a, b, omega):
     return min(d, w - d)
 
 
+def newton_polish(x, d, omega, theta):
+    """A root of the zero-field cubic refined by Newton's method in
+    40-digit decimal arithmetic, with the float inputs taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d, w = Decimal(d), Decimal(omega)
+        b, c = -2 * d, -(w * w - d * d)
+        e = w * w * d * Decimal(math.sin(theta)) ** 2
+        x = Decimal(float(x))
+        for _ in range(8):
+            x -= (((x + b) * x + c) * x + e) / ((3 * x + 2 * b) * x + c)
+        return float(x)
+
+
 class TestCubic:
     def test_static_limit_roots(self):
         np.testing.assert_allclose(cubic_quasienergies(1.0, 0.0, 0.7),
                                    [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_axis_aligned_roots(self):
-        np.testing.assert_allclose(cubic_quasienergies(1.0, 0.4, 0.0),
-                                   [0.0, 0.6, 1.4], atol=1e-12)
+        roots = cubic_quasienergies(1.0, 0.4, 0.0)
+        np.testing.assert_allclose(roots, [0.0, 0.6, 1.4], atol=1e-12)
+        assert math.copysign(1.0, roots[0]) == 1.0  # an exact 0.0, not -0.0
+
+    @pytest.mark.parametrize("omega", [1e3, 1e9, 1e15, 1e20, 1e51, -1e9])
+    @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
+    def test_every_root_to_relative_rounding(self, omega, theta):
+        # the root nearest zero is about d sin^2(theta), far below |omega|
+        for r in cubic_quasienergies(1.0, omega, theta):
+            exact = newton_polish(r, 1.0, omega, theta)
+            assert abs(r - exact) <= 1e-13 * abs(exact)
 
     def test_roots_match_eigensolver(self):
         p = RotorParams(omega=0.7, theta=1.1)

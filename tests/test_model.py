@@ -8,10 +8,10 @@ from rotorspin.model import (
     RotorParams,
     derived_scales,
     drive_amplitude,
-    h_adiabatic_effective,
-    h_effective_small_angle,
     h_interaction,
     h_rotating,
+    harmonic_sum,
+    small_angle_guard,
     static_part,
 )
 from rotorspin.spin_algebra import SPIN, SZ2, hermiticity_defect, spin1_exp
@@ -140,13 +140,16 @@ class TestInteractionFrame:
 
 
 class TestAdiabaticEffective:
+    """The slow-rotation effective Hamiltonian is the static part at zero
+    field: the splitting plus the rotation-induced level shift."""
+
     def test_theta_zero(self):
         p = RotorParams(omega=0.3, theta=0.0)
-        np.testing.assert_allclose(h_adiabatic_effective(p), SZ2, atol=1e-15)
+        np.testing.assert_allclose(static_part(p), SZ2, atol=1e-15)
 
     def test_theta_pi(self):
         p = RotorParams(omega=0.3, theta=math.pi)
-        np.testing.assert_allclose(h_adiabatic_effective(p),
+        np.testing.assert_allclose(static_part(p),
                                    np.diag([1.6, 0.0, 0.4]), atol=1e-12)
 
     def test_slow_rotation_matches_full_levels(self):
@@ -154,7 +157,7 @@ class TestAdiabaticEffective:
         # co-rotating-frame quasi-energies of the m = +/-1 branches
         from rotorspin.floquet import quasienergies_zero_field
         p = RotorParams(omega=1e-3, theta=math.pi / 3)
-        approx = np.sort(np.diag(h_adiabatic_effective(p)).real)
+        approx = np.sort(np.diag(static_part(p)).real)
         lam = {lab: v for lab, v, _ in quasienergies_zero_field(p)}
         full = np.sort([lam["m0"],
                         lam["m+1"] + p.omega,
@@ -163,6 +166,20 @@ class TestAdiabaticEffective:
 
 
 class TestStaticDriveSplit:
+    def test_harmonic_sum_shape_and_hermiticity(self):
+        rng = np.random.default_rng(3)
+        a0 = np.diag([1.0, 0.0, -2.0]).astype(complex)
+        a_minus = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        ts = rng.uniform(0, 10, size=(2, 5))
+        got = harmonic_sum(a0, a_minus, 0.7, ts)
+        assert got.shape == (2, 5, 3, 3)
+        for k in np.ndindex(ts.shape):
+            ph = np.exp(-0.7j * ts[k])
+            ref = a0 + ph * a_minus + np.conj(ph) * a_minus.conj().T
+            np.testing.assert_allclose(got[k], ref, atol=1e-14)
+            assert hermiticity_defect(got[k]) == 0.0
+        assert harmonic_sum(a0, a_minus, 0.7, 1.3).shape == (3, 3)
+
     def test_static_plus_drive_reassembles(self):
         p = RotorParams(omega=0.5, theta=0.8, delta=0.3, phi0=0.6)
         t = 2.2
@@ -185,19 +202,13 @@ class TestSmallAngle:
             assert derived_scales(RotorParams(omega=1.0, theta=th)).rabi \
                 == pytest.approx(0.0, abs=1e-15)
 
-    def test_static_matrix_and_scales(self):
-        p = RotorParams(omega=0.4, theta=0.05, delta=0.5)
-        h, sc = h_effective_small_angle(p)
-        np.testing.assert_allclose(h, sc.d_tilde * SZ2 - sc.delta_tilde * SPIN.sz,
-                                   atol=1e-14)
-
     def test_resonance_residual_small_at_demo_point(self):
-        p = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
-        _, sc = h_effective_small_angle(p)
-        assert abs(sc.d_tilde - sc.delta_tilde - p.omega) <= 3e-3
+        sc = derived_scales(RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803))
+        assert abs(sc.d_tilde - sc.delta_tilde - 0.2) <= 3e-3
 
     def test_regime_guard(self):
+        small_angle_guard(1.0, 0.5, 0.05)
         with pytest.raises(RegimeError):
-            h_effective_small_angle(RotorParams(omega=0.4, theta=0.2, delta=0.5))
+            small_angle_guard(1.0, 0.5, 0.2)
         with pytest.raises(RegimeError):
-            h_effective_small_angle(RotorParams(omega=0.4, theta=0.01, delta=1.5))
+            small_angle_guard(1.0, 1.5, 0.01)

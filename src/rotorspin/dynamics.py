@@ -32,9 +32,11 @@ __all__ = [
     "STEPS_PER_PERIOD",
 ]
 
+#: samples of every `evolve` trace
 MAX_TRACE_SAMPLES = 20000
+_CHUNK_SAMPLES = 4096
 
-#: steps per drive period of `monodromy` and of the `evolve` sample grid;
+#: steps per drive period of `monodromy`, the stepper oracle of `evolve`;
 #: the monodromy agrees with a 4x finer one to 1e-9 for |omega| >= 0.01
 STEPS_PER_PERIOD = 4096
 
@@ -48,10 +50,10 @@ _NODE_HI = 0.5 + math.sqrt(3.0) / 6.0
 class EvolutionTrace(NamedTuple):
     """Sampled trajectory of the frame state."""
 
-    times: np.ndarray        # ascending, starts at 0
+    times: np.ndarray        # strictly ascending, from 0 to t_end
     states: np.ndarray       # (samples, 3) complex unit vectors
     populations: np.ndarray  # (samples, 3) in basis order (+1, 0, -1)
-    truncation: int = 0      # harmonic truncation N of the modes, 0 if none
+    truncation: int = 0      # harmonic truncation N of the modes, 0 at omega = 0
     edge_weight: float = 0.0  # their edge weight (see ModeSet)
 
 
@@ -107,70 +109,55 @@ def monodromy(p: RotorParams):
 
 
 def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
-    """Sample the frame state from t = 0 up to t_end.
+    """Sample the frame state at MAX_TRACE_SAMPLES equally spaced times
+    from t = 0 to t_end.
 
-    At omega != 0 the state is the Floquet mode expansion psi(t) =
-    sum_m a_m exp(-i eps_m t) sum_k c_mk exp(i k omega t) of the
-    `auto_harmonics` modes (Shirley, Phys. Rev. 138, B979, 1965), eps_m the
-    Rayleigh quotient c^H F c / c^H c of each mode's harmonic vector. The
-    samples lie on the T / STEPS_PER_PERIOD grid of the second route,
-    `period_propagators`, at a uniform stride that keeps a trace within
-    MAX_TRACE_SAMPLES; t_end must span at least one grid step, and at most
-    2**53 are resolved.
+    The state is the Floquet mode expansion psi(t) = sum_m a_m
+    exp(-i eps_m t) sum_k c_mk exp(i k omega t) of the `auto_harmonics`
+    modes (Shirley, Phys. Rev. 138, B979, 1965), eps_m the Rayleigh quotient
+    c^H F c / c^H c of each mode's harmonic vector; at omega = 0 the modes
+    are the static eigenvectors, one harmonic each. t_end must be finite,
+    long enough for distinct sample times, and short enough that the
+    rounding of the phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidArgumentError("psi0 must be a unit 3-vector")
-    if t_end <= 0:
-        raise InvalidArgumentError("t_end must be positive")
-
-    if p.omega == 0:
-        # static Hamiltonian: evolve by direct diagonalization
-        es = hermitian_eigensystem(h_rotating(p, 0.0))
-        nt = min(MAX_TRACE_SAMPLES, 2048)
-        times = np.linspace(0.0, t_end, nt)
-        coeff = es.vectors.conj().T @ psi0
-        states = np.einsum(
-            "ij,tj->ti", es.vectors, np.exp(-1j * np.outer(times, es.values)) * coeff
-        )
-        pops = np.abs(states) ** 2
-        return EvolutionTrace(times=times, states=states, populations=pops)
-
-    dt = p.period / STEPS_PER_PERIOD
-    steps = t_end / dt + 1e-9
-    if not steps <= 2.0**53:
+    if not 0 < t_end < math.inf:
         raise InvalidArgumentError(
-            f"t_end spans {steps:.3g} sample-grid steps; at most 2**53 are "
-            "resolved")
-    n_total = math.floor(steps)
-    if n_total == 0:
+            f"t_end must be positive and finite, got {t_end!r}")
+    times = np.linspace(0.0, t_end, MAX_TRACE_SAMPLES)
+    if not np.all(np.diff(times) > 0):
         raise InvalidArgumentError(
-            f"t_end = {t_end:.6g} is shorter than one sample step T / "
-            f"{STEPS_PER_PERIOD} = {dt:.6g}, so the trace would hold t = 0 alone")
-    stride = max(1, math.ceil((n_total + 1) / MAX_TRACE_SAMPLES))
-    idx = np.arange(0, n_total + 1, stride)
-    times = idx * dt
+            f"t_end = {t_end:.6g} is too short for {MAX_TRACE_SAMPLES} "
+            "distinct sample times")
 
     ms = auto_harmonics(p)
     n = ms.n_harmonics
     c = ms.fourier.reshape(3 * (2 * n + 1), 3)  # (harmonic x spin, mode)
     eps = (np.einsum("im,im->m", c.conj(), floquet_matrix(p, n) @ c)
            / np.einsum("im,im->m", c.conj(), c)).real
+    rounding = float(np.abs(eps).max()) * t_end * 2.0**-53
+    if rounding > 1e-2:
+        raise InvalidArgumentError(
+            f"t_end = {t_end:.6g} rounds the mode phases eps t by up to "
+            f"{rounding:.3g} rad; at most 1e-2 rad is resolved")
     a = np.linalg.solve(ms.fourier.sum(axis=0), psi0)
-    # the periodic factor sum_k a_m c_mk exp(i k omega t) is tabled on one
-    # period's grid and read at t mod T, a table's worth of samples at a
-    # time; the phase eps t is taken as eps (period index T) + eps (t mod T)
-    k = np.arange(-n, n + 1)
-    tau = np.arange(STEPS_PER_PERIOD) * dt
-    periodic = (np.exp(1j * p.omega * np.outer(tau, k))
-                @ (ms.fourier * a).reshape(2 * n + 1, 9)).reshape(-1, 3, 3)
-    per, step = np.divmod(idx, STEPS_PER_PERIOD)
-    states = np.empty((len(idx), 3), dtype=complex)
-    for lo in range(0, len(idx), STEPS_PER_PERIOD):
-        at = slice(lo, lo + STEPS_PER_PERIOD)
-        phase = np.exp(-1j * (np.outer(per[at] * p.period, eps)
-                              + np.outer(tau[step[at]], eps)))
-        states[at] = np.einsum("tsm,tm->ts", periodic[step[at]], phase)
+    coef = (ms.fourier * a).reshape(2 * n + 1, 9)
+    # by chunks of samples, to bound memory; exp(i k omega t) as powers of
+    # exp(i omega t)
+    states = np.empty((MAX_TRACE_SAMPLES, 3), dtype=complex)
+    for lo in range(0, MAX_TRACE_SAMPLES, _CHUNK_SAMPLES):
+        t = times[lo:lo + _CHUNK_SAMPLES]
+        turns = np.empty((2 * n + 1, len(t)), dtype=complex)
+        turns[n] = 1.0
+        turn = np.exp(1j * p.omega * t)
+        for k in range(1, n + 1):
+            turns[n + k] = turns[n + k - 1] * turn
+            turns[n - k] = turns[n + k].conj()
+        periodic = (turns.T @ coef).reshape(-1, 3, 3)
+        states[lo:lo + _CHUNK_SAMPLES] = np.einsum(
+            "tsm,tm->ts", periodic, np.exp(-1j * np.outer(t, eps)))
     pops = np.abs(states) ** 2
     return EvolutionTrace(times=times, states=states, populations=pops,
                           truncation=n, edge_weight=ms.edge_weight)

@@ -154,12 +154,14 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     """Block-tridiagonal harmonic-expansion matrix of the driven problem.
 
     Diagonal blocks are the static component shifted by n*omega for
-    n = -N..N; off-diagonal blocks carry the single-harmonic drive.
+    n = -N..N; off-diagonal blocks carry the single-harmonic drive. N = 0,
+    the static component alone, needs no drive period.
     """
-    period_guard(p)
-    if n_harmonics < 1:
-        raise InvalidArgumentError("n_harmonics must be >= 1")
     n = int(n_harmonics)
+    if n < 0:
+        raise InvalidArgumentError("n_harmonics must be >= 0")
+    if n:
+        period_guard(p)
     # each eigenvalue lies within d + |delta| + (N + 3) |omega| of zero, and
     # the difference of two must stay a finite number
     if not math.isfinite(2.0 * (p.d + abs(p.delta) + (n + 3) * abs(p.omega))):
@@ -178,7 +180,7 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
 class ModeSet(NamedTuple):
     """The three physical drive modes at one parameter point."""
 
-    quasi: np.ndarray        # folded quasi-energies, one per mode
+    quasi: np.ndarray        # folded quasi-energies (static at omega = 0)
     fourier: np.ndarray      # (2N+1, 3, modes) harmonic coefficients
     weights: np.ndarray      # (modes, 3) time-averaged spin weights
     mode0: np.ndarray        # (3, modes) normalized state at t = 0
@@ -252,7 +254,14 @@ _EDGE_WEIGHT_MAX = 1e-14
 def auto_harmonics(p: RotorParams) -> ModeSet:
     """Drive modes at the first truncation N = 12, 24, 48, ... at which
     each of the three picked modes puts at most 1e-14 of its weight on the
-    edge blocks k = +-N; `edge_weight` of the result is that certificate."""
+    edge blocks k = +-N; `edge_weight` of the result is that certificate.
+    Without drive, at omega = 0, the static eigensystem is the exact N = 0
+    mode set, with edge weight 0 and unfolded quasi-energies."""
+    if p.omega == 0:
+        es = hermitian_eigensystem(static_part(p))
+        return ModeSet(quasi=es.values, fourier=es.vectors[None],
+                       weights=(np.abs(es.vectors) ** 2).T, mode0=es.vectors,
+                       n_harmonics=0, edge_weight=0.0)
     n = _N_START
     while n <= _N_MAX:
         modes = physical_modes(p, n)
@@ -275,6 +284,7 @@ class QuasiSpectrum(NamedTuple):
     branches: tuple[SpectrumBranch, SpectrumBranch, SpectrumBranch]
     truncation: int           # largest n_harmonics met, 0 if none was solved
     edge_weight: float        # largest edge weight met (see ModeSet)
+    tracking_overlap_min: float  # worst t = 0 state overlap a branch kept
 
     def branch(self, label: str) -> SpectrumBranch:
         for b in self.branches:
@@ -287,8 +297,8 @@ def _point_modes(p: RotorParams):
     """Quasi-energies, t=0 states and spin weights at one point.
 
     Returns (values, mode0 (3, modes), weights (modes, 3), width, ms): width
-    is the folding width |omega| of the values, and ms the ModeSet they came
-    from; width is 0 and ms None when no harmonic matrix was solved.
+    is the folding width |omega| of the values, 0 where they are not folded,
+    and ms the ModeSet they came from, None for the zero-field closed form.
     """
     if p.delta == 0 and p.omega != 0:
         triples = quasienergies_zero_field(p)
@@ -296,10 +306,6 @@ def _point_modes(p: RotorParams):
         mode0 = np.stack([t[2] for t in triples], axis=1)
         weights = (np.abs(mode0) ** 2).T
         return lams, mode0, weights, 0.0, None
-    if p.omega == 0:
-        es = hermitian_eigensystem(static_part(p))
-        weights = (np.abs(es.vectors) ** 2).T
-        return es.values, es.vectors, weights, 0.0, None
     ms = auto_harmonics(p)
     return ms.quasi, ms.mode0, ms.weights, abs(p.omega), ms
 
@@ -328,6 +334,8 @@ def quasienergy_spectrum(
     target plus its offset from the target at the previous unfolded point
     (nearest the target itself at the first). The curves reproduce the
     familiar fan of levels emanating from the zero-rotation eigenvalues.
+    `tracking_overlap_min` is the smallest overlap a branch kept from one
+    point to the next; below 0.5 tracking fails.
     """
     if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
@@ -352,7 +360,7 @@ def quasienergy_spectrum(
     reps = np.empty((len(values), 3))
     modes = np.empty((len(values), 3, 3), dtype=complex)
     offset = np.zeros(3)  # representative minus slope-rule target
-    n_max, edge_max = 0, 0.0
+    n_max, edge_max, overlap_min = 0, 0.0, 1.0
     for i, x in enumerate(values):
         p = p_template.with_(**{axis: float(x)})
         folded, m0, weights, _, ms = _point_modes(p)
@@ -376,6 +384,7 @@ def quasienergy_spectrum(
             overlap = np.abs(modes[i - 1].conj() @ m0)  # (branch, mode)
             perm = _best_permutation(overlap)
             worst = overlap[np.arange(3), perm].min()
+            overlap_min = min(overlap_min, float(worst))
             if worst < 0.5:
                 raise TrackingError(
                     f"branch tracking lost between {axis} = {values[i-1]:.6g} "
@@ -402,7 +411,8 @@ def quasienergy_spectrum(
         for b, lab in enumerate(LABELS)
     )
     return QuasiSpectrum(axis_name=axis, axis_values=values.copy(),
-                         branches=branches, truncation=n_max, edge_weight=edge_max)
+                         branches=branches, truncation=n_max, edge_weight=edge_max,
+                         tracking_overlap_min=overlap_min)
 
 
 class CrossingReport(NamedTuple):

@@ -98,7 +98,7 @@ def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
 
 
 def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
-    """Geometric phases in the presence of a static axial field.
+    """Geometric phases with the field term delta (see `rotorspin.model`).
 
     Each drive mode u(t) = sum_k c_k e^{ik omega t} comes from the harmonic
     matrix. The gauge potential carries only the harmonics 0 and +-1 (see

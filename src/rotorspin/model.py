@@ -1,8 +1,10 @@
 """Hamiltonian builders for a spin-1 defect rotating about the z axis.
 
 Frequencies are dimensionless by default (zero-field splitting d = 1).
-The field parameter ``delta`` encodes a static magnetic field along the
-rotation axis; ``delta = 0`` means no field.
+The field parameter ``delta`` is the term -delta cos(theta) S_z + delta
+sin(theta) S_x of `static_part`, held static in the co-rotating frame; it
+is not a static field along the rotation axis, whose quasi-energies differ
+from these by 0.003-0.15 at theta > 0 (lab geometry: ROADMAP.md, item 8).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class RotorParams:
     omega   rotation angular frequency; the sign encodes the direction
     theta   tilt angle between the spin axis and the rotation axis, in [0, pi]
     phi0    initial azimuth of the spin axis (radians)
-    delta   field parameter, proportional to the static axial field strength
+    delta   field parameter, static in the co-rotating frame (module docstring)
     """
 
     omega: float

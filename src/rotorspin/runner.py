@@ -125,7 +125,8 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
         columns=[values, *lam.T, flags],
         kinds=[_AXIS_KINDS[cfg.axis.name], _FREQ, _FREQ, _FREQ, _PLAIN],
-        provenance=_truncation([spec]),
+        provenance={**_truncation([spec]), "tracking_overlap_min":
+                    f"{spec.tracking_overlap_min:.6f}"},
     )
 
 
@@ -155,7 +156,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
     # drive harmonics, all below W = (level spread) + 2|omega|; samples
     # farther apart than pi/W alias the swings, so nothing is fitted
     band = np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega)
-    if len(trace.times) > 1 and trace.times[1] - trace.times[0] > math.pi / band:
+    if trace.times[1] - trace.times[0] > math.pi / band:
         ds.provenance["rabi_fit_skipped"] = "undersampled"
         return ds
     try:

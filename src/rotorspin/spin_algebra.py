@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
 
-BASIS_ORDER = "(+1, 0, -1)"
-
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -33,7 +31,6 @@ class SpinOperatorSet(NamedTuple):
     sz: np.ndarray
     s_plus: np.ndarray
     s_minus: np.ndarray
-    basis_order: str = BASIS_ORDER
 
 
 def make_spin_operators() -> SpinOperatorSet:

@@ -396,7 +396,7 @@ class TestRun:
     ], ids=["t_end_1e12", "readme"])
     def test_evolve_fits_rabi_only_when_resolved(self, text, aliased):
         # samples every 5e7 time units alias every oscillation (bound pi/W =
-        # 2.24); the README run samples every 0.207 against a bound of 1.43
+        # 2.24); the README run samples every 0.200 against a bound of 1.43
         ds = run(parse_config("mode=evolve\n" + text))
         fitted = {"fitted_rabi_frequency", "fitted_contrast"} & set(ds.provenance)
         if aliased:
@@ -431,6 +431,25 @@ class TestRun:
         assert want[0] == "24"
         assert (ds.provenance["harmonics_n_max"],
                 ds.provenance["harmonics_edge_weight_max"]) == want
+
+    @pytest.mark.parametrize("text", [
+        "axis=omega:0:1.2:201\ntheta=0.3\ndelta=0\n",
+        "axis=omega:0.05:1.2:61\ntheta=0.3\ndelta=0.3\n",
+    ], ids=["zero_field", "field"])
+    def test_spectrum_reports_tracking_overlap(self, text, tmp_path):
+        # the worst overlap a branch kept adds one provenance line and
+        # leaves the table as it is
+        ds = run(parse_config("mode=spectrum\n" + text))
+        assert 0.5 <= float(ds.provenance["tracking_overlap_min"]) <= 1.0
+        paths = [str(tmp_path / f"{k}.csv") for k in range(2)]
+        emit_csv(ds, paths[0])
+        del ds.provenance["tracking_overlap_min"]
+        emit_csv(ds, paths[1])
+        lines = Path(paths[0]).read_text().splitlines(keepends=True)
+        kept = [ln for ln in lines
+                if not ln.startswith("# tracking_overlap_min=")]
+        assert len(kept) == len(lines) - 1
+        assert "".join(kept) == Path(paths[1]).read_text()
 
     def test_spectrum_requires_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -607,14 +626,31 @@ class TestCli:
                      *rest, outs[1]]) == 0
         assert Path(outs[1]).read_bytes() == Path(outs[0]).read_bytes()
 
-    def test_evolve_shorter_than_a_sample_step_exits_2(self, tmp_path, capsys):
-        # at |omega| = 1e-5 the sample grid steps 153.4 > t_end
+    def test_evolve_at_slow_rotation_writes_rows(self, tmp_path):
+        # t_end = 100 is shorter than one stepper step T / 4096 = 153.4 at
+        # |omega| = 1e-5; the samples follow t_end, not the period
         out = tmp_path / "e.csv"
-        code = main(["evolve", "--omega", "1e-5", "--theta", "1.5", "--delta",
-                     "2", "--psi0", "0", "--t-end", "100", "--output", str(out)])
-        assert code == 2
-        assert "shorter than one sample step T / 4096 = 153.398" in (
-            capsys.readouterr().err)
+        assert main(["evolve", "--omega", "1e-5", "--theta", "1.5", "--delta",
+                     "2", "--psi0", "0", "--t-end", "100",
+                     "--output", str(out)]) == 0
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 20000
+        assert rows[-1].startswith("1.000000000000e2,")
+
+    @pytest.mark.parametrize("omega, t_end, message", [
+        ("0", "1e-320", "is too short for 20000 distinct sample times"),
+        ("0", "1e308", "rounds the mode phases eps t"),
+        ("0.2", "1e300", "rounds the mode phases eps t"),
+    ], ids=["static_underflow", "static_phase", "driven_phase"])
+    def test_evolve_unresolvable_t_end_exits_2(self, omega, t_end, message,
+                                               tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--omega", omega, "--theta", "0.3", "--psi0",
+                     "0", "--t-end", t_end, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_end = ")
+        assert message in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_evolve_at_zero_omega_needs_t_end(self, capsys):
@@ -625,17 +661,15 @@ class TestCli:
             "config error: t_end required when omega = 0\n")
 
     def test_evolve_default_t_end_is_ten_periods_without_rabi(self, tmp_path):
-        # theta = 0: no Rabi frequency, so ten drive periods on the T / 4096
-        # grid, 40961 steps at a stride of 3
+        # theta = 0: no Rabi frequency, so ten drive periods
         out = tmp_path / "e.csv"
         assert main(["evolve", "--omega", "0.3", "--theta", "0", "--psi0",
                      "0", "--output", str(out)]) == 0
         rows = [ln for ln in out.read_text().splitlines()
                 if not ln.startswith("#")][1:]
-        assert len(rows) == 13654
-        period = 2.0 * math.pi / 0.3
-        t_last = float(rows[-1].split(",")[0])
-        assert 10 * period - 3 * period / 4096 < t_last <= 10 * period
+        assert len(rows) == 20000
+        t_last = rows[-1].split(",")[0]
+        assert t_last == format_float(10.0 * (2.0 * math.pi / 0.3))
 
     @pytest.mark.parametrize("argv, message", [
         (["evolve", "--theta", "9"], "theta: must lie in [0, pi], got 9.0"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotorspin.dynamics import (
+    MAX_TRACE_SAMPLES,
     STEPS_PER_PERIOD,
     evolve,
     monodromy,
@@ -13,8 +14,8 @@ from rotorspin.dynamics import (
 )
 from rotorspin.errors import FlatTraceError, InvalidArgumentError
 from rotorspin.floquet import cubic_quasienergies, fold, physical_modes
-from rotorspin.model import RotorParams
-from rotorspin.spin_algebra import unitarity_defect
+from rotorspin.model import RotorParams, static_part
+from rotorspin.spin_algebra import hermitian_eigensystem, unitarity_defect
 
 RNG = np.random.default_rng(7)
 
@@ -35,6 +36,12 @@ def states_by_period_loop(p, psi0, times, spp):
             cur += 1
         states[out] = prefix[step] @ psi_period
     return states
+
+
+def on_stepper_grid(p, spp, m):
+    """The t_end whose evolve samples fall every m steps of a stepper of
+    spp steps per period: 19.5 periods for (4096, 4), 3.05 for (32768, 5)."""
+    return (MAX_TRACE_SAMPLES - 1) * m * p.period / spp
 
 
 def fold_dist(a, b, omega):
@@ -101,6 +108,19 @@ class TestEvolve:
         np.testing.assert_allclose(np.linalg.norm(trace.states, axis=1), 1.0,
                                    atol=1e-9)
 
+    def test_static_trace_is_the_exact_static_evolution(self):
+        # omega = 0 runs the same expansion, at N = 0, on the same grid
+        p = RotorParams(omega=0.0, theta=0.7, delta=0.4)
+        trace = evolve(p, KET_0, 10.0)
+        assert trace.truncation == 0
+        assert len(trace.times) == MAX_TRACE_SAMPLES
+        assert np.all(np.diff(trace.times) > 0) and trace.times[-1] == 10.0
+        es = hermitian_eigensystem(static_part(p))
+        for s in (1, 777, MAX_TRACE_SAMPLES - 1):
+            u = (es.vectors * np.exp(-1j * es.values * trace.times[s])
+                 ) @ es.vectors.conj().T
+            assert np.abs(trace.states[s] - u @ KET_0).max() <= 1e-14
+
     def test_sample_cap(self):
         p = RotorParams(omega=1.0, theta=0.3)
         trace = evolve(p, KET_0, 100 * p.period)
@@ -131,20 +151,36 @@ class TestEvolve:
             spacing = times[1] if len(times) > 1 else p.period / STEPS_PER_PERIOD
             assert t_end - spacing < times[-1] <= t_end
 
-    @pytest.mark.parametrize("steps", [2.0**53 + 2**12, 1e300, math.inf])
-    def test_rejects_unresolved_step_count(self, steps):
-        p = RotorParams(omega=0.2, theta=0.03)
-        with pytest.raises(InvalidArgumentError, match="2\\*\\*53"):
-            evolve(p, KET_0, steps * p.period / STEPS_PER_PERIOD)
-
     @pytest.mark.parametrize("omega, t_end", [(1e-5, 100.0), (-0.2, 0.0076)])
-    def test_rejects_t_end_below_one_sample_step(self, omega, t_end):
-        # the grid steps 153.4 and 0.00767: the trace would hold t = 0 alone
+    def test_t_end_below_a_stepper_step_is_sampled(self, omega, t_end):
+        # shorter than one step T / 4096 of the stepper (153.4 and 0.00767)
         p = RotorParams(omega=omega, theta=1.5, delta=2.0)
-        with pytest.raises(InvalidArgumentError, match="one sample step"):
+        trace = evolve(p, KET_0, t_end)
+        assert len(trace.times) == MAX_TRACE_SAMPLES
+        assert np.all(np.diff(trace.times) > 0)
+        assert trace.times[0] == 0.0 and trace.times[-1] == t_end
+        np.testing.assert_allclose(np.linalg.norm(trace.states, axis=1), 1.0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("omega, t_end, message", [
+        (0.2, math.inf, "positive and finite"),
+        (0.0, math.nan, "positive and finite"),
+        (0.0, 1e-320, "too short for 20000 distinct sample times"),
+        (0.2, 1e300, "rounds the mode phases"),
+        (0.0, 1e308, "rounds the mode phases"),
+    ], ids=["inf", "nan", "1e-320", "1e+300", "1e308"])
+    def test_rejects_unresolvable_t_end(self, omega, t_end, message):
+        p = RotorParams(omega=omega, theta=0.03)
+        with pytest.raises(InvalidArgumentError, match=message):
             evolve(p, KET_0, t_end)
-        times = evolve(p, KET_0, p.period / STEPS_PER_PERIOD).times
-        assert len(times) == 2
+
+    def test_phase_rounding_bounds_t_end(self):
+        # max |eps_m| is about 1 here, so t_end * 2**-53 reaches 1e-2 rad
+        # near 9.0e13
+        p = RotorParams(omega=0.2, theta=0.03)
+        assert evolve(p, KET_0, 8.9e13).times[-1] == 8.9e13
+        with pytest.raises(InvalidArgumentError, match="rounds the mode phases"):
+            evolve(p, KET_0, 9.1e13)
 
     def test_rejects_bad_state(self):
         p = RotorParams(omega=1.0, theta=0.3)
@@ -176,7 +212,7 @@ class TestFloquetOracle:
                             delta=float(rng.uniform(0.1, 0.8)))
             psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
             psi0 /= np.linalg.norm(psi0)
-            trace = evolve(p, psi0, 20 * p.period)
+            trace = evolve(p, psi0, on_stepper_grid(p, STEPS_PER_PERIOD, 4))
             ref = states_by_period_loop(p, psi0, trace.times, STEPS_PER_PERIOD)
             worst = max(worst, float(np.abs(trace.states - ref).max()))
         assert worst <= 1e-10
@@ -187,7 +223,7 @@ class TestFloquetOracle:
         # turns the level phase by about 6 rad, and the stepper misses by
         # up to 7e-7; 8 times as many steps resolve it
         p = RotorParams(omega=omega, theta=theta, delta=2.0)
-        trace = evolve(p, KET_0, 3 * p.period)
+        trace = evolve(p, KET_0, on_stepper_grid(p, 8 * STEPS_PER_PERIOD, 5))
         ref = states_by_period_loop(p, KET_0, trace.times, 8 * STEPS_PER_PERIOD)
         assert np.abs(trace.states - ref).max() <= 1e-10
 

@@ -1,8 +1,14 @@
-"""The README's library tour names only what the package provides."""
+"""The README's library tour names only what the package provides, and
+its command-line examples run."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from rotorspin.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +40,35 @@ def test_every_tour_name_resolves_in_its_row_module():
             if not any(hasattr(mod, name) for mod in mods):
                 missing.append(f"{name} in {', '.join(modules)}")
     assert not missing, missing
+
+
+def example_commands():
+    """The `rotorspin` commands of the README "Command line" example
+    block, each as an argv without the program name."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.startswith("rotorspin ")]
+    return [shlex.split(ln)[1:] for ln in lines]
+
+
+COMMANDS = example_commands()
+
+
+def test_example_block_holds_every_command():
+    assert [argv[0] for argv in COMMANDS] == [
+        "spectrum", "evolve", "geomphase", "resonance", "sensitivity",
+        "selftest"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[a[0] for a in COMMANDS])
+def test_example_command_runs(argv, tmp_path, capsys):
+    argv = list(argv)
+    if "--output" in argv:
+        at = argv.index("--output") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    if "--output" in argv:
+        assert Path(argv[argv.index("--output") + 1]).stat().st_size > 0

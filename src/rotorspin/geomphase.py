@@ -4,8 +4,11 @@ Each cyclic state returns to itself (up to a phase) after one drive
 period; the geometric phase is the part of that phase left after the
 dynamical contribution is subtracted. Without a static field there is a
 closed form in the cubic roots and their eigenvector weights; with a
-field the phase is the one-period integral of a gauge potential along the
-periodic drive mode, summed exactly over the mode's harmonic coefficients.
+field the phase is the one-period integral of the gauge potential along
+the periodic drive mode, summed exactly over the mode's harmonic
+coefficients. The gauge potential is what the rotation adds to the
+rest-frame levels in the co-rotating Hamiltonian; its harmonics come from
+`rotorspin.model.gauge_harmonics`, the one place they are computed.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .floquet import (
     auto_harmonics,
     quasienergies_zero_field,
 )
-from .model import RotorParams, drive_amplitude, harmonic_sum
+from .model import RotorParams, gauge_harmonics, harmonic_sum
 from .spin_algebra import SPIN
 
 __all__ = [
@@ -56,25 +59,19 @@ class GeometricPhaseSet(NamedTuple):
         return tuple(self.gamma[lab] for lab in LABELS)
 
 
-def _gauge_harmonics(p: RotorParams) -> tuple[np.ndarray, np.ndarray]:
-    """Harmonic components (A0, A-) of the gauge potential
-    A(t) = A0 + A- e^{-i omega t} + h.c., with A0 = omega (1 - cos theta) S_z
-    and A- = -(omega sin theta / 2) e^{-i phi0} S_+, the drive amplitude."""
-    a0 = p.omega * (1.0 - math.cos(p.theta)) * SPIN.sz
-    return a0, drive_amplitude(p)
-
-
 def gauge_operator(p: RotorParams, t) -> np.ndarray:
     """Gauge potential whose expectation along a cyclic state integrates to
     the geometric phase.
 
     Closed form omega * ((1 - cos theta) S_z - sin theta (cos phi S_x +
-    sin phi S_y)) with phi = omega t + phi0, assembled from its harmonic
-    components; the overall sign is pinned so the slow-rotation limit
-    yields +2 pi (1 - cos theta) on the upper branch (see
-    verify_gauge_sign). An array t gives a stack over t.
+    sin phi S_y)) with phi = omega t + phi0, assembled from the model's
+    harmonics (`rotorspin.model.gauge_harmonics`), so that h_rotating(p, t)
+    is the omega = 0 Hamiltonian plus gauge_operator(p, t); the overall
+    sign is pinned so the slow-rotation limit yields +2 pi (1 - cos theta)
+    on the upper branch (see verify_gauge_sign). An array t gives a stack
+    over t.
     """
-    return harmonic_sum(*_gauge_harmonics(p), p.omega, t)
+    return harmonic_sum(*gauge_harmonics(p), p.omega, t)
 
 
 def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
@@ -102,8 +99,8 @@ def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
 
     Each drive mode u(t) = sum_k c_k e^{ik omega t} comes from the harmonic
     matrix. The gauge potential carries only the harmonics 0 and +-1 (see
-    _gauge_harmonics), so its one-period integral along the mode is exact
-    in the coefficients:
+    `rotorspin.model.gauge_harmonics`), so its one-period integral along
+    the mode is exact in the coefficients:
 
         gamma = T [sum_k c_k^dag A0 c_k + 2 Re sum_k c_{k-1}^dag A- c_k]
                 / sum_k |c_k|^2,
@@ -127,7 +124,7 @@ def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
                         f"branches {a} and {b} are degenerate; phases not separable"
                     )
 
-    a0, a_minus = _gauge_harmonics(p)
+    a0, a_minus = gauge_harmonics(p)
     gamma, term1, term2 = {}, {}, {}
     for lab in LABELS:
         c = ms.fourier[:, :, idx[lab]]                 # (harmonic, spin)

@@ -27,6 +27,7 @@ __all__ = [
     "h_interaction",
     "static_part",
     "drive_amplitude",
+    "gauge_harmonics",
 ]
 
 
@@ -101,13 +102,15 @@ def h_rotating(p: RotorParams, t) -> np.ndarray:
 
 
 def static_part(p: RotorParams) -> np.ndarray:
-    """Fourier-static component of the co-rotating Hamiltonian."""
+    """Fourier-static component of the co-rotating Hamiltonian: the
+    rest-frame levels d S_z^2 - delta cos theta S_z + delta sin theta S_x
+    plus the static harmonic A0 of the gauge potential (`gauge_harmonics`)."""
     ct, st = math.cos(p.theta), math.sin(p.theta)
     return (
         p.d * SZ2
         - p.delta * ct * SPIN.sz
         + p.delta * st * SPIN.sx
-        + p.omega * (1.0 - ct) * SPIN.sz
+        + gauge_harmonics(p)[0]
     )
 
 
@@ -116,8 +119,17 @@ def drive_amplitude(p: RotorParams) -> np.ndarray:
     return -0.5 * p.omega * math.sin(p.theta) * np.exp(-1j * p.phi0) * SPIN.s_plus
 
 
+def gauge_harmonics(p: RotorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic components (A0, A-) of the gauge potential
+    A(t) = A0 + A- e^{-i omega t} + h.c. that the rotation adds to the
+    rest-frame levels: A0 = omega (1 - cos theta) S_z and A- the drive
+    amplitude -(omega sin theta / 2) e^{-i phi0} S_+."""
+    return p.omega * (1.0 - math.cos(p.theta)) * SPIN.sz, drive_amplitude(p)
+
+
 def h_interaction(p: RotorParams) -> np.ndarray:
-    """Time-independent Hamiltonian in the frame co-rotating with the drive.
+    """Time-independent Hamiltonian in the frame co-rotating with the drive,
+    h_rotating(p, 0) - omega S_z.
 
     Only valid without a static field; with a field the drive cannot be
     rotated away and the truncated harmonic expansion must be used instead.
@@ -126,12 +138,8 @@ def h_interaction(p: RotorParams) -> np.ndarray:
         raise InvalidArgumentError(
             "h_interaction requires delta = 0; use the Floquet path for a finite field"
         )
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    return (
-        p.d * SZ2
-        - p.omega * ct * SPIN.sz
-        - p.omega * st * (math.cos(p.phi0) * SPIN.sx + math.sin(p.phi0) * SPIN.sy)
-    )
+    b = drive_amplitude(p)
+    return static_part(p) + b + b.conj().T - p.omega * SPIN.sz
 
 
 def period_guard(p: RotorParams) -> None:

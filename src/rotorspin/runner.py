@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .config import SweepConfig, format_value
 from .dynamics import evolve, rabi_fit
-from .errors import ConfigError, FlatTraceError, NumericFailureError, RotorSpinError
+from .errors import (ConfigError, FlatTraceError, InvalidArgumentError,
+                     NumericFailureError, RotorSpinError)
 from .floquet import LABELS, quasienergy_spectrum
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
 from .model import RotorParams, derived_scales, h_rotating
@@ -132,16 +133,23 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
 
 def _run_evolve(cfg: SweepConfig) -> Dataset:
     p = _params(cfg)
-    t_end = cfg.t_end
+    t_end, default = cfg.t_end, None
     if t_end is None:
         sc = derived_scales(p)
         if sc.rabi > 0:
-            t_end = 2.5 * 2.0 * math.pi / sc.rabi
+            t_end, default = 2.5 * 2.0 * math.pi / sc.rabi, "2.5 Rabi periods"
         elif p.omega != 0:
-            t_end = 10.0 * p.period
+            t_end, default = 10.0 * p.period, "10 drive periods"
         else:
             raise ConfigError("t_end required when omega = 0")
-    trace = evolve(p, _PSI0[cfg.psi0], t_end)
+    try:
+        trace = evolve(p, _PSI0[cfg.psi0], t_end)
+    except InvalidArgumentError as exc:
+        if default is None:
+            raise
+        raise ConfigError(
+            f"the default t_end of {default} cannot be sampled: {exc}; "
+            "give --t-end") from exc
     ds = Dataset(
         header=["t", "p_plus1", "p_0", "p_minus1",
                 "re_a_plus1", "im_a_plus1", "re_a_0", "im_a_0",

@@ -85,42 +85,17 @@ def spin1_exp(axis, angle: float) -> np.ndarray:
     return IDENTITY - 1j * np.sin(angle) * a + (np.cos(angle) - 1.0) * (a @ a)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each eigenvector so its largest-modulus entry is real positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        ph = v[k, j]
-        if abs(ph) > 0:
-            v[:, j] *= np.conj(ph) / abs(ph)
-    return v
-
-
-def _break_ties(values: np.ndarray, vectors: np.ndarray):
-    """Order exactly-degenerate eigenvalues by descending magnitude of the
-    first nonzero eigenvector component, so output is deterministic."""
-    order = np.arange(len(values))
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and values[j] == values[i]:
-            j += 1
-        if j - i > 1:
-            def key(col):
-                v = vectors[:, col]
-                nz = np.nonzero(np.abs(v) > 0)[0]
-                return -abs(v[nz[0]]) if len(nz) else 0.0
-            order[i:j] = sorted(order[i:j], key=key)
-        i = j
-    return values[order], vectors[:, order]
-
-
 def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
-    """Full eigen-decomposition of a Hermitian matrix.
+    """Full eigen-decomposition of a Hermitian matrix: np.linalg.eigh of
+    its Hermitian part, checked.
 
-    Eigenvalues are returned ascending; eigenvectors are orthonormal columns
-    with a deterministic phase convention. It serves the 3x3 level
-    problems; the harmonic matrix goes straight to np.linalg.eigh.
+    The input must be square, leave float64 headroom and be Hermitian to
+    1e-12 of its largest entry, and the residual |A V - V diag(values)|
+    must stay within 1e-9 of it. Eigenvalues are returned ascending;
+    eigenvectors are orthonormal columns, each with the phase eigh gives it
+    (no caller reads a phase or the order within an exact tie). It serves
+    the 3x3 level problems; the harmonic matrix goes straight to
+    np.linalg.eigh.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -135,8 +110,6 @@ def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
             f"matrix is not Hermitian (defect {hermiticity_defect(a):.3e})"
         )
     values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
-    values, vectors = _break_ties(values, vectors)
-    vectors = _fix_phases(vectors)
     residual = float(np.abs(a @ vectors - vectors * values[None, :]).max())
     if residual > 1e-9 * scale:
         raise NumericFailureError(

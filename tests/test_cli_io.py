@@ -653,6 +653,30 @@ class TestCli:
         assert message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("omega, theta, default", [
+        ("0.2", "1e-13", "2.5 Rabi periods"),
+        ("0.2", "1e-300", "2.5 Rabi periods"),
+        ("1e-15", "0", "10 drive periods"),
+    ], ids=["rabi", "rabi_underflow", "no_rabi"])
+    def test_evolve_unresolvable_default_t_end_asks_for_t_end(
+            self, omega, theta, default, tmp_path, capsys):
+        # 2.5 Rabi periods, 2.5 * 2 pi / (sqrt(2) |omega| sin theta), is
+        # 5.6e14 at theta = 1e-13: its phases round beyond 1e-2 rad
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--omega", omega, "--theta", theta, "--psi0",
+                     "0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: the default t_end of {default} ")
+        assert "rounds the mode phases eps t" in err
+        assert err.endswith("; give --t-end\n") and err.count("\n") == 1
+        assert not out.exists()
+        # a t_end that is given is sampled at the same point
+        assert main(["evolve", "--omega", omega, "--theta", theta, "--psi0",
+                     "0", "--t-end", "100", "--output", str(out)]) == 0
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 20000
+
     def test_evolve_at_zero_omega_needs_t_end(self, capsys):
         # at omega = 0 the Rabi frequency is 0 at every tilt
         assert main(["evolve", "--omega", "0", "--theta", "0.5",

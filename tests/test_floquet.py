@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -253,6 +254,43 @@ class TestAutoHarmonics:
                                    circ_worst(ref, quasi, p.omega))
         assert worst <= 1e-12
         assert worst_picked <= 1e-12
+
+
+def matched_worst(got, ref, omega):
+    """Largest folded distance between the three values of `got` and of
+    `ref` under the pairing that makes it least."""
+    return min(max(fold_dist(g, r, omega) for g, r in zip(got, perm))
+               for perm in itertools.permutations(ref))
+
+
+@st.composite
+def field_params(draw):
+    """(omega, theta, delta, phi0) with |omega| log-uniform in
+    [10^-1.5, 10^0.5] of both signs, theta in [0, pi], delta in [-2, 2]."""
+    omega = draw(st.sampled_from([-1.0, 1.0])) * 10 ** draw(st.floats(-1.5, 0.5))
+    return RotorParams(omega=omega, theta=draw(st.floats(0.0, math.pi)),
+                       delta=draw(st.floats(-2.0, 2.0)),
+                       phi0=draw(st.floats(0.0, 2 * math.pi)))
+
+
+class TestProperties:
+    """Results that must not depend on the truncation, nor jump as the
+    field vanishes, at random parameters."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=field_params())
+    def test_quasienergies_independent_of_truncation(self, p):
+        ms = auto_harmonics(p)
+        doubled = physical_modes(p, 2 * ms.n_harmonics)
+        assert matched_worst(ms.quasi, doubled.quasi, p.omega) <= 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=field_params())
+    def test_field_quasienergies_continue_to_the_cubic(self, p):
+        # the shift is first order in delta, so at most about |delta|
+        weak = auto_harmonics(p.with_(delta=1e-9)).quasi
+        roots = cubic_quasienergies(p.d, p.omega, p.theta)
+        assert matched_worst(weak, roots, p.omega) <= 2e-9
 
 
 def complex_modes(p, n):

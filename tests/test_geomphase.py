@@ -18,7 +18,7 @@ from rotorspin.geomphase import (
     geometric_phases_zero_field,
     verify_gauge_sign,
 )
-from rotorspin.model import RotorParams
+from rotorspin.model import RotorParams, h_rotating
 from rotorspin.spin_algebra import SPIN, hermiticity_defect, spin1_exp
 
 RNG = np.random.default_rng(1234)
@@ -110,6 +110,21 @@ class TestGaugeOperator:
             for k in np.ndindex(ts.shape):
                 np.testing.assert_allclose(got[k], gauge_by_hand(p, ts[k]),
                                            atol=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(omega=st.floats(0.01, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+           theta=st.floats(0.0, math.pi), delta=st.floats(-2.0, 2.0),
+           phi0=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 2**32 - 1))
+    def test_rotation_adds_exactly_the_gauge_potential(self, omega, sign, theta,
+                                                        delta, phi0, seed):
+        # h_rotating minus the gauge potential is the Hamiltonian without
+        # rotation, the same at every t
+        p = RotorParams(omega=sign * omega, theta=theta, delta=delta, phi0=phi0)
+        ts = np.random.default_rng(seed).uniform(0.0, 100.0, size=7)
+        rest = h_rotating(p, ts) - gauge_operator(p, ts)
+        still = h_rotating(p.with_(omega=0.0), ts)
+        scale = p.d + abs(p.omega) + abs(p.delta)
+        assert np.abs(rest - still).max() <= 1e-14 * scale
 
     def test_axial_plus_tilted_decomposition(self):
         # the operator equals omega * (Sz - W Sz W^dagger) with W the

@@ -168,8 +168,9 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
 
     The analyzed signal is the population of whichever level of the pair
     swings the most. The frequency seed is the dominant nonzero bin of its
-    discrete spectrum, refined by a least-squares single-tone fit. Contrast
-    is the peak-to-peak swing of that population.
+    discrete spectrum, refined by a single-tone fit, least squares via the
+    3x3 normal system. Contrast is the peak-to-peak swing of that
+    population.
     """
     cols = []
     for lab in pair:
@@ -206,11 +207,18 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
     else:
         f0 = freqs[k]
 
+    # the rows 1, cos(wt), sin(wt) of the tone's basis, refilled in place
+    basis = np.ones((3, len(t)))
+
     def residual(f: float) -> float:
-        w = 2.0 * math.pi * f
-        basis = np.stack([np.ones_like(t), np.cos(w * t), np.sin(w * t)], axis=1)
-        coef, res, _, _ = np.linalg.lstsq(basis, sig, rcond=None)
-        r = sig - basis @ coef
+        # wt waits in the cos row until its sine is taken
+        wt = np.multiply(2.0 * math.pi * f, t, out=basis[1])
+        np.sin(wt, out=basis[2])
+        np.cos(wt, out=basis[1])
+        # the normal matrix by einsum: BLAS is slower at this 3 x n shape
+        gram = np.einsum("in,jn->ij", basis, basis)
+        coef = np.linalg.solve(gram, basis @ sig)
+        r = sig - coef @ basis
         return float(r @ r)
 
     df = freqs[1] - freqs[0]

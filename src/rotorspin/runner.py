@@ -286,8 +286,21 @@ _E_MIN, _E_MAX = -324, 308
 # with zero bytes
 _POW10 = np.array([f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)],
                   dtype=np.longdouble)
-_EXP_TEXT = (np.array([f"e{e}" for e in range(_E_MIN, _E_MAX + 1)], dtype="S5")
-             .view(np.uint8).reshape(-1, 5))
+_EXP_TEXT = np.array([f"e{e}" for e in range(_E_MIN, _E_MAX + 1)], dtype="S5")
+
+
+def _digit_table() -> np.ndarray:
+    """The four decimal digits of each i < 10**4, as an S4 array indexed by
+    i; built by broadcasting, which costs far less at import than formatting
+    10**4 strings."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    table = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for k in range(4):
+        table[..., k] = digits.reshape((10,) + (1,) * (3 - k))
+    return table.view("S4").reshape(10**4)
+
+
+_DIGITS = _digit_table()
 # the scaled value s < 1e13 is within eps * 1e13 of the exact
 # |x| * 10**(12 - e), eps that of _POW10's dtype (one rounding in the table,
 # one in the product); where it lies within _TIE, 8 times that, of a
@@ -324,14 +337,16 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
     e += carry
     out[:, 0] = np.signbit(x) * ord("-")
     out[:, 2] = ord(".")
-    # the digits from the last; numpy's floor division by a constant is
-    # cheap where its remainder (% or divmod) is not
-    for pos in range(14, 2, -1):
-        q = mant // 10
-        out[:, pos] = mant - q * 10 + ord("0")
+    # the 12 digits after the point as three groups of four, each one
+    # `_DIGITS` lookup written through a 4-byte view; the groups come from
+    # floor division by 10**4 (numpy's remainder, % or divmod, is slower)
+    groups = out[:, 3:15].view("S4")
+    for pos in (2, 1, 0):
+        q = mant // 10**4
+        groups[:, pos] = _DIGITS[mant - q * 10**4]
         mant = q
     out[:, 1] = mant + ord("0")
-    out[:, 15:] = _EXP_TEXT[e - _E_MIN]
+    out[:, 15:].view("S5")[:, 0] = _EXP_TEXT[e - _E_MIN]
     for i in np.flatnonzero(fallback):
         text = format_float(float(x[i])).encode()
         out[i] = 0
@@ -385,9 +400,10 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
 
     The rows are formatted by whole columns into a byte buffer and streamed
     to a temporary file a chunk of rows at a time, which then replaces
-    `path`. The digits come from integer arithmetic on each value scaled in
-    extended precision; the few values next to a rounding tie are formatted
-    by `format_float`, so every cell is exactly its `format_float` text."""
+    `path`. The digits come from each value's integer mantissa, scaled in
+    extended precision, four at a time from a table; the few values next to
+    a rounding tie are formatted by `format_float`, so every cell is exactly
+    its `format_float` text."""
     if len(ds.columns) != len(ds.header) or len({len(c) for c in ds.columns}) != 1:
         raise NumericFailureError("columns do not match the header")
     columns = ds.scaled_columns(physical_d)

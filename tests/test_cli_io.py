@@ -292,6 +292,11 @@ class TestEmitCsv:
         emit_csv(ds, str(path))
         _assert_matches_reference(path, ds, None)
 
+    def test_digit_and_exponent_tables(self):
+        assert runner._DIGITS.tolist() == [f"{i:04d}".encode() for i in range(10**4)]
+        assert runner._EXP_TEXT.tolist() == [
+            f"e{e}".encode() for e in range(runner._E_MIN, runner._E_MAX + 1)]
+
     @pytest.mark.parametrize("rows", [0, 1, runner._CHUNK_ROWS - 1,
                                       runner._CHUNK_ROWS, runner._CHUNK_ROWS + 1])
     def test_row_counts_around_a_chunk(self, tmp_path, rows):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotorspin import dynamics
 from rotorspin.dynamics import (
     MAX_TRACE_SAMPLES,
     STEPS_PER_PERIOD,
@@ -311,3 +312,39 @@ class TestRabiFit:
         trace = evolve(p, KET_0, 10.0)
         with pytest.raises(InvalidArgumentError):
             rabi_fit(trace, ("m0", "m0"))
+
+    def test_normal_system_matches_lstsq_oracle(self, monkeypatch):
+        # traces drawn as in the `dynamics` benchmark workload; the oracle
+        # runs the same Brent search on the SVD least-squares residual
+        rng = np.random.default_rng(23)
+        brent = dynamics.brent_min
+        kets = np.eye(3, dtype=complex)
+        fitted = 0
+        while fitted < 24:
+            om = rng.uniform(0.15, 0.3)
+            p = RotorParams(omega=om, theta=rng.uniform(math.pi / 200, math.pi / 50),
+                            delta=1.0 - om + rng.uniform(0.0, 0.006))
+            t_end = (rng.integers(10, 41) * 20000 - 1) * (2.0 * math.pi / om / 4096)
+            trace = evolve(p, kets[rng.integers(3)], t_end)
+            try:
+                freq, _ = rabi_fit(trace, ("m0", "m+1"))
+            except FlatTraceError:
+                continue
+            # the fitted signal: the population of m0 (column 1) or m+1
+            # (column 0), whichever swings the most
+            t, pops = trace.times, trace.populations
+            sig = pops[:, max((1, 0), key=lambda c: np.ptp(pops[:, c]))]
+
+            def lstsq_residual(f):
+                w = 2.0 * math.pi * f
+                basis = np.stack([np.ones_like(t), np.cos(w * t), np.sin(w * t)],
+                                 axis=1)
+                r = sig - basis @ np.linalg.lstsq(basis, sig, rcond=None)[0]
+                return float(r @ r)
+
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "brent_min", lambda f, a, b, xatol:
+                          brent(lstsq_residual, a, b, xatol=xatol))
+                oracle, _ = rabi_fit(trace, ("m0", "m+1"))
+            assert freq == pytest.approx(oracle, rel=1e-12, abs=0)
+            fitted += 1

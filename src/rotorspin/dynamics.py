@@ -1,7 +1,7 @@
 """Time evolution of the rotating spin state.
 
-`evolve` expands the state in the Floquet modes of the certified harmonic
-solve that the spectrum and the geometric phases use. The second route,
+`evolve` expands the state in the Floquet modes of `auto_harmonics`, the
+mode set that the spectrum and the geometric phases use. The second route,
 the oracle of the expansion, is a fixed-step fourth-order commutator-free
 exponential integrator on the frame Hamiltonian: each step is a product
 of two exact 3x3 matrix exponentials, so every step is unitary to
@@ -17,7 +17,7 @@ import numpy as np
 
 from ._brent import brent_min
 from .errors import FlatTraceError, InvalidArgumentError
-from .floquet import SPIN_INDEX, auto_harmonics, floquet_matrix, fold
+from .floquet import SPIN_INDEX, auto_harmonics, fold
 from .model import RotorParams, h_interaction, h_rotating
 from .spin_algebra import hermitian_eigensystem
 
@@ -53,7 +53,7 @@ class EvolutionTrace(NamedTuple):
     times: np.ndarray        # strictly ascending, from 0 to t_end
     states: np.ndarray       # (samples, 3) complex unit vectors
     populations: np.ndarray  # (samples, 3) in basis order (+1, 0, -1)
-    truncation: int = 0      # harmonic truncation N of the modes, 0 at omega = 0
+    truncation: int = 0      # harmonic truncation N of the modes, 0 if exact
     edge_weight: float = 0.0  # their edge weight (see ModeSet)
 
 
@@ -114,14 +114,15 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
 
     The state is the Floquet mode expansion psi(t) = sum_m a_m
     exp(-i eps_m t) sum_k c_mk exp(i k omega t) of the `auto_harmonics`
-    modes (Shirley, Phys. Rev. 138, B979, 1965), eps_m the Rayleigh quotient
-    c^H F c / c^H c of each mode's harmonic vector; at omega = 0 the modes
-    are the static eigenvectors, one harmonic each. t_end must be finite,
-    long enough for distinct sample times, and short enough that the
-    rounding of the phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad.
+    modes (Shirley, Phys. Rev. 138, B979, 1965), eps_m the eigenvalue of
+    each mode's harmonic vector; at omega = 0 the modes are the static
+    eigenvectors, one harmonic each, and at delta = 0 the exact frame modes
+    on the harmonics -1, 0, 1. t_end must be finite, long enough for
+    distinct sample times, and short enough that the rounding of the
+    phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (3,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if psi0.shape != (3,) or not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:
         raise InvalidArgumentError("psi0 must be a unit 3-vector")
     if not 0 < t_end < math.inf:
         raise InvalidArgumentError(
@@ -133,10 +134,7 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
             "distinct sample times")
 
     ms = auto_harmonics(p)
-    n = ms.n_harmonics
-    c = ms.fourier.reshape(3 * (2 * n + 1), 3)  # (harmonic x spin, mode)
-    eps = (np.einsum("im,im->m", c.conj(), floquet_matrix(p, n) @ c)
-           / np.einsum("im,im->m", c.conj(), c)).real
+    eps, n = ms.quasi, len(ms.fourier) // 2
     rounding = float(np.abs(eps).max()) * t_end * 2.0**-53
     if rounding > 1e-2:
         raise InvalidArgumentError(
@@ -160,7 +158,7 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
             "tsm,tm->ts", periodic, np.exp(-1j * np.outer(t, eps)))
     pops = np.abs(states) ** 2
     return EvolutionTrace(times=times, states=states, populations=pops,
-                          truncation=n, edge_weight=ms.edge_weight)
+                          truncation=ms.n_harmonics, edge_weight=ms.edge_weight)
 
 
 def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
@@ -179,6 +177,10 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
         cols.append(SPIN_INDEX[lab])
     if len(cols) != 2 or cols[0] == cols[1]:
         raise InvalidArgumentError("pair must name two distinct levels")
+    # the tone has 4 parameters: offset, two quadratures and frequency
+    if len(trace.times) < 5:
+        raise InvalidArgumentError(
+            f"rabi_fit needs at least 5 samples, got {len(trace.times)}")
 
     swings = [np.ptp(trace.populations[:, c]) for c in cols]
     sig = trace.populations[:, cols[int(np.argmax(swings))]]

@@ -3,12 +3,11 @@
 Without a static field the three quasi-energies are the roots of a cubic
 and come straight from the time-independent frame Hamiltonian. With a field
 the periodic drive cannot be rotated away, so the spectrum comes from a
-truncated harmonic (block-tridiagonal) matrix, folded into a window of
-width |omega| and unfolded again for plotting via the slope rule that
-connects each branch to its zero-rotation eigenvalue. The matrix is real
-symmetric at phi0 = 0 and one solve there serves every phi0, which only
-phases the harmonic blocks of the eigenvectors, so the quasi-energies do
-not depend on phi0.
+truncated harmonic (block-tridiagonal) matrix, defined modulo |omega| and
+unfolded for plotting via the slope rule that connects each branch to its
+zero-rotation eigenvalue. The matrix is real symmetric at phi0 = 0 and one
+solve there serves every phi0, which only phases the harmonic blocks of the
+eigenvectors, so the quasi-energies do not depend on phi0.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def fold(x, omega: float):
 
 
 def _circ_dist(a: float, b: float, width: float) -> float:
-    """Distance between two quasi-energies modulo the folding width, or the
-    plain distance when the width is 0 (values not folded)."""
+    """Distance between two quasi-energies modulo the spacing `width` of
+    their copies, or the plain distance when the width is 0 (no copies)."""
     if width == 0:
         return abs(a - b)
     d = (a - b) % width
@@ -133,21 +132,16 @@ def _assign_labels(weights: np.ndarray) -> dict[str, int]:
 
 
 def quasienergies_zero_field(p: RotorParams):
-    """Labeled (quasi-energy, frame eigenvector) triples at zero field.
-
-    Quasi-energies come from the cubic; eigenvectors from the numeric
-    diagonalization, paired in their common ascending order. Labels follow
-    the spin character so each branch connects to its slow-rotation parent
-    level.
+    """Labeled (quasi-energy, frame eigenvector) triples at zero field: the
+    exact `auto_harmonics` modes, labeled by spin character so each branch
+    connects to its slow-rotation parent level.
     """
     if p.delta != 0:
         raise InvalidArgumentError("quasienergies_zero_field requires delta = 0")
-    # the cubic first: it refuses an |omega| whose frame matrix overflows
-    lams = cubic_quasienergies(p.d, p.omega, p.theta)
-    es = hermitian_eigensystem(h_interaction(p))
-    weights = np.abs(es.vectors.T) ** 2  # (mode, spin)
-    idx = _assign_labels(weights)
-    return [(lab, float(lams[idx[lab]]), es.vectors[:, idx[lab]].copy()) for lab in LABELS]
+    ms = auto_harmonics(p)
+    idx = _assign_labels(ms.weights)
+    return [(lab, float(ms.quasi[idx[lab]]), ms.mode0[:, idx[lab]].copy())
+            for lab in LABELS]
 
 
 def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
@@ -180,11 +174,11 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
 class ModeSet(NamedTuple):
     """The three physical drive modes at one parameter point."""
 
-    quasi: np.ndarray        # folded quasi-energies (static at omega = 0)
-    fourier: np.ndarray      # (2N+1, 3, modes) harmonic coefficients
+    quasi: np.ndarray        # the eigenvalue of each mode's harmonic vector
+    fourier: np.ndarray      # (blocks, 3, modes), blocks centred on k = 0
     weights: np.ndarray      # (modes, 3) time-averaged spin weights
     mode0: np.ndarray        # (3, modes) normalized state at t = 0
-    n_harmonics: int
+    n_harmonics: int         # truncation N, 0 wherever the modes are exact
     edge_weight: float       # largest weight of a mode on the blocks k = +-N
 
 
@@ -196,7 +190,8 @@ def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
     phi0 only shifts the time origin: F(phi0) = D F(0) D^H with D the
     phase e^{ik phi0} on harmonic block k, so the eigenvalues serve every
     phi0 and block k of each eigenvector takes that phase, with phi0 reduced
-    to (-pi, pi] as the drive amplitude sees it.
+    to (-pi, pi] as the drive amplitude sees it. Each quasi-energy is the
+    Rayleigh quotient v^T F v / v^T v of its picked eigenvector v, unfolded.
     """
     n = int(n_harmonics)
     f = floquet_matrix(p.with_(phi0=0.0), n).real
@@ -232,7 +227,8 @@ def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
             "could not isolate three distinct drive modes; raise the truncation"
         )
     pick = np.array(pick)
-    quasi = fold(vals[pick], p.omega)
+    v = vecs[:, pick]
+    quasi = np.einsum("im,im->m", v, f @ v) / np.einsum("im,im->m", v, v)
     fourier = blocks[:, :, pick]
     weights = (np.abs(fourier) ** 2).sum(axis=0).T  # (mode, spin)
     weights = weights / weights.sum(axis=1, keepdims=True)
@@ -255,12 +251,20 @@ def auto_harmonics(p: RotorParams) -> ModeSet:
     """Drive modes at the first truncation N = 12, 24, 48, ... at which
     each of the three picked modes puts at most 1e-14 of its weight on the
     edge blocks k = +-N; `edge_weight` of the result is that certificate.
-    Without drive, at omega = 0, the static eigensystem is the exact N = 0
-    mode set, with edge weight 0 and unfolded quasi-energies."""
+    The modes are exact, with n_harmonics 0 and edge weight 0, at omega = 0
+    (the static eigensystem, one harmonic each) and at delta = 0 (the cubic
+    roots and `h_interaction` eigenvectors, spin m on harmonic -m)."""
     if p.omega == 0:
         es = hermitian_eigensystem(static_part(p))
         return ModeSet(quasi=es.values, fourier=es.vectors[None],
                        weights=(np.abs(es.vectors) ** 2).T, mode0=es.vectors,
+                       n_harmonics=0, edge_weight=0.0)
+    if p.delta == 0:
+        # the cubic first: it refuses an |omega| whose frame matrix overflows
+        quasi = cubic_quasienergies(p.d, p.omega, p.theta)
+        v = hermitian_eigensystem(h_interaction(p)).vectors
+        return ModeSet(quasi=quasi, fourier=np.eye(3)[:, :, None] * v,
+                       weights=(np.abs(v) ** 2).T, mode0=v,
                        n_harmonics=0, edge_weight=0.0)
     n = _N_START
     while n <= _N_MAX:
@@ -293,23 +297,6 @@ class QuasiSpectrum(NamedTuple):
         raise KeyError(label)
 
 
-def _point_modes(p: RotorParams):
-    """Quasi-energies, t=0 states and spin weights at one point.
-
-    Returns (values, mode0 (3, modes), weights (modes, 3), width, ms): width
-    is the folding width |omega| of the values, 0 where they are not folded,
-    and ms the ModeSet they came from, None for the zero-field closed form.
-    """
-    if p.delta == 0 and p.omega != 0:
-        triples = quasienergies_zero_field(p)
-        lams = np.array([t[1] for t in triples])
-        mode0 = np.stack([t[2] for t in triples], axis=1)
-        weights = (np.abs(mode0) ** 2).T
-        return lams, mode0, weights, 0.0, None
-    ms = auto_harmonics(p)
-    return ms.quasi, ms.mode0, ms.weights, abs(p.omega), ms
-
-
 def _slope_targets(p: RotorParams) -> np.ndarray:
     """Unfolded representative targets in LABELS order: static-level value
     plus the slope-rule harmonic shift for each branch."""
@@ -328,9 +315,9 @@ def quasienergy_spectrum(
 
     Branches are tracked from point to point by maximal overlap of the
     t = 0 states. In a sweep with a field (along delta, or at delta != 0)
-    every point with omega != 0 is unfolded by one rule, the zero-field
-    closed form at delta = 0 included: a branch's distance from its
-    slope-rule target stays continuous, so it takes the copy nearest its
+    every point with omega != 0 is unfolded by one rule, the exact modes at
+    delta = 0 included: a branch's distance from its slope-rule target
+    stays continuous, so it takes the copy nearest its
     target plus its offset from the target at the previous unfolded point
     (nearest the target itself at the first). The curves reproduce the
     familiar fan of levels emanating from the zero-rotation eigenvalues.
@@ -345,7 +332,7 @@ def quasienergy_spectrum(
     if np.any(np.diff(values) <= 0):
         raise InvalidArgumentError("axis values must be strictly ascending")
     if axis == "omega" and p_template.delta != 0 and values[0] <= 0 <= values[-1]:
-        # the copy spacing |omega| of the folded values shrinks to 0 there,
+        # the copy spacing |omega| of the quasi-energies shrinks to 0 there,
         # so the unfolded copy a branch continues to would depend on the grid
         raise TrackingError(
             "a field sweep along omega cannot reach or cross omega = 0; "
@@ -363,25 +350,24 @@ def quasienergy_spectrum(
     n_max, edge_max, overlap_min = 0, 0.0, 1.0
     for i, x in enumerate(values):
         p = p_template.with_(**{axis: float(x)})
-        folded, m0, weights, _, ms = _point_modes(p)
+        ms = auto_harmonics(p)
         width = abs(p.omega) if field else 0.0  # delta = 0 points as well
-        if ms is not None:
-            n_max = max(n_max, ms.n_harmonics)
-            edge_max = max(edge_max, ms.edge_weight)
+        n_max = max(n_max, ms.n_harmonics)
+        edge_max = max(edge_max, ms.edge_weight)
         if i == 0:
             # refuse to start labeling inside an avoided crossing: branches
             # must be separable either by energy or by near-pure spin character
-            gap = min(_circ_dist(folded[a], folded[b], width)
+            gap = min(_circ_dist(ms.quasi[a], ms.quasi[b], width)
                       for a, b in ((0, 1), (0, 2), (1, 2)))
-            if gap < 1e-6 * p_template.d and weights.max(axis=1).min() < 0.99:
+            if gap < 1e-6 * p_template.d and ms.weights.max(axis=1).min() < 0.99:
                 raise TrackingError(
                     "sweep starts inside a gap: branches not separable at the "
                     "first point"
                 )
-            idx = _assign_labels(weights)
+            idx = _assign_labels(ms.weights)
             perm = [idx[lab] for lab in LABELS]
         else:
-            overlap = np.abs(modes[i - 1].conj() @ m0)  # (branch, mode)
+            overlap = np.abs(modes[i - 1].conj() @ ms.mode0)  # (branch, mode)
             perm = _best_permutation(overlap)
             worst = overlap[np.arange(3), perm].min()
             overlap_min = min(overlap_min, float(worst))
@@ -390,8 +376,8 @@ def quasienergy_spectrum(
                     f"branch tracking lost between {axis} = {values[i-1]:.6g} "
                     f"and {x:.6g} (max overlap {worst:.3f}); use a finer grid"
                 )
-        reps[i] = folded[perm]
-        modes[i] = m0[:, perm].T
+        reps[i] = ms.quasi[perm]
+        modes[i] = ms.mode0[:, perm].T
         if width:
             target = _slope_targets(p)
             reps[i] += np.round((target + offset - reps[i]) / width) * width
@@ -433,16 +419,17 @@ def _pair_members(p: RotorParams,
     min(weight_i, weight_j) peaks (with a corner) where that member is an
     equal superposition of the crossing levels.
     """
-    folded, _, weights, width, _ = _point_modes(p)
+    ms = auto_harmonics(p)
+    width = abs(p.omega) if p.delta else 0.0
     i, j = SPIN_INDEX[pair[0]], SPIN_INDEX[pair[1]]
     spec_spin = ({0, 1, 2} - {i, j}).pop()
-    spectator = int(np.argmax(weights[:, spec_spin]))
+    spectator = int(np.argmax(ms.weights[:, spec_spin]))
     a, b = (k for k in range(3) if k != spectator)
-    sep = _circ_dist(folded[a], folded[b], width)
-    rise = folded[b] - folded[a]
+    sep = _circ_dist(ms.quasi[a], ms.quasi[b], width)
+    rise = ms.quasi[b] - ms.quasi[a]
     b_above = rise % width <= width / 2 if width else rise >= 0
     members = [a, b] if b_above else [b, a]
-    return sep, weights[np.ix_(members, [i, j])]
+    return sep, ms.weights[np.ix_(members, [i, j])]
 
 
 def _strongest_equal_mixing(members, xs, xtol: float):

@@ -79,8 +79,10 @@ def spin1_exp(axis, angle: float) -> np.ndarray:
     A = n.S, which is exact for spin 1 because A^3 = A when |n| = 1.
     """
     n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-12:
+    if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-12:
         raise InvalidArgumentError("axis must be a unit 3-vector (|n| = 1 to 1e-12)")
+    if not math.isfinite(angle):
+        raise InvalidArgumentError(f"angle must be finite, got {angle!r}")
     a = n[0] * SPIN.sx + n[1] * SPIN.sy + n[2] * SPIN.sz
     return IDENTITY - 1j * np.sin(angle) * a + (np.cos(angle) - 1.0) * (a @ a)
 
@@ -105,10 +107,10 @@ def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
     if not math.isfinite(2.0 * len(a) * scale):
         raise NumericFailureError(
             f"matrix entry of magnitude {scale:.3g} leaves no float64 headroom")
-    if hermiticity_defect(a) > 1e-12 * scale:
-        raise InvalidArgumentError(
-            f"matrix is not Hermitian (defect {hermiticity_defect(a):.3e})"
-        )
+    # written so that a NaN entry, whose defect is NaN, fails the check
+    defect = hermiticity_defect(a)
+    if not defect <= 1e-12 * scale:
+        raise InvalidArgumentError(f"matrix is not Hermitian (defect {defect:.3e})")
     values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
     residual = float(np.abs(a @ vectors - vectors * values[None, :]).max())
     if residual > 1e-9 * scale:

@@ -799,14 +799,20 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
+    @pytest.mark.parametrize("mode", ["spectrum", "geomphase", "evolve"])
     def test_zero_field_cubic_overflow_exits_3(self, mode, tmp_path, capsys):
         # omega**6 passes the float64 range between 1e51 and 1e52
         out = tmp_path / "x.csv"
         argv = [mode, "--theta", "0.3", "--delta", "0", "--output", str(out)]
-        assert main(argv + ["--axis", "omega:1:1e51:2"]) == 0
+
+        def at(omega):
+            if mode == "evolve":
+                return ["--omega", omega]
+            return ["--axis", f"omega:1:{omega}:2"]
+
+        assert main(argv + at("1e51")) == 0
         capsys.readouterr()
-        assert main(argv + ["--axis", "omega:1:1e52:2"]) == 3
+        assert main(argv + at("1e52")) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: zero-field cubic overflows at "
                               "omega = 1e+52")
@@ -815,8 +821,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",
           "--axis", "theta:0:1:3"], "harmonic matrix at N = 12 overflows"),
-        (["evolve", "--theta", "0.3", "--omega", "1e308", "--t-end",
-          "1e-300"], "harmonic matrix at N = 12 overflows"),
+        (["evolve", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",
+          "--t-end", "1e-300"], "harmonic matrix at N = 12 overflows"),
         (["resonance", "--theta", "0.02", "--omega", "1e308"],
          "no resonant field"),
     ], ids=["spectrum", "evolve", "resonance"])
@@ -927,16 +933,17 @@ class TestCli:
 
     def test_evolve_records_its_resolution(self, tmp_path):
         # the truncation of the harmonic solve, and nothing of the stepper;
-        # without rotation there is neither
+        # the exact modes without a field or without rotation have neither
         texts = []
-        for omega in ("0.2", "0"):
-            out = tmp_path / f"e{omega}.csv"
+        for omega, delta in (("0.2", "0.3"), ("0.2", "0"), ("0", "0.3")):
+            out = tmp_path / f"e{omega}_{delta}.csv"
             assert main(["evolve", "--omega", omega, "--theta", "0.03",
-                         "--psi0", "0", "--t-end", "50",
+                         "--delta", delta, "--psi0", "0", "--t-end", "50",
                          "--output", str(out)]) == 0
             texts.append(out.read_text())
         assert "# harmonics_n_max=12\n# harmonics_edge_weight_max=" in texts[0]
         assert "# harmonics_" not in texts[1]
+        assert "# harmonics_" not in texts[2]
         for text in texts:
             for key in ("unitarity_drift_per_period", "steps_per_period",
                         "step_phase"):

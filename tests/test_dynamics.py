@@ -176,12 +176,14 @@ class TestEvolve:
             evolve(p, KET_0, t_end)
 
     def test_phase_rounding_bounds_t_end(self):
-        # max |eps_m| is about 1 here, so t_end * 2**-53 reaches 1e-2 rad
-        # near 9.0e13
+        # max |eps_m| here is the largest cubic root, the m-1 level
+        # d + omega cos(theta) + O(theta^2) = 1.19992, so the rounding
+        # max |eps_m| t_end 2**-53 reaches 1e-2 rad at
+        # 1e-2 * 2**53 / 1.19992 = 7.506e13
         p = RotorParams(omega=0.2, theta=0.03)
-        assert evolve(p, KET_0, 8.9e13).times[-1] == 8.9e13
+        assert evolve(p, KET_0, 7.4e13).times[-1] == 7.4e13
         with pytest.raises(InvalidArgumentError, match="rounds the mode phases"):
-            evolve(p, KET_0, 9.1e13)
+            evolve(p, KET_0, 7.6e13)
 
     def test_rejects_bad_state(self):
         p = RotorParams(omega=1.0, theta=0.3)
@@ -206,11 +208,13 @@ class TestFloquetOracle:
         # stepper's period propagators, applied period by period
         rng = np.random.default_rng(11)
         worst = 0.0
-        for sign in (1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0):
+        # the last four points have no field: evolve reads the exact frame
+        # modes there, the stepper integrates the same frame Hamiltonian
+        for i, sign in enumerate((1.0, -1.0) * 6):
             p = RotorParams(omega=sign * float(rng.uniform(0.3, 1.5)),
                             theta=float(rng.uniform(0.0, math.pi)),
                             phi0=float(rng.uniform(0.0, 2 * math.pi)),
-                            delta=float(rng.uniform(0.1, 0.8)))
+                            delta=float(rng.uniform(0.1, 0.8)) if i < 8 else 0.0)
             psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
             psi0 /= np.linalg.norm(psi0)
             trace = evolve(p, psi0, on_stepper_grid(p, STEPS_PER_PERIOD, 4))
@@ -312,6 +316,22 @@ class TestRabiFit:
         trace = evolve(p, KET_0, 10.0)
         with pytest.raises(InvalidArgumentError):
             rabi_fit(trace, ("m0", "m0"))
+
+    @pytest.mark.parametrize("samples", [3, 4, 5])
+    def test_refuses_fewer_samples_than_five(self, samples):
+        # the tone has 4 parameters (offset, two quadratures, frequency);
+        # 3 samples fit every frequency exactly, so a fit there is arbitrary
+        t = np.arange(float(samples))
+        pop = np.cos(1.885 * t / 2.0) ** 2
+        pops = np.stack([1.0 - pop, pop, np.zeros(samples)], axis=1)
+        trace = dynamics.EvolutionTrace(times=t, states=np.sqrt(pops) + 0j,
+                                        populations=pops)
+        if samples < 5:
+            with pytest.raises(InvalidArgumentError, match="at least 5 samples"):
+                rabi_fit(trace, ("m0", "m+1"))
+        else:
+            freq, _ = rabi_fit(trace, ("m0", "m+1"))
+            assert freq == pytest.approx(1.885, abs=1e-6)
 
     def test_normal_system_matches_lstsq_oracle(self, monkeypatch):
         # traces drawn as in the `dynamics` benchmark workload; the oracle

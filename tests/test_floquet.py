@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
-from rotorspin import dynamics, floquet
+from rotorspin import dynamics, floquet, geomphase
 from rotorspin.cli import main
 from rotorspin.errors import (InvalidArgumentError, NoCrossingError,
                               NumericFailureError, TrackingError)
@@ -256,6 +256,61 @@ class TestAutoHarmonics:
         assert worst_picked <= 1e-12
 
 
+class TestZeroFieldModes:
+    """Without a field `auto_harmonics` returns the exact frame modes: the
+    cubic roots, the `h_interaction` eigenvectors and no harmonic matrix."""
+
+    def test_match_a_24_harmonic_solve(self, monkeypatch):
+        # 40 points: |omega| log-uniform in [0.01, 3] of both signs, theta in
+        # [0, pi], d in [0.5, 2], phi0 in [-5, 5]
+        rng = np.random.default_rng(2024)
+        worst = {"quasi": 0.0, "weights": 0.0, "gamma": 0.0}
+        for _ in range(40):
+            p = RotorParams(
+                omega=float(rng.choice([-1.0, 1.0])
+                            * 10 ** rng.uniform(-2.0, math.log10(3.0))),
+                theta=float(rng.uniform(0.0, math.pi)),
+                d=float(rng.uniform(0.5, 2.0)),
+                phi0=float(rng.uniform(-5.0, 5.0)))
+            exact, ref = auto_harmonics(p), physical_modes(p, 24)
+            assert (exact.n_harmonics, exact.edge_weight) == (0, 0.0)
+            for m in range(3):
+                dist = [fold_dist(exact.quasi[m], q, p.omega) for q in ref.quasi]
+                r = int(np.argmin(dist))
+                worst["quasi"] = max(worst["quasi"], dist[r])
+                worst["weights"] = max(worst["weights"], np.abs(
+                    exact.weights[m] - ref.weights[r]).max())
+            got = geomphase.geometric_phases_with_field(p).gamma
+            with monkeypatch.context() as mp:
+                mp.setattr(geomphase, "auto_harmonics",
+                           lambda q: physical_modes(q, 24))
+                want = geomphase.geometric_phases_with_field(p).gamma
+            worst["gamma"] = max(worst["gamma"],
+                                 max(abs(got[lab] - want[lab]) for lab in LABELS))
+        assert worst["quasi"] <= 1e-13, worst
+        assert worst["weights"] <= 1e-12, worst
+        assert worst["gamma"] <= 1e-10, worst
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--theta", "0.3", "--delta", "0", "--axis", "omega:0:1.2:9"],
+        ["geomphase", "--theta", "0.3", "--delta", "0", "--axis", "omega:0.5:1:5"],
+        ["evolve", "--omega", "0.7", "--theta", "0.3", "--delta", "0",
+         "--t-end", "10"],
+    ])
+    def test_zero_field_runs_solve_no_harmonic_matrix(self, monkeypatch,
+                                                      tmp_path, argv):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+        assert shapes and all(max(s[-2:]) <= 3 for s in shapes), shapes
+
+
 def matched_worst(got, ref, omega):
     """Largest folded distance between the three values of `got` and of
     `ref` under the pairing that makes it least."""
@@ -280,9 +335,23 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(p=field_params())
     def test_quasienergies_independent_of_truncation(self, p):
+        # at delta = 0 the exact modes (N = 0) against a truncated solve
         ms = auto_harmonics(p)
-        doubled = physical_modes(p, 2 * ms.n_harmonics)
+        doubled = physical_modes(p, 2 * (ms.n_harmonics or 12))
         assert matched_worst(ms.quasi, doubled.quasi, p.omega) <= 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=field_params(), kind=st.sampled_from(["field", "delta=0", "omega=0"]))
+    def test_each_mode_is_an_eigenvector_of_its_quasienergy(self, p, kind):
+        # F at the set's own block count: N = 0 at omega = 0, the blocks
+        # k = -1, 0, 1 of the exact modes at delta = 0
+        p = {"field": p, "delta=0": p.with_(delta=0.0),
+             "omega=0": p.with_(omega=0.0)}[kind]
+        ms = auto_harmonics(p)
+        n = len(ms.fourier) // 2
+        c = ms.fourier.reshape(3 * (2 * n + 1), 3)
+        residual = np.linalg.norm(floquet_matrix(p, n) @ c - c * ms.quasi, axis=0)
+        assert residual.max() <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(p=field_params())
@@ -311,7 +380,7 @@ def complex_modes(p, n):
     fourier = blocks[:, :, pick]
     weights = (np.abs(fourier) ** 2).sum(axis=0).T
     mode0 = fourier.sum(axis=0)
-    return ModeSet(quasi=fold(vals[pick], p.omega), fourier=fourier,
+    return ModeSet(quasi=vals[pick], fourier=fourier,
                    weights=weights / weights.sum(axis=1, keepdims=True),
                    mode0=mode0 / np.linalg.norm(mode0, axis=0),
                    n_harmonics=n,

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotorspin.dynamics import evolve
 from rotorspin.errors import InvalidArgumentError
+from rotorspin.model import RotorParams
 from rotorspin.spin_algebra import (
     SPIN,
     hermitian_eigensystem,
@@ -157,3 +159,19 @@ class TestEigensystem:
     def test_hermiticity_defect_reports_asymmetry(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert hermiticity_defect(a) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve(RotorParams(omega=0.2, theta=0.3), [math.nan, 0.0, 0.0], 10.0),
+    lambda: spin1_exp([math.nan, 0.0, 0.0], 0.3),
+    lambda: spin1_exp([1.0, 0.0, 0.0], math.nan),
+    lambda: spin1_exp([1.0, 0.0, 0.0], math.inf),
+    lambda: hermitian_eigensystem(np.diag([1.0, math.nan, 0.0])),
+    lambda: hermitian_eigensystem(np.array([[0.0, math.nan], [math.nan, 0.0]])),
+], ids=["evolve-psi0", "spin1_exp-axis", "spin1_exp-angle", "spin1_exp-inf-angle",
+        "eigensystem-diagonal", "eigensystem-off-diagonal"])
+def test_nan_input_is_refused(call):
+    # a comparison with NaN is false, so each check is written to pass only
+    # a value it accepts
+    with pytest.raises(InvalidArgumentError):
+        call()

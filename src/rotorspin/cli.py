@@ -127,7 +127,8 @@ def _merge_config(command: str, flags: dict[str, str]):
 
 def _selftest() -> int:
     from .dynamics import monodromy, propagator_zero_field
-    from .floquet import auto_harmonics, cubic_quasienergies, fold
+    from .floquet import (EDGE_WEIGHT_LEVELS, auto_harmonics,
+                          cubic_quasienergies, fold)
     from .geomphase import verify_gauge_sign
     from .model import RotorParams, h_interaction
     from .sensing import resonant_field
@@ -156,7 +157,7 @@ def _selftest() -> int:
 
     p = RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803)
     _, lam_m = monodromy(p)
-    modes = auto_harmonics(p)
+    modes = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
     lam_f = np.sort(fold(modes.quasi, p.omega))
     dev = float(np.abs(np.sort(fold(lam_m, p.omega)) - lam_f).max())
     check("monodromy vs harmonic matrix", dev < 1e-8,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._brent import brent_min
 from .errors import FlatTraceError, InvalidArgumentError
-from .floquet import SPIN_INDEX, auto_harmonics, fold
+from .floquet import EDGE_WEIGHT_STATES, SPIN_INDEX, auto_harmonics, fold
 from .model import RotorParams, h_interaction, h_rotating
 from .spin_algebra import hermitian_eigensystem
 
@@ -133,7 +133,7 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
             f"t_end = {t_end:.6g} is too short for {MAX_TRACE_SAMPLES} "
             "distinct sample times")
 
-    ms = auto_harmonics(p)
+    ms = auto_harmonics(p, EDGE_WEIGHT_STATES)
     eps, n = ms.quasi, len(ms.fourier) // 2
     rounding = float(np.abs(eps).max()) * t_end * 2.0**-53
     if rounding > 1e-2:

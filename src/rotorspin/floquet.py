@@ -7,7 +7,11 @@ truncated harmonic (block-tridiagonal) matrix, defined modulo |omega| and
 unfolded for plotting via the slope rule that connects each branch to its
 zero-rotation eigenvalue. The matrix is real symmetric at phi0 = 0 and one
 solve there serves every phi0, which only phases the harmonic blocks of the
-eigenvectors, so the quasi-energies do not depend on phi0.
+eigenvectors, so the quasi-energies do not depend on phi0. The truncation
+N starts where the Bessel estimate of the edge weight for the tilt asks and
+doubles until the solve certifies the bound its output needs: an edge
+weight of 1e-14 for quasi-energies and time-averaged weights, 1e-28 (an
+edge amplitude of 1e-14) for states and phases read along the period.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
     "floquet_matrix",
     "auto_harmonics",
     "physical_modes",
+    "EDGE_WEIGHT_LEVELS",
+    "EDGE_WEIGHT_STATES",
     "quasienergy_spectrum",
     "avoided_crossing",
     "fold",
@@ -78,8 +84,9 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     """Three real quasi-energies at zero field, ascending.
 
     Solves the characteristic cubic of the frame Hamiltonian with the
-    trigonometric method for three real roots; near-degenerate cases fall
-    back to the numeric eigensolver for robustness.
+    trigonometric method for three real roots, each refined by two Newton
+    steps; near-degenerate cases fall back to the numeric eigensolver for
+    robustness.
     """
     params = RotorParams(d=d, omega=omega, theta=theta)  # validates the inputs
     b = -2.0 * d
@@ -105,6 +112,23 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     # nearest zero; the product of the three roots, -e, gives it back
     k = int(np.argmin(np.abs(roots)))
     roots[k] = -e / (roots[k - 1] * roots[k - 2]) if e else 0.0
+    # next to a double root acos loses half the digits of the pair (1e-5
+    # relative at a spacing of 1e-6); two Newton steps on the monic cubic
+    # restore them. Its double roots lie at 0 (|omega| = d) and d (omega =
+    # 0), so each root is refined in the cubic written about the nearer of
+    # the two, where its terms are small: x^3 + b x^2 + c x + e, and with
+    # y = x - d, y^3 + d y^2 - omega^2 y - omega^2 d cos^2 theta
+    about = {0.0: (b, c, e), d: (d, -omega * omega,
+                                 -omega * omega * d * math.cos(theta) ** 2)}
+    for k, x in enumerate(roots.tolist()):
+        shift = 0.0 if abs(x) <= abs(x - d) else d
+        c2, c1, c0 = about[shift]
+        y = x - shift
+        for _ in range(2):
+            slope = (3.0 * y + 2.0 * c2) * y + c1
+            if slope:
+                y -= (((y + c2) * y + c1) * y + c0) / slope
+        roots[k] = y + shift
     return np.sort(roots)
 
 
@@ -239,21 +263,42 @@ def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
                    n_harmonics=n, edge_weight=float(edge))
 
 
-# the drive over the harmonic spacing is sin(theta) / 2 <= 1/2 at any omega,
-# so harmonic weights fall off like a Bessel series (Shirley, Phys. Rev. 138,
-# B979, 1965) and one start serves every omega
-_N_START = 12
+#: edge-weight bound of outputs read from quasi-energies and time-averaged
+#: spin weights, whose truncation error is second order in the edge amplitude
+EDGE_WEIGHT_LEVELS = 1e-14
+#: edge-weight bound of outputs read from the mode vectors along the period,
+#: whose error is first order in it: an edge amplitude of at most 1e-14
+EDGE_WEIGHT_STATES = 1e-28
 _N_MAX = 512
-_EDGE_WEIGHT_MAX = 1e-14
 
 
-def auto_harmonics(p: RotorParams) -> ModeSet:
-    """Drive modes at the first truncation N = 12, 24, 48, ... at which
-    each of the three picked modes puts at most 1e-14 of its weight on the
-    edge blocks k = +-N; `edge_weight` of the result is that certificate.
+def _n_start(theta: float, edge_weight_max: float) -> int:
+    """Smallest N >= 1 with ((sin(theta) / 2)^N / N!)^2 <= edge_weight_max /
+    100. The drive over the harmonic spacing is sin(theta) / 2 <= 1/2 at any
+    omega, so harmonic weights fall off like a Bessel series (Shirley, Phys.
+    Rev. 138, B979, 1965); this is that estimate of the weight at k = +-N."""
+    x = math.sin(theta) / 2.0
+    n, amplitude = 1, x
+    while amplitude * amplitude > edge_weight_max / 100.0:
+        n += 1
+        amplitude *= x / n
+    return n
+
+
+def auto_harmonics(p: RotorParams,
+                   edge_weight_max: float = EDGE_WEIGHT_LEVELS) -> ModeSet:
+    """Drive modes at the first truncation N, 2N, 4N, ... (up to 512) at
+    which each of the three picked modes puts at most `edge_weight_max` of
+    its weight on the edge blocks k = +-N; `edge_weight` of the result is
+    that certificate. N starts at the Bessel estimate of `_n_start`. Callers
+    pass EDGE_WEIGHT_LEVELS for quasi-energies and time-averaged weights,
+    EDGE_WEIGHT_STATES for anything read from the modes along the period.
     The modes are exact, with n_harmonics 0 and edge weight 0, at omega = 0
     (the static eigensystem, one harmonic each) and at delta = 0 (the cubic
     roots and `h_interaction` eigenvectors, spin m on harmonic -m)."""
+    if not 0.0 < edge_weight_max < 1.0:
+        raise InvalidArgumentError(
+            f"edge_weight_max must lie in (0, 1), got {edge_weight_max!r}")
     if p.omega == 0:
         es = hermitian_eigensystem(static_part(p))
         return ModeSet(quasi=es.values, fourier=es.vectors[None],
@@ -266,10 +311,10 @@ def auto_harmonics(p: RotorParams) -> ModeSet:
         return ModeSet(quasi=quasi, fourier=np.eye(3)[:, :, None] * v,
                        weights=(np.abs(v) ** 2).T, mode0=v,
                        n_harmonics=0, edge_weight=0.0)
-    n = _N_START
+    n = _n_start(p.theta, edge_weight_max)
     while n <= _N_MAX:
         modes = physical_modes(p, n)
-        if modes.edge_weight <= _EDGE_WEIGHT_MAX:
+        if modes.edge_weight <= edge_weight_max:
             return modes
         n *= 2
     raise NumericFailureError(
@@ -350,7 +395,7 @@ def quasienergy_spectrum(
     n_max, edge_max, overlap_min = 0, 0.0, 1.0
     for i, x in enumerate(values):
         p = p_template.with_(**{axis: float(x)})
-        ms = auto_harmonics(p)
+        ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
         width = abs(p.omega) if field else 0.0  # delta = 0 points as well
         n_max = max(n_max, ms.n_harmonics)
         edge_max = max(edge_max, ms.edge_weight)
@@ -419,7 +464,7 @@ def _pair_members(p: RotorParams,
     min(weight_i, weight_j) peaks (with a corner) where that member is an
     equal superposition of the crossing levels.
     """
-    ms = auto_harmonics(p)
+    ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
     width = abs(p.omega) if p.delta else 0.0
     i, j = SPIN_INDEX[pair[0]], SPIN_INDEX[pair[1]]
     spec_spin = ({0, 1, 2} - {i, j}).pop()

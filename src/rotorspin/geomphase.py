@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InvalidArgumentError, NumericFailureError
 from .floquet import (
+    EDGE_WEIGHT_STATES,
     LABELS,
     _assign_labels,
     _circ_dist,
@@ -110,7 +111,7 @@ def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
     the closed form, so reversing the rotation direction flips the phases.
     """
     t_signed = math.copysign(p.period, p.omega)
-    ms = auto_harmonics(p)
+    ms = auto_harmonics(p, EDGE_WEIGHT_STATES)
     idx = _assign_labels(ms.weights)
     for i, a in enumerate(LABELS):
         for b in LABELS[i + 1:]:

@@ -25,7 +25,8 @@ from .config import SweepConfig, format_value
 from .dynamics import evolve, rabi_fit
 from .errors import (ConfigError, FlatTraceError, InvalidArgumentError,
                      NumericFailureError, RotorSpinError)
-from .floquet import LABELS, quasienergy_spectrum
+from .floquet import (EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES, LABELS,
+                      quasienergy_spectrum)
 from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
 from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
@@ -126,7 +127,7 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
         columns=[values, *lam.T, flags],
         kinds=[_AXIS_KINDS[cfg.axis.name], _FREQ, _FREQ, _FREQ, _PLAIN],
-        provenance={**_truncation([spec]), "tracking_overlap_min":
+        provenance={**_truncation([spec], EDGE_WEIGHT_LEVELS), "tracking_overlap_min":
                     f"{spec.tracking_overlap_min:.6f}"},
     )
 
@@ -156,7 +157,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
                 "re_a_minus1", "im_a_minus1"],
         columns=[trace.times, *trace.populations.T, *trace.states.view(float).T],
         kinds=[_TIME] + [_PLAIN] * 9,
-        provenance=_truncation([trace]),
+        provenance=_truncation([trace], EDGE_WEIGHT_STATES),
     )
     norms = np.linalg.norm(trace.states, axis=1)
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
@@ -191,18 +192,20 @@ def _run_geomphase(cfg: SweepConfig) -> Dataset:
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
         columns=[values, *np.transpose([s.as_tuple() for s in sets])],
         kinds=[_AXIS_KINDS[cfg.axis.name], _PLAIN, _PLAIN, _PLAIN],
-        provenance=_truncation(sets),
+        provenance=_truncation(sets, EDGE_WEIGHT_STATES),
     )
 
 
-def _truncation(results) -> dict:
-    """The largest harmonic truncation and edge weight among `results`, as
-    provenance; nothing for a run without a harmonic solve."""
+def _truncation(results, edge_weight_bound: float) -> dict:
+    """The largest harmonic truncation and edge weight among `results`, and
+    the edge-weight bound their solves certified, as provenance; nothing
+    for a run without a harmonic solve."""
     n_max = max(r.truncation for r in results)
     if n_max == 0:
         return {}
     return {"harmonics_n_max": str(n_max), "harmonics_edge_weight_max":
-            f"{max(r.edge_weight for r in results):.3e}"}
+            f"{max(r.edge_weight for r in results):.3e}",
+            "harmonics_edge_weight_bound": f"{edge_weight_bound:.0e}"}
 
 
 def _run_resonance(cfg: SweepConfig) -> Dataset:

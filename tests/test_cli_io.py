@@ -16,7 +16,8 @@ from rotorspin.cli import main
 from rotorspin.config import (AXIS_NAMES, MODES, AxisSpec, SweepConfig,
                               parse_config, serialize)
 from rotorspin.errors import ConfigError, NumericFailureError
-from rotorspin.floquet import LABELS, auto_harmonics, quasienergy_spectrum
+from rotorspin.floquet import (EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES, LABELS,
+                               auto_harmonics, quasienergy_spectrum)
 from rotorspin.model import RotorParams
 from rotorspin.runner import Dataset, emit_csv, format_float, run
 
@@ -412,18 +413,20 @@ class TestRun:
             assert len(fitted) == 2
 
     @staticmethod
-    def _largest_truncation_met(points):
-        met = [auto_harmonics(RotorParams(**kw)) for kw in points]
+    def _largest_truncation_met(points, bound):
+        met = [auto_harmonics(RotorParams(**kw), bound) for kw in points]
         return (str(max(modes.n_harmonics for modes in met)),
                 f"{max(modes.edge_weight for modes in met):.3e}")
 
     def test_theta_sweep_truncation_is_the_largest_met(self):
-        # N = 12 certifies theta = 1.0; theta = 1.2 and 1.4 need N = 24
+        # the phases certify the edge amplitude: N = 14 fails at each
+        # point, N = 28 holds
         ds = run(parse_config(
             "mode=geomphase\nomega=0.3\ndelta=0.9\naxis=theta:1.0:1.4:3\n"))
         want = self._largest_truncation_met(
-            dict(omega=0.3, theta=th, delta=0.9) for th in (1.0, 1.2, 1.4))
-        assert want[0] == "24"
+            (dict(omega=0.3, theta=th, delta=0.9) for th in (1.0, 1.2, 1.4)),
+            EDGE_WEIGHT_STATES)
+        assert want[0] == "28"
         assert (ds.provenance["harmonics_n_max"],
                 ds.provenance["harmonics_edge_weight_max"]) == want
 
@@ -432,8 +435,9 @@ class TestRun:
             "mode=spectrum\nomega=0.3\ntheta=1.4\ndelta=0.9\n"
             "axis=omega:0.2:0.4:3\n"))
         want = self._largest_truncation_met(
-            dict(omega=om, theta=1.4, delta=0.9) for om in (0.2, 0.3, 0.4))
-        assert want[0] == "24"
+            (dict(omega=om, theta=1.4, delta=0.9) for om in (0.2, 0.3, 0.4)),
+            EDGE_WEIGHT_LEVELS)
+        assert want[0] == "18"
         assert (ds.provenance["harmonics_n_max"],
                 ds.provenance["harmonics_edge_weight_max"]) == want
 
@@ -820,9 +824,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",
-          "--axis", "theta:0:1:3"], "harmonic matrix at N = 12 overflows"),
+          "--axis", "theta:0:1:3"], "harmonic matrix at N = 1 overflows"),
         (["evolve", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",
-          "--t-end", "1e-300"], "harmonic matrix at N = 12 overflows"),
+          "--t-end", "1e-300"], "harmonic matrix at N = 11 overflows"),
         (["resonance", "--theta", "0.02", "--omega", "1e308"],
          "no resonant field"),
     ], ids=["spectrum", "evolve", "resonance"])
@@ -903,6 +907,27 @@ class TestCli:
         assert "# harmonics_edge_weight_max=" in text
         assert "n_harmonics" not in text
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["spectrum", "--theta", "0.3", "--delta", "0.3",
+          "--axis", "omega:0.3:0.5:3"], "1e-14"),
+        (["geomphase", "--theta", "0.3", "--delta", "0.4",
+          "--axis", "omega:0.3:0.5:3"], "1e-28"),
+        (["evolve", "--omega", "0.3", "--theta", "1.0", "--delta", "0.9",
+          "--t-end", "10"], "1e-28"),
+    ], ids=["spectrum", "geomphase", "evolve"])
+    def test_field_runs_name_their_certificate(self, tmp_path, argv, bound):
+        # quasi-energies need the edge weight, states and phases along the
+        # period the edge amplitude; the line follows the largest weight met
+        out = tmp_path / "f.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        prov = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
+                    if ln.startswith("# "))
+        keys = list(prov)
+        i = keys.index("harmonics_edge_weight_max")
+        assert keys[i + 1] == "harmonics_edge_weight_bound"
+        assert prov["harmonics_edge_weight_bound"] == bound
+        assert float(prov["harmonics_edge_weight_max"]) <= float(bound)
+
     def test_truncation_flag_and_key_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:  # a usage error
             main(["geomphase", "--omega", "0.3", "--delta", "0.4",
@@ -941,7 +966,8 @@ class TestCli:
                          "--delta", delta, "--psi0", "0", "--t-end", "50",
                          "--output", str(out)]) == 0
             texts.append(out.read_text())
-        assert "# harmonics_n_max=12\n# harmonics_edge_weight_max=" in texts[0]
+        assert "# harmonics_n_max=7\n# harmonics_edge_weight_max=" in texts[0]
+        assert "# harmonics_edge_weight_bound=1e-28\n" in texts[0]
         assert "# harmonics_" not in texts[1]
         assert "# harmonics_" not in texts[2]
         for text in texts:
@@ -971,15 +997,16 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == b""
 
-    @pytest.mark.parametrize("mode", ["spectrum", "geomphase"])
+    @pytest.mark.parametrize("mode, n_max", [("spectrum", 7), ("geomphase", 11)],
+                             ids=["spectrum", "geomphase"])
     def test_omega_sweep_truncation_provenance_is_reproducible(self, tmp_path,
-                                                              mode):
+                                                              mode, n_max):
         outs = [str(tmp_path / f"{k}.csv") for k in range(2)]
         for out in outs:
             assert main([mode, "--theta", "0.3", "--delta", "0.4",
                          "--axis", "omega:0.3:0.6:7", "--output", out]) == 0
         text = Path(outs[0]).read_text()
-        assert "# harmonics_n_max=12\n# harmonics_edge_weight_max=" in text
+        assert f"# harmonics_n_max={n_max}\n# harmonics_edge_weight_max=" in text
         assert Path(outs[1]).read_text() == text
 
     def test_config_file_without_mode(self, tmp_path):

@@ -233,6 +233,17 @@ class TestFloquetOracle:
         assert np.abs(trace.states - ref).max() <= 1e-10
 
 
+    @pytest.mark.parametrize("omega, theta, delta", [(0.3, 1.0, 0.9),
+                                                     (1.0, 1.5, 2.0)])
+    def test_wide_tilt_matches_finer_stepper(self, omega, theta, delta):
+        # the state error follows the edge amplitude of the modes: at an
+        # edge weight of 5e-18 and 8e-17 (N = 12) these read 7e-11 and 9e-11
+        p = RotorParams(omega=omega, theta=theta, delta=delta)
+        trace = evolve(p, KET_0, on_stepper_grid(p, 8 * STEPS_PER_PERIOD, 5))
+        ref = states_by_period_loop(p, KET_0, trace.times, 8 * STEPS_PER_PERIOD)
+        assert np.abs(trace.states - ref).max() <= 2e-12
+
+
 class TestMonodromy:
     def test_unitarity(self):
         p = RotorParams(omega=0.05, theta=2.0, delta=0.7)

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
@@ -13,6 +13,8 @@ from rotorspin.cli import main
 from rotorspin.errors import (InvalidArgumentError, NoCrossingError,
                               NumericFailureError, TrackingError)
 from rotorspin.floquet import (
+    EDGE_WEIGHT_LEVELS,
+    EDGE_WEIGHT_STATES,
     LABELS,
     ModeSet,
     _best_permutation,
@@ -224,11 +226,37 @@ class TestAutoHarmonics:
                                               getattr(ref, name))
 
     def test_large_edge_weight_doubles_the_truncation(self):
+        # the Bessel estimate starts theta = 1.4 at N = 9
         p = RotorParams(omega=0.3, theta=1.4, delta=0.9)
-        assert physical_modes(p, 12).edge_weight > 1e-14
+        assert physical_modes(p, 9).edge_weight > 1e-14
         ms = auto_harmonics(p)
-        assert ms.n_harmonics == 24
+        assert ms.n_harmonics == 18
         assert ms.edge_weight <= 1e-14
+
+    @pytest.mark.parametrize("bound", [EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES])
+    def test_start_is_the_bessel_estimate(self, monkeypatch, bound):
+        # the first solve is at the smallest N >= 1 with
+        # ((sin(theta) / 2)^N / N!)^2 <= bound / 100
+        solved = []
+        modes = floquet.physical_modes
+
+        def recording_modes(p, n):
+            solved.append(n)
+            return modes(p, n)
+
+        monkeypatch.setattr(floquet, "physical_modes", recording_modes)
+        for theta in (0.0, 1e-9, 0.02, 0.3, 1.0, math.pi / 2, 3.0, math.pi):
+            solved.clear()
+            auto_harmonics(RotorParams(omega=0.7, theta=theta, delta=0.2), bound)
+            n, x = solved[0], math.sin(theta) / 2
+            assert (x ** n / math.factorial(n)) ** 2 <= bound / 100
+            assert n == 1 or (x ** (n - 1) / math.factorial(n - 1)) ** 2 > bound / 100
+            assert solved == [n * 2 ** k for k in range(len(solved))]
+
+    @pytest.mark.parametrize("bound", [0.0, -1e-14, 1.0, math.nan])
+    def test_rejects_a_bound_outside_the_unit_interval(self, bound):
+        with pytest.raises(InvalidArgumentError, match="edge_weight_max"):
+            auto_harmonics(RotorParams(omega=0.7, theta=0.3, delta=0.2), bound)
 
     def test_matches_a_160_harmonic_reference(self):
         # 44 points: |omega| log-uniform in [0.01, 3] of both signs, theta
@@ -283,7 +311,7 @@ class TestZeroFieldModes:
             got = geomphase.geometric_phases_with_field(p).gamma
             with monkeypatch.context() as mp:
                 mp.setattr(geomphase, "auto_harmonics",
-                           lambda q: physical_modes(q, 24))
+                           lambda q, bound: physical_modes(q, 24))
                 want = geomphase.geometric_phases_with_field(p).gamma
             worst["gamma"] = max(worst["gamma"],
                                  max(abs(got[lab] - want[lab]) for lab in LABELS))
@@ -342,6 +370,10 @@ class TestProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(p=field_params(), kind=st.sampled_from(["field", "delta=0", "omega=0"]))
+    # two cubic roots 1.2e-6 apart, which the trigonometric formula alone
+    # put 8.1e-12 off
+    @example(p=RotorParams(omega=-1.0, theta=8.322264124171583e-07),
+             kind="delta=0")
     def test_each_mode_is_an_eigenvector_of_its_quasienergy(self, p, kind):
         # F at the set's own block count: N = 0 at omega = 0, the blocks
         # k = -1, 0, 1 of the exact modes at delta = 0
@@ -527,8 +559,28 @@ class TestSpectrumSweep:
         assert 0 < i < len(values) - 1
         assert abs(values[i] - 0.2) < 0.02
 
+    @pytest.mark.parametrize("argv, solves, size", [
+        (["resonance", "--theta", "0.0314159265", "--omega", "0.2"], 12, 27),
+        (["spectrum", "--theta", "0.3", "--delta", "0.3",
+          "--axis", "omega:0.05:1.2:201"], 201, 45),
+    ], ids=["readme-resonance", "spectrum-201"])
+    def test_harmonic_solves_start_where_the_tilt_asks(self, monkeypatch, capsys,
+                                                      argv, solves, size):
+        # the README resonance solves at N = 4, the spectrum at N = 7
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            if np.shape(a)[-1] > 3:
+                sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        assert main(argv) == 0
+        assert (len(sizes), max(sizes)) == (solves, size)
+
     def test_field_sweep_eigensolves_per_point(self, monkeypatch):
-        # automatic truncation: one solve at N = 12, whose edge weight
+        # automatic truncation: one solve at N = 7, whose edge weight
         # certifies it, and whose modes are the point's modes
         count = 0
         eigh = np.linalg.eigh

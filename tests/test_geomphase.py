@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rotorspin.errors import InvalidArgumentError
 from rotorspin.floquet import (
+    EDGE_WEIGHT_STATES,
     LABELS,
     _assign_labels,
     auto_harmonics,
@@ -262,7 +263,7 @@ class TestFieldPhases:
                             theta=float(RNG.uniform(0.1, 3.0)),
                             phi0=float(RNG.uniform(0, 2 * math.pi)),
                             delta=float(RNG.uniform(-0.9, 0.9)))
-            ms = auto_harmonics(p)
+            ms = auto_harmonics(p, EDGE_WEIGHT_STATES)
             idx = _assign_labels(ms.weights)
             g = geometric_phases_with_field(p)
             ref = split_integrand_quadrature(p, ms, idx, 4096)

@@ -1,7 +1,9 @@
 """Quasi-energy computation and branch bookkeeping.
 
 Without a static field the three quasi-energies are the roots of a cubic
-and come straight from the time-independent frame Hamiltonian. With a field
+and come straight from the time-independent frame Hamiltonian; a sweep
+without a field is solved as one batch, the cubic on arrays and one
+stacked 3x3 eigensolve. With a field
 the periodic drive cannot be rotated away, so the spectrum comes from a
 truncated harmonic (block-tridiagonal) matrix, defined modulo |omega| and
 unfolded for plotting via the slope rule that connects each branch to its
@@ -29,6 +31,7 @@ from .errors import (
     InvalidArgumentError,
     NoCrossingError,
     NumericFailureError,
+    RotorSpinError,
     TrackingError,
 )
 from .model import (RotorParams, drive_amplitude, h_interaction, period_guard,
@@ -42,6 +45,8 @@ __all__ = [
     "SpectrumBranch",
     "CrossingReport",
     "cubic_quasienergies",
+    "ZeroFieldModes",
+    "zero_field_modes",
     "quasienergies_zero_field",
     "floquet_matrix",
     "auto_harmonics",
@@ -81,77 +86,183 @@ def _circ_dist(a: float, b: float, width: float) -> float:
 
 
 def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
-    """Three real quasi-energies at zero field, ascending.
+    """Three real quasi-energies at zero field, ascending: the cubic roots
+    of a one-point `zero_field_modes` (see `_cubic_roots`), or the
+    eigensolver's values where the cubic is degenerate or marginal."""
+    p = RotorParams(d=d, omega=omega, theta=theta)  # validates the inputs
+    zf = zero_field_modes(p, "omega", [p.omega])
+    if zf.error is not None:
+        raise zf.error
+    return zf.quasi[0]
 
-    Solves the characteristic cubic of the frame Hamiltonian with the
-    trigonometric method for three real roots, each refined by two Newton
-    steps; near-degenerate cases fall back to the numeric eigensolver for
-    robustness.
+
+def _python_pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k of each value as Python's float power computes it (numpy's
+    power rounds some values differently), inf where that overflows."""
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(v ** k)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=float)
+
+
+def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
+    """The three real roots, ascending, of the characteristic cubic of the
+    frame Hamiltonian at each point (omega, theta) of a sweep, by the
+    trigonometric method, each refined by two Newton steps.
+
+    Returns the (points, 3) roots, a mask of the points where the cubic is
+    degenerate or marginal or its terms underflow, whose roots are NaN and
+    left to the eigensolver, and a mask of the points where it overflows
+    (at a huge d as at a huge |omega|). Each float operation is the one a
+    single point would take; the powers, sines and arccosines are
+    Python's, point by point, since numpy's round some values differently.
     """
-    params = RotorParams(d=d, omega=omega, theta=theta)  # validates the inputs
     b = -2.0 * d
-    c = -(omega * omega - d * d)
-    e = omega * omega * d * math.sin(theta) ** 2
-    p = c - b * b / 3.0
-    q = e - b * c / 3.0 + 2.0 * b ** 3 / 27.0
-    try:
-        disc = -4.0 * p ** 3 - 27.0 * q * q
-        scale = max(d, abs(omega)) ** 6
-    except OverflowError:  # a float power raises where a product gives inf
-        raise NumericFailureError(
-            f"zero-field cubic overflows at omega = {omega:.3g}") from None
-    if disc < 1e-13 * scale or p >= 0.0:
-        # degenerate or marginal: diagonalize instead
-        return hermitian_eigensystem(h_interaction(params)).values
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg) / 3.0
-    roots = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0) - b / 3.0
+    thetas = theta.tolist()
+    # a point that overflows, or whose terms leave the float64 range, is
+    # masked; its infinities and NaNs are not read
+    with np.errstate(all="ignore"):
+        c = -(omega * omega - d * d)
+        e = omega * omega * d * np.array([math.sin(t) ** 2 for t in thetas])
+        p = c - b * b / 3.0
+        q = e - b * c / 3.0 + 2.0 * _python_pow(np.array([b]), 3) / 27.0
+        p3 = _python_pow(p, 3)
+        scale = _python_pow(np.maximum(d, np.abs(omega)), 6)
+        # a float power raises where the result overflows, not where its
+        # input is already infinite
+        overflow = np.isinf(scale) | (np.isinf(p3) & np.isfinite(p))
+        disc = -4.0 * p3 - 27.0 * q * q
+        m = 2.0 * np.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * m)
+        # degenerate or marginal, or p m underflows: diagonalize instead
+        inexact = (overflow | (disc < 1e-13 * scale) | (p >= 0.0)
+                   | ~np.isfinite(arg))
+    i = np.flatnonzero(~inexact)
+    arg = np.clip(arg[i], -1.0, 1.0).tolist()
+    phi = np.array([math.acos(a) for a in arg]) / 3.0
+    x = (m[i, None] * np.cos(phi[:, None] - 2.0 * math.pi * np.arange(3) / 3.0)
+         - b / 3.0)
     # the trig formula subtracts numbers of size |omega| and loses the root
     # nearest zero; the product of the three roots, -e, gives it back
-    k = int(np.argmin(np.abs(roots)))
-    roots[k] = -e / (roots[k - 1] * roots[k - 2]) if e else 0.0
+    rows, k = np.arange(len(i)), np.argmin(np.abs(x), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where e = 0
+        x[rows, k] = np.where(e[i] != 0,
+                              -e[i] / (x[rows, k - 1] * x[rows, k - 2]), 0.0)
     # next to a double root acos loses half the digits of the pair (1e-5
     # relative at a spacing of 1e-6); two Newton steps on the monic cubic
     # restore them. Its double roots lie at 0 (|omega| = d) and d (omega =
     # 0), so each root is refined in the cubic written about the nearer of
     # the two, where its terms are small: x^3 + b x^2 + c x + e, and with
     # y = x - d, y^3 + d y^2 - omega^2 y - omega^2 d cos^2 theta
-    about = {0.0: (b, c, e), d: (d, -omega * omega,
-                                 -omega * omega * d * math.cos(theta) ** 2)}
-    for k, x in enumerate(roots.tolist()):
-        shift = 0.0 if abs(x) <= abs(x - d) else d
-        c2, c1, c0 = about[shift]
-        y = x - shift
+    w = omega[i, None]
+    cos2 = np.array([math.cos(thetas[j]) ** 2 for j in i.tolist()])[:, None]
+    near_d = ~(np.abs(x) <= np.abs(x - d))
+    shift = np.where(near_d, d, 0.0)
+    c2 = np.where(near_d, d, b)
+    c1 = np.where(near_d, -w * w, c[i, None])
+    c0 = np.where(near_d, -w * w * d * cos2, e[i, None])
+    y = x - shift
+    with np.errstate(divide="ignore", invalid="ignore"):  # where slope = 0
         for _ in range(2):
             slope = (3.0 * y + 2.0 * c2) * y + c1
-            if slope:
-                y -= (((y + c2) * y + c1) * y + c0) / slope
-        roots[k] = y + shift
-    return np.sort(roots)
+            y = np.where(slope != 0, y - (((y + c2) * y + c1) * y + c0) / slope, y)
+    roots = np.full((len(omega), 3), np.nan)
+    roots[i] = np.sort(y + shift, axis=1)
+    return roots, inexact, overflow
+
+
+def _valid_prefix(p: RotorParams, axis: str, values: np.ndarray):
+    """The number of leading `values` at which p, swept along `axis`, is
+    valid, and the error `RotorParams` raises at the next one, if any."""
+    ok = np.isfinite(values)  # RotorParams' checks of a swept value
+    if axis == "theta":
+        ok &= (0.0 <= values) & (values <= math.pi)
+    if ok.all():
+        return len(values), None
+    n = int(np.argmin(ok))
+    try:
+        p.with_(**{axis: float(values[n])})
+    except InvalidArgumentError as exc:
+        return n, exc
+    raise AssertionError(f"RotorParams accepts {axis} = {values[n]!r}")
+
+
+class ZeroFieldModes(NamedTuple):
+    """The exact modes at the leading points of a zero-field sweep."""
+
+    quasi: np.ndarray    # (points, 3) ascending quasi-energies
+    modes: np.ndarray    # (points, 3, 3) frame eigenvectors, one column a mode
+    error: RotorSpinError | None  # that of the next point, which failed
+
+
+def zero_field_modes(p: RotorParams, axis: str, values) -> ZeroFieldModes:
+    """The exact modes at each point of a sweep of p without a field along
+    omega or theta, in one pass: the cubic roots of `_cubic_roots` on
+    arrays, and the `h_interaction` eigenvectors (spin m on harmonic -m)
+    from one stacked eigensolve, whose values replace the roots where the
+    cubic is degenerate or marginal. Each point is checked as a single one
+    is: its parameters, then the cubic's overflow, then the eigensolver.
+    The points from the first that fails on are not returned, and its
+    error is returned, not raised, so that a caller can settle the points
+    before it first.
+    """
+    if p.delta != 0:
+        raise InvalidArgumentError("zero_field_modes requires delta = 0")
+    values = np.asarray(values, dtype=float)
+    n, error = _valid_prefix(p, axis, values)
+    omega = values[:n] if axis == "omega" else np.full(n, p.omega)
+    theta = values[:n] if axis == "theta" else np.full(n, p.theta)
+    roots, inexact, overflow = _cubic_roots(p.d, omega, theta)
+    if overflow.any():
+        n = int(np.argmax(overflow))
+        # the cubic first: it refuses an |omega| whose frame matrix overflows
+        error = NumericFailureError(
+            f"zero-field cubic overflows at omega = {omega[n]:.3g}")
+    h = h_interaction(p, axis, values[:n])
+    try:
+        es = hermitian_eigensystem(h)
+    except RotorSpinError as exc:
+        n, error = exc.index, exc
+        es = hermitian_eigensystem(h[:n])
+    quasi = np.where(inexact[:n, None], es.values, roots[:n])
+    return ZeroFieldModes(quasi=quasi, modes=es.vectors, error=error)
 
 
 #: The 3! permutations of range(3), one per row.
 _PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
-def _best_permutation(score: np.ndarray) -> np.ndarray:
-    """Column assigned to each row of a 3x3 score matrix so that the total
-    score is maximal, one column per row.
+def _best_permutation_index(score: np.ndarray):
+    """Index in _PERMUTATIONS of the column assigned to each row of a 3x3
+    score matrix, or of each matrix of a stack, so that the total score is
+    maximal, one column per row.
 
     For three rows the assignment problem (Kuhn's Hungarian method) is an
-    argmax over the 3! = 6 permutations.
+    argmax over the 3! = 6 permutations; a tie goes to the first.
     """
-    totals = score[np.arange(3), _PERMUTATIONS].sum(axis=1)
-    return _PERMUTATIONS[int(np.argmax(totals))]
+    totals = score[..., np.arange(3), _PERMUTATIONS].sum(axis=-1)
+    return np.argmax(totals, axis=-1)
+
+
+def _best_permutation(score: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a 3x3 score matrix, or of each
+    matrix of a stack (see `_best_permutation_index`)."""
+    return _PERMUTATIONS[_best_permutation_index(score)]
+
+
+def _label_score(weights: np.ndarray) -> np.ndarray:
+    """(label, mode) spin-character score of (mode, spin) weights, or of
+    a stack of them."""
+    return np.swapaxes(weights[..., [SPIN_INDEX[lab] for lab in LABELS]], -1, -2)
 
 
 def _assign_labels(weights: np.ndarray) -> dict[str, int]:
     """Map each branch label to a mode index by maximizing spin-character
     weight, as a one-to-one assignment."""
-    score = weights[:, [SPIN_INDEX[lab] for lab in LABELS]].T  # (label, mode)
-    perm = _best_permutation(score)
+    perm = _best_permutation(_label_score(weights))
     return {lab: int(perm[li]) for li, lab in enumerate(LABELS)}
 
 
@@ -294,8 +405,8 @@ def auto_harmonics(p: RotorParams,
     pass EDGE_WEIGHT_LEVELS for quasi-energies and time-averaged weights,
     EDGE_WEIGHT_STATES for anything read from the modes along the period.
     The modes are exact, with n_harmonics 0 and edge weight 0, at omega = 0
-    (the static eigensystem, one harmonic each) and at delta = 0 (the cubic
-    roots and `h_interaction` eigenvectors, spin m on harmonic -m)."""
+    (the static eigensystem, one harmonic each) and at delta = 0 (a
+    one-point `zero_field_modes`)."""
     if not 0.0 < edge_weight_max < 1.0:
         raise InvalidArgumentError(
             f"edge_weight_max must lie in (0, 1), got {edge_weight_max!r}")
@@ -305,10 +416,11 @@ def auto_harmonics(p: RotorParams,
                        weights=(np.abs(es.vectors) ** 2).T, mode0=es.vectors,
                        n_harmonics=0, edge_weight=0.0)
     if p.delta == 0:
-        # the cubic first: it refuses an |omega| whose frame matrix overflows
-        quasi = cubic_quasienergies(p.d, p.omega, p.theta)
-        v = hermitian_eigensystem(h_interaction(p)).vectors
-        return ModeSet(quasi=quasi, fourier=np.eye(3)[:, :, None] * v,
+        zf = zero_field_modes(p, "omega", [p.omega])
+        if zf.error is not None:
+            raise zf.error
+        v = zf.modes[0]
+        return ModeSet(quasi=zf.quasi[0], fourier=np.eye(3)[:, :, None] * v,
                        weights=(np.abs(v) ** 2).T, mode0=v,
                        n_harmonics=0, edge_weight=0.0)
     n = _n_start(p.theta, edge_weight_max)
@@ -366,8 +478,10 @@ def quasienergy_spectrum(
     target plus its offset from the target at the previous unfolded point
     (nearest the target itself at the first). The curves reproduce the
     familiar fan of levels emanating from the zero-rotation eigenvalues.
-    `tracking_overlap_min` is the smallest overlap a branch kept from one
-    point to the next; below 0.5 tracking fails.
+    A sweep without a field is solved as one batch (`zero_field_modes`)
+    and tracked on arrays, with the same results and the same first error
+    as point by point. `tracking_overlap_min` is the smallest overlap a
+    branch kept from one point to the next; below 0.5 tracking fails.
     """
     if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
@@ -388,54 +502,13 @@ def quasienergy_spectrum(
     base_slope = {"omega": 1.5, "delta": 1.5,
                   "theta": (abs(p_template.omega) + p_template.d) / p_template.d}[axis]
     min_slope = base_slope * p_template.d
-    field = axis == "delta" or p_template.delta != 0
-    reps = np.empty((len(values), 3))
-    modes = np.empty((len(values), 3, 3), dtype=complex)
-    offset = np.zeros(3)  # representative minus slope-rule target
-    n_max, edge_max, overlap_min = 0, 0.0, 1.0
-    for i, x in enumerate(values):
-        p = p_template.with_(**{axis: float(x)})
-        ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
-        width = abs(p.omega) if field else 0.0  # delta = 0 points as well
-        n_max = max(n_max, ms.n_harmonics)
-        edge_max = max(edge_max, ms.edge_weight)
-        if i == 0:
-            # refuse to start labeling inside an avoided crossing: branches
-            # must be separable either by energy or by near-pure spin character
-            gap = min(_circ_dist(ms.quasi[a], ms.quasi[b], width)
-                      for a, b in ((0, 1), (0, 2), (1, 2)))
-            if gap < 1e-6 * p_template.d and ms.weights.max(axis=1).min() < 0.99:
-                raise TrackingError(
-                    "sweep starts inside a gap: branches not separable at the "
-                    "first point"
-                )
-            idx = _assign_labels(ms.weights)
-            perm = [idx[lab] for lab in LABELS]
-        else:
-            overlap = np.abs(modes[i - 1].conj() @ ms.mode0)  # (branch, mode)
-            perm = _best_permutation(overlap)
-            worst = overlap[np.arange(3), perm].min()
-            overlap_min = min(overlap_min, float(worst))
-            if worst < 0.5:
-                raise TrackingError(
-                    f"branch tracking lost between {axis} = {values[i-1]:.6g} "
-                    f"and {x:.6g} (max overlap {worst:.3f}); use a finer grid"
-                )
-        reps[i] = ms.quasi[perm]
-        modes[i] = ms.mode0[:, perm].T
-        if width:
-            target = _slope_targets(p)
-            reps[i] += np.round((target + offset - reps[i]) / width) * width
-            offset = reps[i] - target
-        if i >= 2:
-            slope = np.abs(reps[i - 1] - reps[i - 2]) / (values[i - 1] - values[i - 2])
-            bound = 10.0 * (x - values[i - 1]) * np.maximum(slope, min_slope)
-            if np.any(np.abs(reps[i] - reps[i - 1]) > bound):
-                raise TrackingError(
-                    f"branch continuity violated near {axis} = {x:.6g}; "
-                    "use a finer grid"
-                )
-
+    if axis == "delta" or p_template.delta != 0:
+        reps, modes, n_max, edge_max, overlap_min = _track_field(
+            p_template, axis, values, min_slope)
+    else:
+        reps, modes, overlap_min = _track_zero_field(p_template, axis, values,
+                                                     min_slope)
+        n_max, edge_max = 0, 0.0
     branches = tuple(
         SpectrumBranch(label=lab, quasienergy=reps[:, b].copy(),
                        mode0=modes[:, b, :].copy())
@@ -444,6 +517,112 @@ def quasienergy_spectrum(
     return QuasiSpectrum(axis_name=axis, axis_values=values.copy(),
                          branches=branches, truncation=n_max, edge_weight=edge_max,
                          tracking_overlap_min=overlap_min)
+
+
+def _check_start(quasi: np.ndarray, weights: np.ndarray, width: float,
+                 d: float) -> None:
+    """Refuse to start labeling inside an avoided crossing: branches must
+    be separable either by energy or by near-pure spin character."""
+    gap = min(_circ_dist(quasi[a], quasi[b], width)
+              for a, b in ((0, 1), (0, 2), (1, 2)))
+    if gap < 1e-6 * d and weights.max(axis=1).min() < 0.99:
+        raise TrackingError(
+            "sweep starts inside a gap: branches not separable at the first point"
+        )
+
+
+def _tracking_lost(axis: str, before: float, x: float, worst: float):
+    return TrackingError(
+        f"branch tracking lost between {axis} = {before:.6g} and {x:.6g} "
+        f"(max overlap {worst:.3f}); use a finer grid")
+
+
+def _jumps(reps: np.ndarray, values: np.ndarray, min_slope: float) -> np.ndarray:
+    """For each point from the third on, whether a branch moved by more
+    than 10 steps of its last slope, or of min_slope where that is
+    larger, allow."""
+    slope = np.abs(reps[1:-1] - reps[:-2]) / (values[1:-1] - values[:-2])[:, None]
+    bound = 10.0 * (values[2:] - values[1:-1])[:, None] * np.maximum(slope, min_slope)
+    return np.any(np.abs(reps[2:] - reps[1:-1]) > bound, axis=1)
+
+
+def _discontinuity(axis: str, x: float):
+    return TrackingError(
+        f"branch continuity violated near {axis} = {x:.6g}; use a finer grid")
+
+
+def _track_field(p_template: RotorParams, axis: str, values: np.ndarray,
+                 min_slope: float):
+    """Tracked and unfolded branches of a sweep with a field, one point at
+    a time: (reps, modes, largest truncation, largest edge weight, worst
+    overlap)."""
+    reps = np.empty((len(values), 3))
+    modes = np.empty((len(values), 3, 3), dtype=complex)
+    offset = np.zeros(3)  # representative minus slope-rule target
+    n_max, edge_max, overlap_min = 0, 0.0, 1.0
+    for i, x in enumerate(values):
+        p = p_template.with_(**{axis: float(x)})
+        ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
+        width = abs(p.omega)  # delta = 0 points as well
+        n_max = max(n_max, ms.n_harmonics)
+        edge_max = max(edge_max, ms.edge_weight)
+        if i == 0:
+            _check_start(ms.quasi, ms.weights, width, p_template.d)
+            idx = _assign_labels(ms.weights)
+            perm = [idx[lab] for lab in LABELS]
+        else:
+            overlap = np.abs(modes[i - 1].conj() @ ms.mode0)  # (branch, mode)
+            perm = _best_permutation(overlap)
+            worst = overlap[np.arange(3), perm].min()
+            overlap_min = min(overlap_min, float(worst))
+            if worst < 0.5:
+                raise _tracking_lost(axis, values[i - 1], x, worst)
+        reps[i] = ms.quasi[perm]
+        modes[i] = ms.mode0[:, perm].T
+        if width:
+            target = _slope_targets(p)
+            reps[i] += np.round((target + offset - reps[i]) / width) * width
+            offset = reps[i] - target
+        if i >= 2 and _jumps(reps[i - 2:i + 1], values[i - 2:i + 1], min_slope)[0]:
+            raise _discontinuity(axis, x)
+    return reps, modes, n_max, edge_max, overlap_min
+
+
+def _track_zero_field(p_template: RotorParams, axis: str, values: np.ndarray,
+                      min_slope: float):
+    """Tracked branches of a sweep without a field, from one
+    `zero_field_modes` batch: (reps, modes, worst overlap). Nothing is
+    unfolded: without a field the levels have no copies. The first point
+    to fail, in axis order, raises, as it does point by point."""
+    zf = zero_field_modes(p_template, axis, values)
+    n = len(zf.quasi)
+    if n == 0:
+        raise zf.error
+    weights0 = (np.abs(zf.modes[0]) ** 2).T
+    _check_start(zf.quasi[0], weights0, 0.0, p_template.d)
+    # |<mode a at point i - 1 | mode b at point i>|, then the best
+    # assignment at point i after each order of the branches at i - 1, so
+    # that following the branches is a lookup per point
+    raw = np.abs(zf.modes[:-1].conj().swapaxes(1, 2) @ zf.modes[1:])
+    best = _best_permutation_index(raw[:, _PERMUTATIONS]).tolist()
+    order = [int(_best_permutation_index(_label_score(weights0)))]
+    for after in best:
+        order.append(after[order[-1]])
+    perm = _PERMUTATIONS[order]  # (point, branch) mode of each branch
+    worst = raw[np.arange(n - 1)[:, None], perm[:-1], perm[1:]].min(axis=1)
+    reps = np.take_along_axis(zf.quasi, perm, axis=1)
+    # the first point that fails raises; at one point a lost branch first
+    lost = (np.flatnonzero(worst < 0.5) + 1).tolist()
+    jump = (np.flatnonzero(_jumps(reps, values[:n], min_slope)) + 2).tolist()
+    if lost and (not jump or lost[0] <= jump[0]):
+        i = lost[0]
+        raise _tracking_lost(axis, values[i - 1], values[i], worst[i - 1])
+    if jump:
+        raise _discontinuity(axis, values[jump[0]])
+    if zf.error is not None:
+        raise zf.error
+    modes = np.take_along_axis(zf.modes, perm[:, None, :], axis=2).swapaxes(1, 2)
+    return reps, modes, float(worst.min(initial=1.0))
 
 
 class CrossingReport(NamedTuple):

@@ -18,22 +18,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneracyError, InvalidArgumentError, NumericFailureError
+from .errors import (DegeneracyError, InvalidArgumentError, NumericFailureError,
+                     RotorSpinError)
 from .floquet import (
     EDGE_WEIGHT_STATES,
     LABELS,
     _assign_labels,
+    _best_permutation,
     _circ_dist,
+    _label_score,
+    _valid_prefix,
     auto_harmonics,
-    quasienergies_zero_field,
+    zero_field_modes,
 )
-from .model import RotorParams, gauge_harmonics, harmonic_sum
+from .model import (RotorParams, gauge_harmonics, harmonic_sum, period_guard,
+                    without_period)
 from .spin_algebra import SPIN
 
 __all__ = [
     "GeometricPhaseSet",
     "gauge_operator",
     "geometric_phases_zero_field",
+    "ZeroFieldPhases",
+    "zero_field_phases",
     "geometric_phases_with_field",
     "verify_gauge_sign",
 ]
@@ -76,23 +83,66 @@ def gauge_operator(p: RotorParams, t) -> np.ndarray:
 
 
 def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
-    """Closed-form geometric phases without a static field.
-
-    gamma_n = (2 pi / omega) * (lambda_n - (d - omega)|c_{n,+1}|^2
-    - (d + omega)|c_{n,-1}|^2), using the signed rotation frequency, so
-    reversing the rotation direction flips the phases as required.
-    """
+    """Closed-form geometric phases without a static field: a one-point
+    `zero_field_phases`."""
     if p.delta != 0:
         raise InvalidArgumentError("geometric_phases_zero_field requires delta = 0")
-    t_signed = math.copysign(p.period, p.omega)
-    gamma, term1, term2 = {}, {}, {}
-    for lab, lam, vec in quasienergies_zero_field(p):
-        w = np.abs(vec) ** 2
-        dyn = (p.d - p.omega) * w[0] + (p.d + p.omega) * w[2]
-        term1[lab] = lam * t_signed
-        term2[lab] = dyn * t_signed
-        gamma[lab] = term1[lab] - term2[lab]
-    return GeometricPhaseSet(gamma=gamma, term1=term1, term2=term2)
+    ph = zero_field_phases(p, "omega", [p.omega])
+    if ph.error is not None:
+        raise ph.error
+    return GeometricPhaseSet(*(dict(zip(LABELS, a[0].tolist()))
+                               for a in (ph.gamma, ph.term1, ph.term2)))
+
+
+class ZeroFieldPhases(NamedTuple):
+    """Closed-form phases at the leading points of a zero-field sweep, as
+    (points, 3) arrays in LABELS order (see GeometricPhaseSet)."""
+
+    gamma: np.ndarray
+    term1: np.ndarray
+    term2: np.ndarray
+    error: RotorSpinError | None  # that of the next point, which failed
+
+
+def zero_field_phases(p: RotorParams, axis: str, values) -> ZeroFieldPhases:
+    """Closed-form geometric phases at each point of a sweep of p without a
+    field along omega or theta, in one pass over `zero_field_modes`:
+
+        gamma_n = (2 pi / omega) * (lambda_n - (d - omega)|c_{n,+1}|^2
+                  - (d + omega)|c_{n,-1}|^2),
+
+    using the signed rotation frequency, so reversing the rotation
+    direction flips the phases as required; term1 is the lambda_n part and
+    term2 the rest. Each point is checked as a single one is: its
+    parameters, then its drive period, then its modes. The points from the
+    first that fails on are not returned, and its error is returned, not
+    raised.
+    """
+    if p.delta != 0:
+        raise InvalidArgumentError("zero_field_phases requires delta = 0")
+    values = np.asarray(values, dtype=float)
+    n, error = _valid_prefix(p, axis, values)
+    omega = values[:n] if axis == "omega" else np.full(n, p.omega)
+    no_period = without_period(p, omega)
+    if no_period.any():
+        n = int(np.argmax(no_period))
+        try:
+            period_guard(p.with_(omega=float(omega[n])))
+        except RotorSpinError as exc:
+            error = exc
+    zf = zero_field_modes(p, axis, values[:n])
+    if zf.error is not None:
+        n, error = len(zf.quasi), zf.error
+    omega = omega[:n, None]
+    w = np.abs(zf.modes) ** 2                             # (point, spin, mode)
+    perm = _best_permutation(_label_score(w.swapaxes(1, 2)))  # (point, label)
+    lam = np.take_along_axis(zf.quasi, perm, axis=1)
+    w = np.take_along_axis(w, perm[:, None, :], axis=2)   # (point, spin, label)
+    t_signed = np.copysign(2.0 * math.pi / np.abs(omega), omega)
+    dyn = (p.d - omega) * w[:, 0] + (p.d + omega) * w[:, 2]
+    term1, term2 = lam * t_signed, dyn * t_signed
+    return ZeroFieldPhases(gamma=term1 - term2, term1=term1, term2=term2,
+                           error=error)
 
 
 def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:

@@ -101,22 +101,61 @@ def h_rotating(p: RotorParams, t) -> np.ndarray:
     return harmonic_sum(static_part(p), drive_amplitude(p), p.omega, t)
 
 
+class _Points(NamedTuple):
+    """The parameters the Hamiltonian builders read, at one point or along
+    a sweep: there omega, cos theta and sin theta are (points, 1, 1)
+    arrays, and every builder does the same float operations on them as at
+    one point."""
+
+    d: float
+    delta: float
+    phi0: float
+    omega: float | np.ndarray
+    cos: float | np.ndarray
+    sin: float | np.ndarray
+
+
+def _points(p: RotorParams, axis: str | None = None, values=None) -> _Points:
+    """`_Points` of p, or of each point of a sweep of p along omega or
+    theta. The cosine and sine are math's, one point at a time: numpy's
+    round some values differently in the last bit."""
+    cos, sin = math.cos(p.theta), math.sin(p.theta)
+    if axis is None:
+        return _Points(p.d, p.delta, p.phi0, p.omega, cos, sin)
+    if axis not in ("omega", "theta"):
+        raise InvalidArgumentError(f"cannot sweep a frame matrix along {axis!r}")
+    values = np.asarray(values, dtype=float).reshape(-1, 1, 1)
+    if axis == "omega":
+        return _Points(p.d, p.delta, p.phi0, values, cos, sin)
+    thetas = values.ravel().tolist()
+    return _Points(p.d, p.delta, p.phi0, p.omega,
+                   np.array([math.cos(t) for t in thetas]).reshape(-1, 1, 1),
+                   np.array([math.sin(t) for t in thetas]).reshape(-1, 1, 1))
+
+
+def _static_part(q: _Points):
+    return (q.d * SZ2 - q.delta * q.cos * SPIN.sz + q.delta * q.sin * SPIN.sx
+            + _gauge_static(q))
+
+
+def _gauge_static(q: _Points):
+    return q.omega * (1.0 - q.cos) * SPIN.sz
+
+
+def _drive_amplitude(q: _Points):
+    return -0.5 * q.omega * q.sin * np.exp(-1j * q.phi0) * SPIN.s_plus
+
+
 def static_part(p: RotorParams) -> np.ndarray:
     """Fourier-static component of the co-rotating Hamiltonian: the
     rest-frame levels d S_z^2 - delta cos theta S_z + delta sin theta S_x
     plus the static harmonic A0 of the gauge potential (`gauge_harmonics`)."""
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    return (
-        p.d * SZ2
-        - p.delta * ct * SPIN.sz
-        + p.delta * st * SPIN.sx
-        + gauge_harmonics(p)[0]
-    )
+    return _static_part(_points(p))
 
 
 def drive_amplitude(p: RotorParams) -> np.ndarray:
     """Fourier amplitude of the e^{-i omega t} drive component."""
-    return -0.5 * p.omega * math.sin(p.theta) * np.exp(-1j * p.phi0) * SPIN.s_plus
+    return _drive_amplitude(_points(p))
 
 
 def gauge_harmonics(p: RotorParams) -> tuple[np.ndarray, np.ndarray]:
@@ -124,12 +163,16 @@ def gauge_harmonics(p: RotorParams) -> tuple[np.ndarray, np.ndarray]:
     A(t) = A0 + A- e^{-i omega t} + h.c. that the rotation adds to the
     rest-frame levels: A0 = omega (1 - cos theta) S_z and A- the drive
     amplitude -(omega sin theta / 2) e^{-i phi0} S_+."""
-    return p.omega * (1.0 - math.cos(p.theta)) * SPIN.sz, drive_amplitude(p)
+    q = _points(p)
+    return _gauge_static(q), _drive_amplitude(q)
 
 
-def h_interaction(p: RotorParams) -> np.ndarray:
+def h_interaction(p: RotorParams, axis: str | None = None,
+                  values=None) -> np.ndarray:
     """Time-independent Hamiltonian in the frame co-rotating with the drive,
-    h_rotating(p, 0) - omega S_z.
+    h_rotating(p, 0) - omega S_z; with an axis ("omega" or "theta") and its
+    values, the (points, 3, 3) stack of it along that sweep of p, equal
+    point by point to the single matrices.
 
     Only valid without a static field; with a field the drive cannot be
     rotated away and the truncated harmonic expansion must be used instead.
@@ -138,8 +181,17 @@ def h_interaction(p: RotorParams) -> np.ndarray:
         raise InvalidArgumentError(
             "h_interaction requires delta = 0; use the Floquet path for a finite field"
         )
-    b = drive_amplitude(p)
-    return static_part(p) + b + b.conj().T - p.omega * SPIN.sz
+    q = _points(p, axis, values)
+    b = _drive_amplitude(q)
+    return _static_part(q) + b + b.conj().swapaxes(-1, -2) - q.omega * SPIN.sz
+
+
+def without_period(p: RotorParams, omega=None):
+    """Whether the rotation has no usable drive period, |omega| <= eps (d +
+    |delta|), at p or at each of the `omega` values of a sweep of p (see
+    `period_guard`)."""
+    omega = p.omega if omega is None else np.asarray(omega, dtype=float)
+    return abs(omega) <= np.finfo(float).eps * (p.d + abs(p.delta))
 
 
 def period_guard(p: RotorParams) -> None:
@@ -150,7 +202,7 @@ def period_guard(p: RotorParams) -> None:
     2 pi / omega, keeps no digit or overflows."""
     if p.omega == 0:
         raise InvalidArgumentError("no drive period at omega = 0")
-    if abs(p.omega) <= np.finfo(float).eps * (p.d + abs(p.delta)):
+    if without_period(p):
         raise NumericFailureError(
             f"|omega| = {abs(p.omega):.3g} is below the rounding of the levels")
 

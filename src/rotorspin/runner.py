@@ -27,7 +27,8 @@ from .errors import (ConfigError, FlatTraceError, InvalidArgumentError,
                      NumericFailureError, RotorSpinError)
 from .floquet import (EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES, LABELS,
                       quasienergy_spectrum)
-from .geomphase import geometric_phases_with_field, geometric_phases_zero_field
+from .geomphase import (geometric_phases_with_field, geometric_phases_zero_field,
+                        zero_field_phases)
 from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
 
@@ -106,8 +107,13 @@ def _per_point(axis_name: str, values, point) -> list:
         try:
             out.append(point(v))
         except RotorSpinError as exc:
-            raise type(exc)(f"{exc} (at {axis_name} = {v:.6g})") from exc
+            raise _at(axis_name, v, exc) from exc
     return out
+
+
+def _at(axis_name: str, v: float, exc: RotorSpinError) -> RotorSpinError:
+    """The error of the point at axis value v, naming the value."""
+    return type(exc)(f"{exc} (at {axis_name} = {v:.6g})")
 
 
 def _run_spectrum(cfg: SweepConfig) -> Dataset:
@@ -180,19 +186,28 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
 def _run_geomphase(cfg: SweepConfig) -> Dataset:
     values = _axis_values(cfg)
     p0 = _params(cfg)
+    name = cfg.axis.name
+    if p0.delta == 0 and name != "delta":
+        # one batch, and no harmonic solve whose truncation to record
+        ph = zero_field_phases(p0, name, values)
+        if ph.error is not None:
+            raise _at(name, float(values[len(ph.gamma)]), ph.error) from ph.error
+        gammas, provenance = ph.gamma, {}
+    else:
+        def point(v: float):
+            p = p0.with_(**{name: v})
+            if p.delta == 0:
+                return geometric_phases_zero_field(p)
+            return geometric_phases_with_field(p)
 
-    def point(v: float):
-        p = p0.with_(**{cfg.axis.name: v})
-        if p.delta == 0:
-            return geometric_phases_zero_field(p)
-        return geometric_phases_with_field(p)
-
-    sets = _per_point(cfg.axis.name, values, point)
+        sets = _per_point(name, values, point)
+        gammas = [s.as_tuple() for s in sets]
+        provenance = _truncation(sets, EDGE_WEIGHT_STATES)
     return Dataset(
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
-        columns=[values, *np.transpose([s.as_tuple() for s in sets])],
-        kinds=[_AXIS_KINDS[cfg.axis.name], _PLAIN, _PLAIN, _PLAIN],
-        provenance=_truncation(sets, EDGE_WEIGHT_STATES),
+        columns=[values, *np.transpose(gammas)],
+        kinds=[_AXIS_KINDS[name], _PLAIN, _PLAIN, _PLAIN],
+        provenance=provenance,
     )
 
 

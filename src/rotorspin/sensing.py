@@ -94,8 +94,10 @@ def resonant_field(
     branch: str = "plus",
     d: float = 1.0,
 ) -> ResonanceSolution:
-    """Axial field strength that compensates the detuning at a given
-    rotation frequency.
+    """Field parameter delta that compensates the detuning at a given
+    rotation frequency. delta is the term held static in the co-rotating
+    frame (see `rotorspin.model`), not a static field along the rotation
+    axis.
 
     The second-order small-angle condition, a cubic in the field, gives the
     lowest root first. The refinement then works at the requested omega in

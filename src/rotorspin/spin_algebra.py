@@ -60,10 +60,12 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dagger| over all entries."""
+def hermiticity_defect(a: np.ndarray):
+    """max |A - A^dagger| over all entries; of each matrix of a (k, n, n)
+    stack, as an array."""
     a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max())
+    defect = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+    return float(defect) if a.ndim == 2 else defect
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -88,33 +90,58 @@ def spin1_exp(axis, angle: float) -> np.ndarray:
 
 
 def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
-    """Full eigen-decomposition of a Hermitian matrix: np.linalg.eigh of
-    its Hermitian part, checked.
+    """Full eigen-decomposition of a Hermitian matrix, or of a (k, n, n)
+    stack of them in one call: np.linalg.eigh of the Hermitian part,
+    checked.
 
-    The input must be square, leave float64 headroom and be Hermitian to
-    1e-12 of its largest entry, and the residual |A V - V diag(values)|
-    must stay within 1e-9 of it. Eigenvalues are returned ascending;
-    eigenvectors are orthonormal columns, each with the phase eigh gives it
-    (no caller reads a phase or the order within an exact tie). It serves
-    the 3x3 level problems; the harmonic matrix goes straight to
-    np.linalg.eigh.
+    Each matrix must leave float64 headroom and be Hermitian to 1e-12 of
+    its largest entry, and its residual |A V - V diag(values)| must stay
+    within 1e-9 of it. A stack is checked matrix by matrix and raises the
+    error its first failing matrix raises alone, with that matrix's
+    position in the stack as the error's `index`. Eigenvalues are returned
+    ascending; eigenvectors are orthonormal columns, each with the phase
+    eigh gives it (no caller reads a phase or the order within an exact
+    tie). It serves the 3x3 level problems; the harmonic matrix goes
+    straight to np.linalg.eigh.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError("input must be a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    # the checks below sum up to 2n products of an entry and a unit value
-    if not math.isfinite(2.0 * len(a) * scale):
-        raise NumericFailureError(
-            f"matrix entry of magnitude {scale:.3g} leaves no float64 headroom")
-    # written so that a NaN entry, whose defect is NaN, fails the check
-    defect = hermiticity_defect(a)
-    if not defect <= 1e-12 * scale:
-        raise InvalidArgumentError(f"matrix is not Hermitian (defect {defect:.3e})")
-    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
-    residual = float(np.abs(a @ vectors - vectors * values[None, :]).max())
-    if residual > 1e-9 * scale:
-        raise NumericFailureError(
-            f"eigen-decomposition residual {residual:.3e} exceeds 1e-9 * scale"
-        )
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise InvalidArgumentError("input must be a square matrix or a stack of them")
+    stack = a.reshape(-1, *a.shape[-2:])
+    # np.fmax, like max(1.0, x), passes over a NaN entry; the Hermiticity
+    # check, written so that a NaN defect fails it, refuses that matrix.
+    # The checks sum up to 2n products of an entry and a unit value, so a
+    # matrix without that headroom fails before its defect is read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
+        room = np.isfinite(2.0 * stack.shape[-1] * scale)
+        defect = hermiticity_defect(stack)
+    sound = room & (defect <= 1e-12 * scale)
+    first = len(stack) if sound.all() else int(np.argmin(sound))
+    # the matrices before the first unsound one are solved, and a residual
+    # failure among them comes before it
+    ok = stack[:first]
+    values, vectors = np.linalg.eigh((ok + ok.conj().swapaxes(1, 2)) / 2.0)
+    residual = np.abs(ok @ vectors - vectors * values[:, None, :]).max(
+        axis=(1, 2), initial=0.0)
+    failed = np.flatnonzero(residual > 1e-9 * scale[:first])
+    if failed.size:
+        i = failed[0]
+        raise _with_index(NumericFailureError(
+            f"eigen-decomposition residual {residual[i]:.3e} exceeds 1e-9 * scale"), i)
+    if first < len(stack) and not room[first]:
+        raise _with_index(NumericFailureError(
+            f"matrix entry of magnitude {scale[first]:.3g} leaves no float64 "
+            "headroom"), first)
+    if first < len(stack):
+        raise _with_index(InvalidArgumentError(
+            f"matrix is not Hermitian (defect {defect[first]:.3e})"), first)
+    if a.ndim == 2:
+        return EigenSystem(values=values[0], vectors=vectors[0])
     return EigenSystem(values=values, vectors=vectors)
+
+
+def _with_index(error: Exception, index: int) -> Exception:
+    """The error, marked with the stack position of the matrix it is about."""
+    error.index = int(index)
+    return error

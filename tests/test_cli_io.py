@@ -822,6 +822,50 @@ class TestCli:
                               "omega = 1e+52")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, code, message", [
+        # the second point overflows the cubic; the third is not reached
+        (["spectrum", "--theta", "0.3", "--delta", "0", "--axis",
+          "omega:1:1e52:3"], 3,
+         "numeric failure: zero-field cubic overflows at omega = 5e+51"),
+        # the second point has no drive period; the third would solve
+        (["geomphase", "--theta", "0.3", "--delta", "0", "--axis",
+          "omega:-1:1:3"], 2,
+         "config error: no drive period at omega = 0 (at omega = 0)"),
+        # the first point has no period, the last overflows the cubic
+        (["geomphase", "--theta", "0.3", "--delta", "0", "--axis",
+          "omega:0:1e52:3"], 2,
+         "config error: no drive period at omega = 0 (at omega = 0)"),
+        # the first point sits inside the m0/m+1 gap (1.4e-7 wide at this
+        # tilt), the last overflows the cubic
+        (["spectrum", "--theta", "1e-7", "--delta", "0", "--axis",
+          "omega:1:1e52:3"], 3,
+         "numeric failure: sweep starts inside a gap: branches not separable "
+         "at the first point"),
+    ], ids=["spectrum-overflow", "geomphase-no-period", "geomphase-first",
+            "spectrum-gap-first"])
+    def test_zero_field_sweep_fails_at_its_first_failing_point(
+            self, argv, code, message, tmp_path, capsys):
+        # a sweep is solved as one batch, yet the first failing point in
+        # axis order decides the error; one stderr line and no numpy
+        # warning (an error under pytest)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(out)]) == code
+        stdout, err = capsys.readouterr()
+        assert (stdout, err) == ("", message + "\n")
+        assert not out.exists()
+
+    def test_zero_field_failure_warns_nothing_under_w_error(self):
+        argv = ["spectrum", "--theta", "0.3", "--delta", "0", "--axis",
+                "omega:1:1e52:3"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rotorspin.cli", *argv],
+            capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr == (b"numeric failure: zero-field cubic overflows "
+                               b"at omega = 5e+51\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",
           "--axis", "theta:0:1:3"], "harmonic matrix at N = 1 overflows"),

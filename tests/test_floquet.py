@@ -17,6 +17,7 @@ from rotorspin.floquet import (
     EDGE_WEIGHT_STATES,
     LABELS,
     ModeSet,
+    _assign_labels,
     _best_permutation,
     auto_harmonics,
     avoided_crossing,
@@ -26,6 +27,7 @@ from rotorspin.floquet import (
     physical_modes,
     quasienergies_zero_field,
     quasienergy_spectrum,
+    zero_field_modes,
 )
 from rotorspin.model import RotorParams, drive_amplitude, h_interaction, static_part
 from rotorspin.spin_algebra import hermitian_eigensystem, hermiticity_defect
@@ -324,9 +326,15 @@ class TestZeroFieldModes:
         ["geomphase", "--theta", "0.3", "--delta", "0", "--axis", "omega:0.5:1:5"],
         ["evolve", "--omega", "0.7", "--theta", "0.3", "--delta", "0",
          "--t-end", "10"],
+        ["spectrum", "--theta", "0.3", "--delta", "0", "--axis",
+         "omega:0.1:1.3:201"],
+        ["geomphase", "--omega", "0.9", "--delta", "0", "--axis",
+         "theta:0:3.141592653589793:41"],
     ])
     def test_zero_field_runs_solve_no_harmonic_matrix(self, monkeypatch,
                                                       tmp_path, argv):
+        # a zero-field sweep is one stacked 3x3 eigensolve, whatever its
+        # length: the count does not depend on the hardware
         shapes = []
         eigh = np.linalg.eigh
 
@@ -337,6 +345,204 @@ class TestZeroFieldModes:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
         assert shapes and all(max(s[-2:]) <= 3 for s in shapes), shapes
+        if argv[0] != "evolve":
+            points = int(argv[-1].rsplit(":", 1)[1])
+            assert shapes == [(points, 3, 3)]
+
+
+def scalar_cubic(d, omega, theta):
+    """The zero-field cubic solved one point at a time with Python floats,
+    as `cubic_quasienergies` did before sweeps were batched: the reference
+    the batch must equal bit for bit."""
+    p = RotorParams(d=d, omega=omega, theta=theta)
+    b = -2.0 * d
+    c = -(omega * omega - d * d)
+    e = omega * omega * d * math.sin(theta) ** 2
+    q_p = c - b * b / 3.0
+    q = e - b * c / 3.0 + 2.0 * b ** 3 / 27.0
+    try:
+        disc = -4.0 * q_p ** 3 - 27.0 * q * q
+        scale = max(d, abs(omega)) ** 6
+    except OverflowError:
+        raise NumericFailureError(
+            f"zero-field cubic overflows at omega = {omega:.3g}") from None
+    if disc < 1e-13 * scale or q_p >= 0.0:
+        return hermitian_eigensystem(h_interaction(p)).values
+    m = 2.0 * math.sqrt(-q_p / 3.0)
+    phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (q_p * m)))) / 3.0
+    roots = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0) - b / 3.0
+    k = int(np.argmin(np.abs(roots)))
+    roots[k] = -e / (roots[k - 1] * roots[k - 2]) if e else 0.0
+    about = {0.0: (b, c, e), d: (d, -omega * omega,
+                                 -omega * omega * d * math.cos(theta) ** 2)}
+    for k, x in enumerate(roots.tolist()):
+        shift = 0.0 if abs(x) <= abs(x - d) else d
+        c2, c1, c0 = about[shift]
+        y = x - shift
+        for _ in range(2):
+            slope = (3.0 * y + 2.0 * c2) * y + c1
+            if slope:
+                y -= (((y + c2) * y + c1) * y + c0) / slope
+        roots[k] = y + shift
+    return np.sort(roots)
+
+
+def per_point_spectrum(p_template, axis, values):
+    """A zero-field spectrum tracked one point at a time, as
+    `quasienergy_spectrum` did before sweeps were batched: (reps, modes,
+    worst overlap), or the TrackingError of the first point that fails."""
+    base_slope = {"omega": 1.5,
+                  "theta": (abs(p_template.omega) + p_template.d) / p_template.d}
+    min_slope = base_slope[axis] * p_template.d
+    reps = np.empty((len(values), 3))
+    modes = np.empty((len(values), 3, 3), dtype=complex)
+    overlap_min = 1.0
+    for i, x in enumerate(values):
+        ms = auto_harmonics(p_template.with_(**{axis: float(x)}))
+        if i == 0:
+            gap = min(abs(ms.quasi[a] - ms.quasi[b])
+                      for a, b in ((0, 1), (0, 2), (1, 2)))
+            if gap < 1e-6 * p_template.d and ms.weights.max(axis=1).min() < 0.99:
+                raise TrackingError("sweep starts inside a gap: branches not "
+                                    "separable at the first point")
+            idx = _assign_labels(ms.weights)
+            perm = [idx[lab] for lab in LABELS]
+        else:
+            overlap = np.abs(modes[i - 1].conj() @ ms.mode0)
+            perm = _best_permutation(overlap)
+            worst = overlap[np.arange(3), perm].min()
+            overlap_min = min(overlap_min, float(worst))
+            if worst < 0.5:
+                raise TrackingError(
+                    f"branch tracking lost between {axis} = {values[i-1]:.6g} "
+                    f"and {x:.6g} (max overlap {worst:.3f}); use a finer grid")
+        reps[i] = ms.quasi[perm]
+        modes[i] = ms.mode0[:, perm].T
+        if i >= 2:
+            slope = np.abs(reps[i - 1] - reps[i - 2]) / (values[i - 1] - values[i - 2])
+            bound = 10.0 * (x - values[i - 1]) * np.maximum(slope, min_slope)
+            if np.any(np.abs(reps[i] - reps[i - 1]) > bound):
+                raise TrackingError(f"branch continuity violated near {axis} = "
+                                    f"{x:.6g}; use a finer grid")
+    return reps, modes, overlap_min
+
+
+def per_point_phases(p):
+    """(gamma, term1, term2) rows in LABELS order of the closed form at one
+    point, as `geometric_phases_zero_field` computed them before sweeps
+    were batched."""
+    t_signed = math.copysign(p.period, p.omega)
+    rows = []
+    for _, lam, vec in quasienergies_zero_field(p):
+        w = np.abs(vec) ** 2
+        dyn = (p.d - p.omega) * w[0] + (p.d + p.omega) * w[2]
+        rows.append((lam * t_signed - dyn * t_signed, lam * t_signed,
+                     dyn * t_signed))
+    return np.array(rows).T
+
+
+_KEY_ANGLES = (0.0, math.pi / 2, math.pi)
+
+
+@st.composite
+def zero_field_sweeps(draw):
+    """(template, axis, values) of a zero-field sweep: along omega of both
+    signs, through an exact 0 or not, or along theta through some of 0,
+    pi/2 and pi; d in [0.3, 3], phi0 in [-7, 7]."""
+    d = draw(st.floats(0.3, 3.0))
+    phi0 = draw(st.floats(-7.0, 7.0))
+    points = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        axis = "omega"
+        lo, hi = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                      max_size=2, unique=True)))
+        values = np.linspace(lo, hi, points)
+        if lo < 0 < hi and draw(st.booleans()):
+            values = np.unique(np.append(values, 0.0))
+        fixed = {"theta": draw(st.floats(0.0, math.pi)
+                                | st.sampled_from(_KEY_ANGLES))}
+    else:
+        axis = "theta"
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, math.pi), min_size=2,
+                                      max_size=2, unique=True)))
+        keys = draw(st.lists(st.sampled_from(_KEY_ANGLES), max_size=3))
+        values = np.unique(np.concatenate([np.linspace(lo, hi, points), keys]))
+        fixed = {"omega": draw(st.floats(-3.0, 3.0) | st.just(0.0))}
+    return RotorParams(d=d, phi0=phi0, **fixed, **{axis: float(values[0])}), \
+        axis, values
+
+
+def outcome(call):
+    """The result of call(), or the type and text of the error it raised."""
+    try:
+        return call(), None
+    except (TrackingError, InvalidArgumentError, NumericFailureError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestZeroFieldBatch:
+    """A zero-field sweep is one batch: it equals, bit for bit, the points
+    solved and tracked one at a time, and fails where they fail first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1.0, -1.0, 1e51, 1e52]),
+           theta=st.floats(0.0, math.pi) | st.sampled_from(_KEY_ANGLES),
+           d=st.floats(0.3, 3.0))
+    def test_cubic_equals_the_scalar_cubic(self, omega, theta, d):
+        got, err = outcome(lambda: cubic_quasienergies(d, omega, theta))
+        want, want_err = outcome(lambda: scalar_cubic(d, omega, theta))
+        assert err == want_err
+        if err is None:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep=zero_field_sweeps())
+    def test_spectrum_equals_the_per_point_loop(self, sweep):
+        p, axis, values = sweep
+        got, err = outcome(lambda: quasienergy_spectrum(p, axis, values))
+        want, want_err = outcome(lambda: per_point_spectrum(p, axis, values))
+        assert err == want_err
+        if err is None:
+            reps, modes, overlap_min = want
+            for b, lab in enumerate(LABELS):
+                np.testing.assert_array_equal(got.branch(lab).quasienergy,
+                                              reps[:, b])
+                np.testing.assert_array_equal(got.branch(lab).mode0,
+                                              modes[:, b, :])
+            assert got.tracking_overlap_min == overlap_min
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep=zero_field_sweeps())
+    def test_phases_equal_the_per_point_closed_form(self, sweep):
+        p, axis, values = sweep
+        ph = geomphase.zero_field_phases(p, axis, values)
+        for i, v in enumerate(values):
+            want, err = outcome(
+                lambda: per_point_phases(p.with_(**{axis: float(v)})))
+            if i == len(ph.gamma):
+                assert err == (type(ph.error), str(ph.error))
+                break
+            assert err is None
+            got = np.array([ph.gamma[i], ph.term1[i], ph.term2[i]])
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert ph.error is None
+
+    def test_modes_stop_before_the_first_failing_point(self):
+        # the cubic overflows at the third point, and the points after it
+        # are not solved
+        p = RotorParams(omega=1.0, theta=0.3)
+        zf = zero_field_modes(p, "omega", [0.5, 1.0, 1e52, 2.0])
+        assert zf.quasi.shape == (2, 3) and zf.modes.shape == (2, 3, 3)
+        assert isinstance(zf.error, NumericFailureError)
+        assert str(zf.error) == "zero-field cubic overflows at omega = 1e+52"
+        zf = zero_field_modes(p, "theta", [0.5, 4.0, 1.0])
+        assert len(zf.quasi) == 1 and isinstance(zf.error, InvalidArgumentError)
+
+    def test_rejects_field(self):
+        with pytest.raises(InvalidArgumentError):
+            zero_field_modes(RotorParams(omega=0.3, theta=0.4, delta=0.1),
+                             "omega", [0.3])
 
 
 def matched_worst(got, ref, omega):

@@ -138,6 +138,21 @@ class TestInteractionFrame:
         with pytest.raises(InvalidArgumentError):
             h_interaction(RotorParams(omega=0.4, theta=0.1, delta=0.2))
 
+    @pytest.mark.parametrize("axis, values", [
+        ("omega", np.linspace(-2.0, 2.0, 41)),
+        ("theta", np.linspace(0.0, math.pi, 37)),
+    ])
+    def test_sweep_stack_equals_the_single_matrices_bit_for_bit(self, axis,
+                                                               values):
+        p = RotorParams(omega=0.8, theta=1.1, d=1.3, phi0=2.5)
+        stack = h_interaction(p, axis, values)
+        assert stack.shape == (len(values), 3, 3)
+        for h, v in zip(stack, values):
+            one = h_interaction(p.with_(**{axis: float(v)}))
+            assert np.array_equal(h.view(np.int64), one.view(np.int64))
+        with pytest.raises(InvalidArgumentError):
+            h_interaction(p, "delta", values)
+
 
 class TestAdiabaticEffective:
     """The slow-rotation effective Hamiltonian is the static part at zero

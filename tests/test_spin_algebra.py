@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorspin.dynamics import evolve
-from rotorspin.errors import InvalidArgumentError
+from rotorspin.errors import InvalidArgumentError, NumericFailureError
 from rotorspin.model import RotorParams
 from rotorspin.spin_algebra import (
     SPIN,
@@ -159,6 +159,65 @@ class TestEigensystem:
     def test_hermiticity_defect_reports_asymmetry(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert hermiticity_defect(a) == pytest.approx(1.0)
+
+
+class TestStackedEigensystem:
+    """A (k, n, n) stack is one eigh call that equals the k single calls
+    bit for bit and is checked matrix by matrix."""
+
+    def test_equals_the_single_matrix_calls_bit_for_bit(self):
+        stack = np.stack([random_hermitian(3) for _ in range(40)])
+        es = hermitian_eigensystem(stack)
+        for k, a in enumerate(stack):
+            one = hermitian_eigensystem(a)
+            assert np.array_equal(es.values[k].view(np.int64),
+                                  one.values.view(np.int64))
+            assert np.array_equal(es.vectors[k].view(np.int64),
+                                  one.vectors.view(np.int64))
+
+    def test_empty_stack(self):
+        es = hermitian_eigensystem(np.zeros((0, 3, 3)))
+        assert es.values.shape == (0, 3) and es.vectors.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.diag([1.0, math.nan, 0.0]),
+        np.diag([1e308, 1.0, 0.0]),
+        np.diag([math.inf, 1.0, 0.0]),
+    ], ids=["non-hermitian", "nan", "no-headroom", "inf"])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_first_bad_matrix_raises_its_own_error(self, bad, at):
+        with pytest.raises((InvalidArgumentError, NumericFailureError)) as alone:
+            hermitian_eigensystem(bad)
+        stack = np.stack([random_hermitian(3) for _ in range(7)])
+        stack[at] = bad
+        if at < 6:
+            stack[6] = np.diag([math.inf, 0.0, 0.0])  # a later failure
+        with pytest.raises(type(alone.value)) as got:
+            hermitian_eigensystem(stack)
+        assert str(got.value) == str(alone.value)
+        assert got.value.index == at
+
+    def test_residual_is_checked_per_matrix(self, monkeypatch):
+        # an eigensolver that returns a wrong value for the third matrix
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            values, vectors = eigh(a)
+            values[2:, 0] += 1.0
+            return values, vectors
+
+        stack = np.stack([random_hermitian(3) for _ in range(5)])
+        stack[4] = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(NumericFailureError,
+                           match="eigen-decomposition residual") as got:
+            hermitian_eigensystem(stack)
+        assert got.value.index == 2
+
+    def test_rejects_a_stack_of_non_square_matrices(self):
+        with pytest.raises(InvalidArgumentError):
+            hermitian_eigensystem(np.zeros((4, 2, 3)))
 
 
 @pytest.mark.parametrize("call", [

@@ -3,17 +3,19 @@
 Without a static field the three quasi-energies are the roots of a cubic
 and come straight from the time-independent frame Hamiltonian; a sweep
 without a field is solved as one batch, the cubic on arrays and one
-stacked 3x3 eigensolve. With a field
-the periodic drive cannot be rotated away, so the spectrum comes from a
-truncated harmonic (block-tridiagonal) matrix, defined modulo |omega| and
-unfolded for plotting via the slope rule that connects each branch to its
-zero-rotation eigenvalue. The matrix is real symmetric at phi0 = 0 and one
-solve there serves every phi0, which only phases the harmonic blocks of the
-eigenvectors, so the quasi-energies do not depend on phi0. The truncation
-N starts where the Bessel estimate of the edge weight for the tilt asks and
-doubles until the solve certifies the bound its output needs: an edge
-weight of 1e-14 for quasi-energies and time-averaged weights, 1e-28 (an
-edge amplitude of 1e-14) for states and phases read along the period.
+stacked 3x3 eigensolve. With a field the periodic drive cannot be
+rotated away, so the spectrum comes from a truncated harmonic
+(block-tridiagonal) matrix, solved point by point, defined modulo |omega|
+and unfolded for plotting via the slope rule that connects each branch to
+its zero-rotation eigenvalue. One tracker follows the branches of every
+sweep, from either kind of modes, on arrays. The matrix is real
+symmetric at phi0 = 0 and one solve there serves every phi0, which only
+phases the harmonic blocks of the eigenvectors, so the quasi-energies do
+not depend on phi0. The truncation N starts where the Bessel estimate of
+the edge weight for the tilt asks and doubles until the solve certifies
+the bound its output needs: an edge weight of 1e-14 for quasi-energies
+and time-averaged weights, 1e-28 (an edge amplitude of 1e-14) for states
+and phases read along the period.
 """
 
 from __future__ import annotations
@@ -454,13 +456,55 @@ class QuasiSpectrum(NamedTuple):
         raise KeyError(label)
 
 
+def _static_labels(p: RotorParams):
+    """Levels of `static_part(p)`, ascending, and the index of the level
+    each branch label takes by spin character."""
+    es = hermitian_eigensystem(static_part(p))
+    return es.values, _assign_labels((np.abs(es.vectors) ** 2).T)
+
+
 def _slope_targets(p: RotorParams) -> np.ndarray:
     """Unfolded representative targets in LABELS order: static-level value
     plus the slope-rule harmonic shift for each branch."""
-    es = hermitian_eigensystem(static_part(p))
-    weights = (np.abs(es.vectors) ** 2).T
-    idx = _assign_labels(weights)
-    return np.array([es.values[idx[lab]] + SLOPE[lab] * p.omega for lab in LABELS])
+    levels, idx = _static_labels(p)
+    return np.array([levels[idx[lab]] + SLOPE[lab] * p.omega for lab in LABELS])
+
+
+def _side_labels_swap(p_template: RotorParams, axis: str, a: float,
+                      b: float) -> bool:
+    """Whether the static levels labeled m-1 and m+1 at axis value a take
+    each other's labels at b. Their slope-rule targets then jump, and no
+    grid resolves that: by symmetry the labels swap where the S_z
+    coefficient omega (1 - cos theta) - delta cos theta passes zero."""
+    at_a, at_b = (_static_labels(p_template.with_(**{axis: float(x)}))[1]
+                  for x in (a, b))
+    return (at_a["m-1"], at_a["m+1"]) == (at_b["m+1"], at_b["m-1"])
+
+
+def _field_modes(p_template: RotorParams, axis: str, values: np.ndarray):
+    """Per-point (quasi, mode0, weights) of `auto_harmonics` at
+    EDGE_WEIGHT_LEVELS and slope-rule targets (where omega != 0) of a sweep
+    with a field, stacked, with the largest truncation and edge weight.
+    Like `zero_field_modes` it stops at the first point that fails and
+    returns, not raises, that point's error."""
+    n, error = len(values), None
+    quasi, targets = np.zeros((n, 3)), np.zeros((n, 3))
+    modes, weights = np.zeros((n, 3, 3), dtype=complex), np.zeros((n, 3, 3))
+    n_max, edge_max = 0, 0.0
+    for i, x in enumerate(values.tolist()):
+        try:
+            p = p_template.with_(**{axis: x})
+            ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
+            if p.omega:
+                targets[i] = _slope_targets(p)
+        except RotorSpinError as exc:
+            n, error = i, exc
+            break
+        quasi[i], modes[i], weights[i] = ms.quasi, ms.mode0, ms.weights
+        n_max = max(n_max, ms.n_harmonics)
+        edge_max = max(edge_max, ms.edge_weight)
+    return (quasi[:n], modes[:n], weights[:n], targets[:n], n_max, edge_max,
+            error)
 
 
 def quasienergy_spectrum(
@@ -470,18 +514,18 @@ def quasienergy_spectrum(
 ) -> QuasiSpectrum:
     """Three continuously tracked quasi-energy branches along a sweep axis.
 
-    Branches are tracked from point to point by maximal overlap of the
-    t = 0 states. In a sweep with a field (along delta, or at delta != 0)
-    every point with omega != 0 is unfolded by one rule, the exact modes at
-    delta = 0 included: a branch's distance from its slope-rule target
-    stays continuous, so it takes the copy nearest its
-    target plus its offset from the target at the previous unfolded point
-    (nearest the target itself at the first). The curves reproduce the
-    familiar fan of levels emanating from the zero-rotation eigenvalues.
-    A sweep without a field is solved as one batch (`zero_field_modes`)
-    and tracked on arrays, with the same results and the same first error
-    as point by point. `tracking_overlap_min` is the smallest overlap a
-    branch kept from one point to the next; below 0.5 tracking fails.
+    One tracker serves every sweep, on arrays: the modes come from one
+    `zero_field_modes` batch without a field, from `_field_modes` with one
+    (along delta, or at delta != 0). Branches follow the largest overlap of
+    the t = 0 states from point to point. With a field every point with
+    omega != 0 is unfolded by one rule, the exact modes at delta = 0
+    included: a branch keeps its offset from its slope-rule target, taking
+    the copy nearest the target plus the offset at the previous unfolded
+    point (nearest the target itself at the first), which draws the fan
+    of levels from the zero-rotation eigenvalues. The first point that
+    fails, in axis order, raises. `tracking_overlap_min` is the smallest
+    overlap a branch kept from one point to the next; below 0.5 tracking
+    fails.
     """
     if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
@@ -498,17 +542,75 @@ def quasienergy_spectrum(
             "sweep each rotation direction separately"
         )
 
-    # continuity bound: movement per step limited by ~10x the local slope
+    field = axis == "delta" or p_template.delta != 0
+    if field:
+        quasi, modes, weights, targets, n_max, edge_max, error = _field_modes(
+            p_template, axis, values)
+    else:
+        quasi, modes, error = zero_field_modes(p_template, axis, values)
+        weights = (np.abs(modes) ** 2).swapaxes(1, 2)
+        targets, n_max, edge_max = None, 0, 0.0
+    n = len(quasi)
+    if n == 0:
+        raise error
+    # the quasi-energies of a point with a field have copies |omega| apart;
+    # the levels without a field have none
+    omega = values[:n] if axis == "omega" else np.full(n, p_template.omega)
+    width = np.abs(omega) if field else np.zeros(n)
+
+    # refuse to start labeling inside an avoided crossing: branches must be
+    # separable either by energy or by near-pure spin character
+    gap = min(_circ_dist(quasi[0, a], quasi[0, b], width[0])
+              for a, b in ((0, 1), (0, 2), (1, 2)))
+    if gap < 1e-6 * p_template.d and weights[0].max(axis=1).min() < 0.99:
+        raise TrackingError(
+            "sweep starts inside a gap: branches not separable at the first point"
+        )
+    # |<mode a at point i - 1 | mode b at point i>|, then the best
+    # assignment at point i after each order of the branches at i - 1, so
+    # that following the branches is a lookup per point
+    raw = np.abs(modes[:-1].conj().swapaxes(1, 2) @ modes[1:])
+    best = _best_permutation_index(raw[:, _PERMUTATIONS]).tolist()
+    order = [int(_best_permutation_index(_label_score(weights[0])))]
+    for after in best:
+        order.append(after[order[-1]])
+    perm = _PERMUTATIONS[order]  # (point, branch) mode of each branch
+    worst = raw[np.arange(n - 1)[:, None], perm[:-1], perm[1:]].min(axis=1)
+    reps = np.take_along_axis(quasi, perm, axis=1)
+    offset = np.zeros(3)  # representative minus slope-rule target
+    for i in np.flatnonzero(width).tolist():
+        reps[i] += np.round((targets[i] + offset - reps[i]) / width[i]) * width[i]
+        offset = reps[i] - targets[i]
+
+    # continuity: from the third point on, no branch moves by more than 10
+    # steps of its last slope, or of min_slope where that is larger
     base_slope = {"omega": 1.5, "delta": 1.5,
                   "theta": (abs(p_template.omega) + p_template.d) / p_template.d}[axis]
     min_slope = base_slope * p_template.d
-    if axis == "delta" or p_template.delta != 0:
-        reps, modes, n_max, edge_max, overlap_min = _track_field(
-            p_template, axis, values, min_slope)
-    else:
-        reps, modes, overlap_min = _track_zero_field(p_template, axis, values,
-                                                     min_slope)
-        n_max, edge_max = 0, 0.0
+    step = np.diff(values[:n])[:, None]
+    move = np.abs(np.diff(reps, axis=0))
+    bound = 10.0 * step[1:] * np.maximum(move[:-1] / step[:-1], min_slope)
+    # the first point that fails raises; at one point a lost branch first
+    lost = (np.flatnonzero(worst < 0.5) + 1).tolist()
+    jump = (np.flatnonzero(np.any(move[1:] > bound, axis=1)) + 2).tolist()
+    if lost and (not jump or lost[0] <= jump[0]):
+        i = lost[0]
+        raise TrackingError(
+            f"branch tracking lost between {axis} = {values[i - 1]:.6g} and "
+            f"{values[i]:.6g} (max overlap {worst[i - 1]:.3f}); use a finer grid")
+    if jump:
+        a, b = values[jump[0] - 1], values[jump[0]]
+        if width[jump[0]] and _side_labels_swap(p_template, axis, a, b):
+            raise TrackingError(
+                f"branch continuity violated near {axis} = {b:.6g}: the "
+                f"slope-rule labels of m-1 and m+1 swap between {axis} = "
+                f"{a:.6g} and {b:.6g}, where omega (1 - cos theta) - delta "
+                "cos theta passes zero; no finer grid avoids this")
+        raise TrackingError(
+            f"branch continuity violated near {axis} = {b:.6g}; use a finer grid")
+    if error is not None:
+        raise error
+    modes = np.take_along_axis(modes, perm[:, None, :], axis=2).swapaxes(1, 2)
     branches = tuple(
         SpectrumBranch(label=lab, quasienergy=reps[:, b].copy(),
                        mode0=modes[:, b, :].copy())
@@ -516,113 +618,7 @@ def quasienergy_spectrum(
     )
     return QuasiSpectrum(axis_name=axis, axis_values=values.copy(),
                          branches=branches, truncation=n_max, edge_weight=edge_max,
-                         tracking_overlap_min=overlap_min)
-
-
-def _check_start(quasi: np.ndarray, weights: np.ndarray, width: float,
-                 d: float) -> None:
-    """Refuse to start labeling inside an avoided crossing: branches must
-    be separable either by energy or by near-pure spin character."""
-    gap = min(_circ_dist(quasi[a], quasi[b], width)
-              for a, b in ((0, 1), (0, 2), (1, 2)))
-    if gap < 1e-6 * d and weights.max(axis=1).min() < 0.99:
-        raise TrackingError(
-            "sweep starts inside a gap: branches not separable at the first point"
-        )
-
-
-def _tracking_lost(axis: str, before: float, x: float, worst: float):
-    return TrackingError(
-        f"branch tracking lost between {axis} = {before:.6g} and {x:.6g} "
-        f"(max overlap {worst:.3f}); use a finer grid")
-
-
-def _jumps(reps: np.ndarray, values: np.ndarray, min_slope: float) -> np.ndarray:
-    """For each point from the third on, whether a branch moved by more
-    than 10 steps of its last slope, or of min_slope where that is
-    larger, allow."""
-    slope = np.abs(reps[1:-1] - reps[:-2]) / (values[1:-1] - values[:-2])[:, None]
-    bound = 10.0 * (values[2:] - values[1:-1])[:, None] * np.maximum(slope, min_slope)
-    return np.any(np.abs(reps[2:] - reps[1:-1]) > bound, axis=1)
-
-
-def _discontinuity(axis: str, x: float):
-    return TrackingError(
-        f"branch continuity violated near {axis} = {x:.6g}; use a finer grid")
-
-
-def _track_field(p_template: RotorParams, axis: str, values: np.ndarray,
-                 min_slope: float):
-    """Tracked and unfolded branches of a sweep with a field, one point at
-    a time: (reps, modes, largest truncation, largest edge weight, worst
-    overlap)."""
-    reps = np.empty((len(values), 3))
-    modes = np.empty((len(values), 3, 3), dtype=complex)
-    offset = np.zeros(3)  # representative minus slope-rule target
-    n_max, edge_max, overlap_min = 0, 0.0, 1.0
-    for i, x in enumerate(values):
-        p = p_template.with_(**{axis: float(x)})
-        ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
-        width = abs(p.omega)  # delta = 0 points as well
-        n_max = max(n_max, ms.n_harmonics)
-        edge_max = max(edge_max, ms.edge_weight)
-        if i == 0:
-            _check_start(ms.quasi, ms.weights, width, p_template.d)
-            idx = _assign_labels(ms.weights)
-            perm = [idx[lab] for lab in LABELS]
-        else:
-            overlap = np.abs(modes[i - 1].conj() @ ms.mode0)  # (branch, mode)
-            perm = _best_permutation(overlap)
-            worst = overlap[np.arange(3), perm].min()
-            overlap_min = min(overlap_min, float(worst))
-            if worst < 0.5:
-                raise _tracking_lost(axis, values[i - 1], x, worst)
-        reps[i] = ms.quasi[perm]
-        modes[i] = ms.mode0[:, perm].T
-        if width:
-            target = _slope_targets(p)
-            reps[i] += np.round((target + offset - reps[i]) / width) * width
-            offset = reps[i] - target
-        if i >= 2 and _jumps(reps[i - 2:i + 1], values[i - 2:i + 1], min_slope)[0]:
-            raise _discontinuity(axis, x)
-    return reps, modes, n_max, edge_max, overlap_min
-
-
-def _track_zero_field(p_template: RotorParams, axis: str, values: np.ndarray,
-                      min_slope: float):
-    """Tracked branches of a sweep without a field, from one
-    `zero_field_modes` batch: (reps, modes, worst overlap). Nothing is
-    unfolded: without a field the levels have no copies. The first point
-    to fail, in axis order, raises, as it does point by point."""
-    zf = zero_field_modes(p_template, axis, values)
-    n = len(zf.quasi)
-    if n == 0:
-        raise zf.error
-    weights0 = (np.abs(zf.modes[0]) ** 2).T
-    _check_start(zf.quasi[0], weights0, 0.0, p_template.d)
-    # |<mode a at point i - 1 | mode b at point i>|, then the best
-    # assignment at point i after each order of the branches at i - 1, so
-    # that following the branches is a lookup per point
-    raw = np.abs(zf.modes[:-1].conj().swapaxes(1, 2) @ zf.modes[1:])
-    best = _best_permutation_index(raw[:, _PERMUTATIONS]).tolist()
-    order = [int(_best_permutation_index(_label_score(weights0)))]
-    for after in best:
-        order.append(after[order[-1]])
-    perm = _PERMUTATIONS[order]  # (point, branch) mode of each branch
-    worst = raw[np.arange(n - 1)[:, None], perm[:-1], perm[1:]].min(axis=1)
-    reps = np.take_along_axis(zf.quasi, perm, axis=1)
-    # the first point that fails raises; at one point a lost branch first
-    lost = (np.flatnonzero(worst < 0.5) + 1).tolist()
-    jump = (np.flatnonzero(_jumps(reps, values[:n], min_slope)) + 2).tolist()
-    if lost and (not jump or lost[0] <= jump[0]):
-        i = lost[0]
-        raise _tracking_lost(axis, values[i - 1], values[i], worst[i - 1])
-    if jump:
-        raise _discontinuity(axis, values[jump[0]])
-    if zf.error is not None:
-        raise zf.error
-    modes = np.take_along_axis(zf.modes, perm[:, None, :], axis=2).swapaxes(1, 2)
-    return reps, modes, float(worst.min(initial=1.0))
+                         tracking_overlap_min=float(worst.min(initial=1.0)))
 
 
 class CrossingReport(NamedTuple):

@@ -5,17 +5,20 @@ and come straight from the time-independent frame Hamiltonian; a sweep
 without a field is solved as one batch, the cubic on arrays and one
 stacked 3x3 eigensolve. With a field the periodic drive cannot be
 rotated away, so the spectrum comes from a truncated harmonic
-(block-tridiagonal) matrix, solved point by point, defined modulo |omega|
-and unfolded for plotting via the slope rule that connects each branch to
-its zero-rotation eigenvalue. One tracker follows the branches of every
-sweep, from either kind of modes, on arrays. The matrix is real
-symmetric at phi0 = 0 and one solve there serves every phi0, which only
-phases the harmonic blocks of the eigenvectors, so the quasi-energies do
-not depend on phi0. The truncation N starts where the Bessel estimate of
-the edge weight for the tilt asks and doubles until the solve certifies
-the bound its output needs: an edge weight of 1e-14 for quasi-energies
-and time-averaged weights, 1e-28 (an edge amplitude of 1e-14) for states
-and phases read along the period.
+(block-tridiagonal) matrix (Shirley, Phys. Rev. 138, B979, 1965), defined
+modulo |omega| and unfolded for plotting via the slope rule that connects
+each branch to its zero-rotation eigenvalue. A field sweep is solved as
+one batch too: stacks of harmonic matrices of at most STACK_BYTES per
+eigensolve, the modes picked and certified on arrays; a single point is a
+batch of one. One tracker follows the branches of every sweep, from
+either kind of modes, on arrays. The matrix is real symmetric at phi0 = 0
+and one solve there serves every phi0, which only phases the harmonic
+blocks of the eigenvectors, so the quasi-energies do not depend on phi0.
+The truncation N starts where the Bessel estimate of the edge weight for
+the tilt asks and doubles, for the points whose solve does not yet
+certify it, until the bound its output needs holds: an edge weight of
+1e-14 for quasi-energies and time-averaged weights, 1e-28 (an edge
+amplitude of 1e-14) for states and phases read along the period.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .errors import (
     RotorSpinError,
     TrackingError,
 )
-from .model import (RotorParams, drive_amplitude, h_interaction, period_guard,
+from .model import (RotorParams, _drive_amplitude, _points, _Points,
+                    _static_part, drive_amplitude, h_interaction, period_guard,
                     static_part)
 from .spin_algebra import hermitian_eigensystem
 
@@ -51,6 +55,8 @@ __all__ = [
     "zero_field_modes",
     "quasienergies_zero_field",
     "floquet_matrix",
+    "FieldModes",
+    "field_modes",
     "auto_harmonics",
     "physical_modes",
     "EDGE_WEIGHT_LEVELS",
@@ -281,6 +287,34 @@ def quasienergies_zero_field(p: RotorParams):
             for lab in LABELS]
 
 
+def _harmonic_guard(p: RotorParams, n: int) -> None:
+    """Raise where the harmonic matrix of p cannot be built at truncation
+    N: without a drive period (`period_guard`, for N > 0), or where its
+    levels leave the float64 range."""
+    if n:
+        period_guard(p)
+    # each eigenvalue lies within d + |delta| + (N + 3) |omega| of zero, and
+    # the difference of two must stay a finite number
+    if not math.isfinite(2.0 * (p.d + abs(p.delta) + (n + 3) * abs(p.omega))):
+        raise NumericFailureError(
+            f"harmonic matrix at N = {n} overflows at omega = {p.omega:.3g}, "
+            f"delta = {p.delta:.3g}")
+
+
+def _harmonic_matrices(static: np.ndarray, drive: np.ndarray, omega: np.ndarray,
+                       n: int) -> np.ndarray:
+    """The block-tridiagonal harmonic matrices of a stack of points, from
+    their static parts, drive amplitudes and rotation frequencies: diagonal
+    blocks static + k omega for k = -N..N, off-diagonal blocks the drive."""
+    k = np.arange(2 * n + 1)
+    f = np.zeros((len(static), 2 * n + 1, 3, 2 * n + 1, 3), dtype=static.dtype)
+    shift = (k - n)[:, None, None] * omega[:, None, None, None] * np.eye(3)
+    f[:, k, :, k, :] = (static[:, None] + shift).swapaxes(0, 1)
+    f[:, k[1:], :, k[:-1], :] = drive.conj().swapaxes(1, 2)
+    f[:, k[:-1], :, k[1:], :] = drive
+    return f.reshape(len(static), 3 * (2 * n + 1), 3 * (2 * n + 1))
+
+
 def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     """Block-tridiagonal harmonic-expansion matrix of the driven problem.
 
@@ -291,21 +325,9 @@ def floquet_matrix(p: RotorParams, n_harmonics: int) -> np.ndarray:
     n = int(n_harmonics)
     if n < 0:
         raise InvalidArgumentError("n_harmonics must be >= 0")
-    if n:
-        period_guard(p)
-    # each eigenvalue lies within d + |delta| + (N + 3) |omega| of zero, and
-    # the difference of two must stay a finite number
-    if not math.isfinite(2.0 * (p.d + abs(p.delta) + (n + 3) * abs(p.omega))):
-        raise NumericFailureError(
-            f"harmonic matrix at N = {n} overflows at omega = {p.omega:.3g}, "
-            f"delta = {p.delta:.3g}")
-    k = np.arange(2 * n + 1)
-    b = drive_amplitude(p)
-    f = np.zeros((2 * n + 1, 3, 2 * n + 1, 3), dtype=complex)
-    f[k, :, k, :] = static_part(p) + (k - n)[:, None, None] * p.omega * np.eye(3)
-    f[k[1:], :, k[:-1], :] = b.conj().T
-    f[k[:-1], :, k[1:], :] = b
-    return f.reshape(3 * (2 * n + 1), 3 * (2 * n + 1))
+    _harmonic_guard(p, n)
+    return _harmonic_matrices(static_part(p)[None], drive_amplitude(p)[None],
+                              np.array([p.omega]), n)[0]
 
 
 class ModeSet(NamedTuple):
@@ -319,6 +341,148 @@ class ModeSet(NamedTuple):
     edge_weight: float       # largest weight of a mode on the blocks k = +-N
 
 
+#: the most bytes of harmonic matrices one stacked eigensolve takes (a
+#: larger matrix is solved alone), so that a sweep's solves hold a few
+#: times this in memory whatever its length
+STACK_BYTES = 1 << 16
+
+
+@cache
+def _pairs(window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of `window` candidates against each earlier one, in the order
+    (1, 0), (2, 0), (2, 1), (3, 0), ..."""
+    return np.tril_indices(window, -1)
+
+
+def _columns(vecs: np.ndarray, pick: np.ndarray, phase, n: int):
+    """The columns `pick` of each eigenvector matrix of a stack, mode by
+    mode (point, mode, row), their harmonic blocks each times its phase
+    (point, mode, harmonic, spin), and their t = 0 states, the sums of
+    those blocks in order (point, spin, mode), with the norms of the
+    states. A point's modes lie in memory as `vecs[:, pick]` lays them out
+    for a single matrix, so the sums run in the order they take there."""
+    v = vecs.swapaxes(1, 2)[np.arange(len(pick))[:, None], pick]
+    c = v.reshape(len(v), len(pick[0]), 2 * n + 1, 3)
+    if phase is not None:
+        c = c * phase[:, None]
+    t0 = c.transpose(0, 2, 3, 1).sum(axis=1)
+    return v, c, t0, np.linalg.norm(t0, axis=1)
+
+
+def _same_fold(level: np.ndarray, omega: np.ndarray, window: int) -> np.ndarray:
+    """Whether each candidate's quasi-energy folds onto an earlier one's,
+    within 1e-6 |omega|, in the pair order of `_pairs`."""
+    later, earlier = _pairs(window)
+    w = np.abs(omega)[:, None]
+    rise = level[:, later] - level[:, earlier]
+    return np.abs(((rise + w / 2.0) % w) - w / 2.0) < 1e-6 * w
+
+
+def _pick(vals: np.ndarray, vecs: np.ndarray, omega: np.ndarray, order,
+          phase, n: int):
+    """Columns of the three drive modes at each point of a stack of
+    harmonic eigensystems, whose columns `order` ranks, and a mask of the
+    points that have three.
+
+    The columns are visited in that order; one is skipped when its t = 0
+    state is null or when it is a harmonic copy of a column already
+    picked: a copy shares the folded quasi-energy and the t = 0 state, so
+    it would shadow a genuine third mode. The visit is greedy over a
+    window of the leading columns, which doubles for the points it leaves
+    short.
+    """
+    m, dim = vals.shape
+    pick = np.zeros((m, 3), dtype=int)
+    found = np.zeros(m, dtype=bool)
+    todo, window = np.arange(m), 3
+    while todo.size:
+        cand = order[todo, :window]
+        copy = _same_fold(vals[todo[:, None], cand], omega[todo], window)
+        _, _, states, norms = _columns(vecs[todo], cand, phase, n)
+        taken = ~(norms < 1e-8)
+        # a copy overlaps its original's t = 0 state (NaN at a null
+        # state, which is skipped)
+        later, earlier = _pairs(window)
+        si, sj = states[:, :, earlier], states[:, :, later]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            copy &= (np.abs((si.conj() * sj).sum(axis=1))
+                     / (norms[:, earlier] * norms[:, later]) > 0.99)
+        for c in range(1, window):
+            pairs = slice(c * (c - 1) // 2, c * (c + 1) // 2)
+            taken[:, c] &= ~(copy[:, pairs] & taken[:, :c]).any(axis=1)
+        count = taken.cumsum(axis=1)
+        done = count[:, -1] >= 3
+        pick[todo[done]] = cand[done][taken[done] & (count[done] <= 3)].reshape(-1, 3)
+        found[todo[done]] = True
+        if window == dim:
+            break
+        todo, window = todo[~done], min(2 * window, dim)
+    return pick, found
+
+
+def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
+    """The three drive modes of each point of the stack q, whose rotation
+    frequencies are `omega`, at truncation N, as `physical_modes` documents
+    them; stacked eigensolves of at most STACK_BYTES each. Returns (quasi,
+    fourier, weights, mode0, edge weight), stacked, and a mask of the
+    points where three distinct modes were found.
+
+    The columns are ranked by their weight on the central harmonic block.
+    The three leading ones are the modes unless one has a null t = 0 state
+    or two share a folded quasi-energy; only those points take the greedy
+    visit of `_pick`.
+    """
+    m, dim = len(omega), 3 * (2 * n + 1)
+    static = _static_part(q).real
+    drive = _drive_amplitude(q._replace(phi0=0.0)).real
+    if drive.shape != static.shape:  # along delta the drive is fixed
+        drive = np.broadcast_to(drive, static.shape)
+    chunk = max(1, STACK_BYTES // (8 * dim * dim))
+    quasi, fourier, mode0, found = [], [], [], []
+    for lo in range(0, m, chunk):
+        at = slice(lo, lo + chunk)
+        f = _harmonic_matrices(static[at], drive[at], omega[at], n)
+        vals, vecs = np.linalg.eigh(f)
+        order = np.argsort((vecs[:, 3 * n:3 * n + 3] ** 2).sum(axis=1))[:, ::-1]
+        pick = order[:, :3]
+        v, c, t0, norms = _columns(vecs, pick, phase, n)
+        odd = (_same_fold(vals[np.arange(len(vals))[:, None], pick], omega[at],
+                          3).any(axis=1)
+               | (norms < 1e-8).any(axis=1))
+        ok = np.ones(len(vals), dtype=bool)
+        if odd.any():
+            rows = np.flatnonzero(odd)
+            again, ok[rows] = _pick(vals[rows], vecs[rows], omega[at][rows],
+                                    order[rows], phase, n)
+            v[rows], c[rows], t0[rows], norms[rows] = _columns(vecs[rows], again,
+                                                               phase, n)
+            norms[~ok] = 1.0  # no three modes, and none is read
+        # the Rayleigh quotients point by point: einsum's sum order
+        # depends on the operands' shape
+        quasi += [np.einsum("im,im->m", a, fa) / np.einsum("im,im->m", a, a)
+                  for a, fa in zip(v.swapaxes(1, 2), f @ v.swapaxes(1, 2))]
+        fourier.append(c)
+        mode0.append(t0 / norms[:, None])
+        found.append(ok)
+    quasi = np.array(quasi).reshape(m, 3)
+    fourier, mode0, found = (a[0] if len(a) == 1 else np.concatenate(a)
+                             for a in (fourier, mode0, found))
+    fourier = fourier.transpose(0, 2, 3, 1)
+    power = np.abs(fourier) ** 2
+    weights = power.sum(axis=1).swapaxes(1, 2)  # (mode, spin)
+    weights = weights / weights.sum(axis=2, keepdims=True)
+    edge = power[:, [0, -1]].sum(axis=(1, 2)).max(axis=1)
+    return (quasi, fourier, weights, mode0, edge), found
+
+
+def _phase(phi0: float, n: int):
+    """The phase e^{ik phi0} of harmonic block k = -N..N, phi0 reduced to
+    (-pi, pi] as the drive amplitude sees it; None at phi0 = 0."""
+    if phi0 == 0:
+        return None
+    return np.exp(1j * np.angle(np.exp(1j * phi0)) * np.arange(-n, n + 1))
+
+
 def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
     """Diagonalize the truncated harmonic matrix and pick the three modes
     carrying the most weight in the central harmonic block.
@@ -329,49 +493,21 @@ def physical_modes(p: RotorParams, n_harmonics: int) -> ModeSet:
     phi0 and block k of each eigenvector takes that phase, with phi0 reduced
     to (-pi, pi] as the drive amplitude sees it. Each quasi-energy is the
     Rayleigh quotient v^T F v / v^T v of its picked eigenvector v, unfolded.
+    A one-point solve of the batch behind `field_modes`.
     """
     n = int(n_harmonics)
-    f = floquet_matrix(p.with_(phi0=0.0), n).real
-    vals, vecs = np.linalg.eigh(f)
-    blocks = vecs.reshape(2 * n + 1, 3, -1)
-    if p.phi0 != 0:
-        phi = np.angle(np.exp(1j * p.phi0))
-        blocks = blocks * np.exp(1j * phi * np.arange(-n, n + 1))[:, None, None]
-    central = (np.abs(blocks[n]) ** 2).sum(axis=0)
-    # greedy pick by central-harmonic weight, skipping harmonic copies of an
-    # already chosen mode (copies share the same t = 0 state and a folded
-    # quasi-energy, so they would shadow a genuine third mode)
-    order = np.argsort(central)[::-1]
-    states0 = blocks.sum(axis=0)
-    norms0 = np.linalg.norm(states0, axis=0)
-    pick = []
-    for j in order:
-        if norms0[j] < 1e-8:
-            continue
-        dup = False
-        for i in pick:
-            same_fold = abs(fold(vals[j] - vals[i], p.omega)) < 1e-6 * abs(p.omega)
-            ov = abs(np.vdot(states0[:, i], states0[:, j])) / (norms0[i] * norms0[j])
-            if same_fold and ov > 0.99:
-                dup = True
-                break
-        if not dup:
-            pick.append(int(j))
-        if len(pick) == 3:
-            break
-    if len(pick) < 3:
+    if n < 0:
+        raise InvalidArgumentError("n_harmonics must be >= 0")
+    _harmonic_guard(p, n)
+    if n == 0:
+        fold(0.0, p.omega)  # the pick compares quasi-energies modulo omega
+    modes, found = _solve_harmonics(_points(p, "omega", [p.omega]),
+                                    np.array([p.omega]), n, _phase(p.phi0, n))
+    if not found[0]:
         raise NumericFailureError(
             "could not isolate three distinct drive modes; raise the truncation"
         )
-    pick = np.array(pick)
-    v = vecs[:, pick]
-    quasi = np.einsum("im,im->m", v, f @ v) / np.einsum("im,im->m", v, v)
-    fourier = blocks[:, :, pick]
-    weights = (np.abs(fourier) ** 2).sum(axis=0).T  # (mode, spin)
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    mode0 = fourier.sum(axis=0)
-    mode0 = mode0 / np.linalg.norm(mode0, axis=0, keepdims=True)
-    edge = (np.abs(fourier[[0, -1]]) ** 2).sum(axis=(0, 1)).max()
+    quasi, fourier, weights, mode0, edge = (a[0] for a in modes)
     return ModeSet(quasi=quasi, fourier=fourier, weights=weights, mode0=mode0,
                    n_harmonics=n, edge_weight=float(edge))
 
@@ -398,6 +534,182 @@ def _n_start(theta: float, edge_weight_max: float) -> int:
     return n
 
 
+class FieldModes(NamedTuple):
+    """The modes `auto_harmonics` finds at each leading point of a sweep."""
+
+    quasi: np.ndarray        # (points, 3), see ModeSet
+    fourier: list            # per point, (blocks, 3, modes)
+    weights: np.ndarray      # (points, modes, 3)
+    mode0: np.ndarray        # (points, 3, modes), complex
+    n_harmonics: np.ndarray  # (points,)
+    edge_weight: np.ndarray  # (points,)
+    error: RotorSpinError | None  # that of the next point, which failed
+
+
+def _check_bound(edge_weight_max: float) -> None:
+    if not 0.0 < edge_weight_max < 1.0:
+        raise InvalidArgumentError(
+            f"edge_weight_max must lie in (0, 1), got {edge_weight_max!r}")
+
+
+def _harmonic_modes(p: RotorParams, axis: str, values: np.ndarray, q: _Points,
+                    omega: np.ndarray, harm: np.ndarray, edge_weight_max: float):
+    """The certified harmonic modes at the points `harm` of a sweep of p
+    (`values` along `axis`, `q` and `omega` at each point), none at omega
+    = 0 or delta = 0: a list of (points, modes, N), and the index and error
+    of the first point that fails (len(values) and None if none fails).
+
+    The points still to solve are held by truncation; each pass solves
+    those at the smallest, up to the first failing point, and those it does
+    not certify wait at twice it, up to N = 512."""
+    n, error, parts = len(values), None, []
+
+    def fail(i: int, exc: RotorSpinError) -> None:
+        nonlocal n, error
+        if i < n:
+            n, error = i, exc
+
+    if axis == "theta":
+        start = np.array([_n_start(t, edge_weight_max)
+                          for t in values[harm].tolist()], dtype=int)
+        todo = {t: harm[start == t] for t in set(start.tolist())}
+    else:
+        todo = {_n_start(p.theta, edge_weight_max): harm} if harm.size else {}
+    # where the harmonic matrix's own checks may fail: |omega| within 1e-15
+    # of max(d, |delta|) (no drive period below 2.2e-16 of their sum), or a
+    # parameter far beyond any level whose copies up to N = 512 fit in
+    # float64
+    wabs = np.abs(omega)
+    top = np.maximum(np.abs(values if axis == "delta" else p.delta), p.d)
+    risky = (wabs <= 1e-15 * top) | (np.maximum(wabs, top) > 1e300)
+    if not risky.any():
+        risky = None
+    while todo:
+        nh = min(todo)
+        at = todo.pop(nh)
+        if n < len(values):
+            at = at[at < n]
+        if not at.size:
+            continue
+        if nh > _N_MAX:
+            fail(int(at[0]), NumericFailureError(
+                f"harmonic truncation did not converge below N = {_N_MAX}"))
+            continue
+        for i in [] if risky is None else at[risky[at]].tolist():
+            try:
+                _harmonic_guard(p.with_(**{axis: float(values[i])}), nh)
+            except RotorSpinError as exc:
+                fail(i, exc)
+                at = at[at < n]
+                break
+        if not at.size:
+            continue
+        modes, found = _solve_harmonics(q if len(at) == len(values) else q.take(at),
+                                        omega[at], nh, _phase(p.phi0, nh))
+        if not found.all():
+            fail(int(at[np.argmin(found)]), NumericFailureError(
+                "could not isolate three distinct drive modes; raise the "
+                "truncation"))
+        done = modes[4] <= edge_weight_max
+        if done.all():
+            parts.append((at, modes, nh))
+        else:
+            parts.append((at[done], [a[done] for a in modes], nh))
+            later = at[~done]
+            todo[2 * nh] = (np.sort(np.concatenate((todo[2 * nh], later)))
+                            if 2 * nh in todo else later)
+    return parts, n, error
+
+
+def field_modes(p: RotorParams, axis: str, values,
+                edge_weight_max: float = EDGE_WEIGHT_LEVELS) -> FieldModes:
+    """The modes of `auto_harmonics` at each point of a sweep of p along
+    omega, theta or delta, in one batch.
+
+    Points at omega = 0 take one stacked static eigensolve, points at
+    delta = 0 the `zero_field_modes` batch. The others share the harmonic
+    solve: the points that start at the same truncation N (`_n_start`) are
+    solved as stacks of real phi0 = 0 matrices, their modes picked and
+    certified on arrays, and only the points whose edge weight exceeds
+    `edge_weight_max` are solved again at 2N, up to N = 512. Each point
+    meets the checks a single one meets, in the same order; the points from
+    the first that fails on are not returned, and its error is returned,
+    not raised, as by `zero_field_modes`.
+    """
+    _check_bound(edge_weight_max)
+    values = np.asarray(values, dtype=float)
+    n, error = _valid_prefix(p, axis, values)
+    values = values[:n]
+    omega = values if axis == "omega" else np.full(n, p.omega)
+    delta = values if axis == "delta" else p.delta
+    q = _points(p, axis, values)
+    # (points, modes, truncation) of each route and truncation solved
+    parts = []
+
+    def fail(i: int, exc: RotorSpinError) -> None:
+        nonlocal n, error
+        if i < n:
+            n, error = i, exc
+
+    harm = (omega != 0) & (delta != 0)
+    if not harm.all():
+        static = np.flatnonzero(omega == 0)
+        if static.size:
+            h = _static_part(q.take(static))
+            try:
+                es = hermitian_eigensystem(h)
+            except RotorSpinError as exc:
+                fail(int(static[exc.index]), exc)
+                static = static[:exc.index]
+                es = hermitian_eigensystem(h[:exc.index])
+            parts.append((static, (es.values, es.vectors[:, None],
+                                   (np.abs(es.vectors) ** 2).swapaxes(1, 2),
+                                   es.vectors, np.zeros(len(static))), 0))
+        zero = np.flatnonzero((omega != 0) & (delta == 0))
+        if zero.size:
+            # along delta each zero keeps its own sign, as at a single point
+            zf = ([zero_field_modes(p.with_(delta=float(values[i])), "omega",
+                                    [p.omega]) for i in zero] if axis == "delta"
+                  else [zero_field_modes(p, axis, values[zero])])
+            # up to the first batch that fails, and its leading points
+            first = next((k for k, b in enumerate(zf) if b.error is not None),
+                         len(zf))
+            levels = np.concatenate([b.quasi for b in zf[:first + 1]])
+            vectors = np.concatenate([b.modes for b in zf[:first + 1]])
+            if first < len(zf):
+                fail(int(zero[len(levels)]), zf[first].error)
+            parts.append((zero[:len(levels)], (
+                levels, np.eye(3)[:, :, None] * vectors[:, None],
+                (np.abs(vectors) ** 2).swapaxes(1, 2), vectors,
+                np.zeros(len(levels))), 0))
+
+    harm = np.arange(n) if not parts else np.flatnonzero(harm[:n])
+    solved, last, exc = _harmonic_modes(p, axis, values, q, omega, harm,
+                                        edge_weight_max)
+    parts += solved
+    if exc is not None:
+        fail(last, exc)
+
+    # the parts in axis order, up to the first failing point
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        _, (quasi, fourier, weights, mode0, edge), nh = parts[0]
+        n_harmonics, fourier = np.full(n, nh), list(fourier)
+    else:
+        order = np.argsort(np.concatenate(
+            [part[0] for part in parts] + [np.zeros(0, dtype=int)]))[:n]
+        quasi, weights, mode0, edge = (
+            np.concatenate([part[1][k] for part in parts]
+                           + [np.zeros((0,) + shape)])[order]
+            for k, shape in ((0, (3,)), (2, (3, 3)), (3, (3, 3)), (4, ())))
+        fourier = [c for part in parts for c in part[1][1]]
+        fourier = [fourier[i] for i in order.tolist()]
+        n_harmonics = np.concatenate([np.full(len(part[0]), part[2])
+                                      for part in parts] + [np.zeros(0, int)])[order]
+    return FieldModes(quasi=quasi, fourier=fourier, weights=weights,
+                      mode0=mode0.astype(complex, copy=False),
+                      n_harmonics=n_harmonics, edge_weight=edge, error=error)
+
+
 def auto_harmonics(p: RotorParams,
                    edge_weight_max: float = EDGE_WEIGHT_LEVELS) -> ModeSet:
     """Drive modes at the first truncation N, 2N, 4N, ... (up to 512) at
@@ -408,31 +720,25 @@ def auto_harmonics(p: RotorParams,
     EDGE_WEIGHT_STATES for anything read from the modes along the period.
     The modes are exact, with n_harmonics 0 and edge weight 0, at omega = 0
     (the static eigensystem, one harmonic each) and at delta = 0 (a
-    one-point `zero_field_modes`)."""
-    if not 0.0 < edge_weight_max < 1.0:
-        raise InvalidArgumentError(
-            f"edge_weight_max must lie in (0, 1), got {edge_weight_max!r}")
-    if p.omega == 0:
-        es = hermitian_eigensystem(static_part(p))
-        return ModeSet(quasi=es.values, fourier=es.vectors[None],
-                       weights=(np.abs(es.vectors) ** 2).T, mode0=es.vectors,
-                       n_harmonics=0, edge_weight=0.0)
-    if p.delta == 0:
-        zf = zero_field_modes(p, "omega", [p.omega])
-        if zf.error is not None:
-            raise zf.error
-        v = zf.modes[0]
-        return ModeSet(quasi=zf.quasi[0], fourier=np.eye(3)[:, :, None] * v,
-                       weights=(np.abs(v) ** 2).T, mode0=v,
-                       n_harmonics=0, edge_weight=0.0)
-    n = _n_start(p.theta, edge_weight_max)
-    while n <= _N_MAX:
-        modes = physical_modes(p, n)
-        if modes.edge_weight <= edge_weight_max:
-            return modes
-        n *= 2
-    raise NumericFailureError(
-        f"harmonic truncation did not converge below N = {_N_MAX}")
+    one-point `zero_field_modes`). A one-point `field_modes`: p, already
+    checked, enters its harmonic solve directly where it has a field."""
+    if p.omega == 0 or p.delta == 0:
+        fm = field_modes(p, "omega", [p.omega], edge_weight_max)
+        if fm.error is not None:
+            raise fm.error
+        return ModeSet(quasi=fm.quasi[0], fourier=fm.fourier[0],
+                       weights=fm.weights[0], mode0=fm.mode0[0], n_harmonics=0,
+                       edge_weight=0.0)
+    _check_bound(edge_weight_max)
+    omega = np.array([p.omega])
+    parts, _, error = _harmonic_modes(p, "omega", omega, _points(p, "omega", omega),
+                                      omega, np.arange(1), edge_weight_max)
+    if error is not None:
+        raise error
+    (quasi, fourier, weights, mode0, edge), n = parts[-1][1:]
+    return ModeSet(quasi=quasi[0], fourier=fourier[0], weights=weights[0],
+                   mode0=mode0[0].astype(complex), n_harmonics=n,
+                   edge_weight=float(edge[0]))
 
 
 class SpectrumBranch(NamedTuple):
@@ -456,55 +762,24 @@ class QuasiSpectrum(NamedTuple):
         raise KeyError(label)
 
 
-def _static_labels(p: RotorParams):
-    """Levels of `static_part(p)`, ascending, and the index of the level
-    each branch label takes by spin character."""
-    es = hermitian_eigensystem(static_part(p))
-    return es.values, _assign_labels((np.abs(es.vectors) ** 2).T)
-
-
-def _slope_targets(p: RotorParams) -> np.ndarray:
-    """Unfolded representative targets in LABELS order: static-level value
-    plus the slope-rule harmonic shift for each branch."""
-    levels, idx = _static_labels(p)
-    return np.array([levels[idx[lab]] + SLOPE[lab] * p.omega for lab in LABELS])
-
-
-def _side_labels_swap(p_template: RotorParams, axis: str, a: float,
-                      b: float) -> bool:
-    """Whether the static levels labeled m-1 and m+1 at axis value a take
-    each other's labels at b. Their slope-rule targets then jump, and no
-    grid resolves that: by symmetry the labels swap where the S_z
-    coefficient omega (1 - cos theta) - delta cos theta passes zero."""
-    at_a, at_b = (_static_labels(p_template.with_(**{axis: float(x)}))[1]
-                  for x in (a, b))
-    return (at_a["m-1"], at_a["m+1"]) == (at_b["m+1"], at_b["m-1"])
-
-
-def _field_modes(p_template: RotorParams, axis: str, values: np.ndarray):
-    """Per-point (quasi, mode0, weights) of `auto_harmonics` at
-    EDGE_WEIGHT_LEVELS and slope-rule targets (where omega != 0) of a sweep
-    with a field, stacked, with the largest truncation and edge weight.
-    Like `zero_field_modes` it stops at the first point that fails and
-    returns, not raises, that point's error."""
-    n, error = len(values), None
-    quasi, targets = np.zeros((n, 3)), np.zeros((n, 3))
-    modes, weights = np.zeros((n, 3, 3), dtype=complex), np.zeros((n, 3, 3))
-    n_max, edge_max = 0, 0.0
-    for i, x in enumerate(values.tolist()):
-        try:
-            p = p_template.with_(**{axis: x})
-            ms = auto_harmonics(p, EDGE_WEIGHT_LEVELS)
-            if p.omega:
-                targets[i] = _slope_targets(p)
-        except RotorSpinError as exc:
-            n, error = i, exc
-            break
-        quasi[i], modes[i], weights[i] = ms.quasi, ms.mode0, ms.weights
-        n_max = max(n_max, ms.n_harmonics)
-        edge_max = max(edge_max, ms.edge_weight)
-    return (quasi[:n], modes[:n], weights[:n], targets[:n], n_max, edge_max,
-            error)
+def _slope_targets(p_template: RotorParams, axis: str, values: np.ndarray):
+    """Slope-rule targets (points, 3) in LABELS order of the points of a
+    sweep, from one stacked eigensolve of their `static_part`: the level
+    each label takes by spin character plus its slope-rule harmonic shift.
+    Also returns the index of that level per label, and the number of
+    leading points solved with the error of the next one, if any."""
+    q = _points(p_template, axis, values)
+    try:
+        es = hermitian_eigensystem(_static_part(q))
+        n, error = len(values), None
+    except RotorSpinError as exc:
+        n, error = exc.index, exc
+        es = hermitian_eigensystem(_static_part(q.take(slice(0, n))))
+    labels = _best_permutation(_label_score((np.abs(es.vectors) ** 2).swapaxes(1, 2)))
+    omega = values[:n] if axis == "omega" else np.full(n, p_template.omega)
+    slope = np.array([SLOPE[lab] for lab in LABELS])
+    targets = np.take_along_axis(es.values, labels, axis=1) + slope * omega[:, None]
+    return targets, labels, n, error
 
 
 def quasienergy_spectrum(
@@ -515,17 +790,18 @@ def quasienergy_spectrum(
     """Three continuously tracked quasi-energy branches along a sweep axis.
 
     One tracker serves every sweep, on arrays: the modes come from one
-    `zero_field_modes` batch without a field, from `_field_modes` with one
-    (along delta, or at delta != 0). Branches follow the largest overlap of
-    the t = 0 states from point to point. With a field every point with
-    omega != 0 is unfolded by one rule, the exact modes at delta = 0
-    included: a branch keeps its offset from its slope-rule target, taking
-    the copy nearest the target plus the offset at the previous unfolded
-    point (nearest the target itself at the first), which draws the fan
-    of levels from the zero-rotation eigenvalues. The first point that
-    fails, in axis order, raises. `tracking_overlap_min` is the smallest
-    overlap a branch kept from one point to the next; below 0.5 tracking
-    fails.
+    `zero_field_modes` batch without a field, from one `field_modes` batch
+    with one (along delta, or at delta != 0), and the slope-rule targets
+    from one stacked eigensolve of the static parts. Branches follow the
+    largest overlap of the t = 0 states from point to point. With a field
+    every point with omega != 0 is unfolded by one rule, the exact modes at
+    delta = 0 included: a branch keeps its offset from its slope-rule
+    target, taking the copy nearest the target plus the offset at the
+    previous unfolded point (nearest the target itself at the first), which
+    draws the fan of levels from the zero-rotation eigenvalues. The first
+    point that fails, in axis order, raises. `tracking_overlap_min` is the
+    smallest overlap a branch kept from one point to the next; below 0.5
+    tracking fails.
     """
     if axis not in AXIS_NAMES:
         raise InvalidArgumentError(f"unknown sweep axis {axis!r}")
@@ -544,8 +820,17 @@ def quasienergy_spectrum(
 
     field = axis == "delta" or p_template.delta != 0
     if field:
-        quasi, modes, weights, targets, n_max, edge_max, error = _field_modes(
-            p_template, axis, values)
+        fm = field_modes(p_template, axis, values, EDGE_WEIGHT_LEVELS)
+        quasi, modes, weights, error = fm.quasi, fm.mode0, fm.weights, fm.error
+        n_max = int(fm.n_harmonics.max(initial=0))
+        edge_max = float(fm.edge_weight.max(initial=0.0))
+        # the points are unfolded where omega != 0: every point, or none
+        if len(quasi) and (axis == "omega" or p_template.omega):
+            targets, labels, n, static_error = _slope_targets(
+                p_template, axis, values[:len(quasi)])
+            if static_error is not None:
+                quasi, modes, weights = quasi[:n], modes[:n], weights[:n]
+                error = static_error
     else:
         quasi, modes, error = zero_field_modes(p_template, axis, values)
         weights = (np.abs(modes) ** 2).swapaxes(1, 2)
@@ -600,7 +885,11 @@ def quasienergy_spectrum(
             f"{values[i]:.6g} (max overlap {worst[i - 1]:.3f}); use a finer grid")
     if jump:
         a, b = values[jump[0] - 1], values[jump[0]]
-        if width[jump[0]] and _side_labels_swap(p_template, axis, a, b):
+        # the static levels labeled m-1 and m+1 at a take each other's
+        # labels at b: their slope-rule targets jump, and no grid resolves
+        # that (by symmetry where the S_z coefficient passes zero)
+        if width[jump[0]] and (labels[jump[0] - 1, [0, 2]]
+                               == labels[jump[0], [2, 0]]).all():
             raise TrackingError(
                 f"branch continuity violated near {axis} = {b:.6g}: the "
                 f"slope-rule labels of m-1 and m+1 swap between {axis} = "

@@ -103,30 +103,36 @@ def h_rotating(p: RotorParams, t) -> np.ndarray:
 
 class _Points(NamedTuple):
     """The parameters the Hamiltonian builders read, at one point or along
-    a sweep: there omega, cos theta and sin theta are (points, 1, 1)
-    arrays, and every builder does the same float operations on them as at
-    one point."""
+    a sweep: there the swept delta, omega, or cos theta and sin theta are
+    (points, 1, 1) arrays, and every builder does the same float
+    operations on them as at one point."""
 
     d: float
-    delta: float
+    delta: float | np.ndarray
     phi0: float
     omega: float | np.ndarray
     cos: float | np.ndarray
     sin: float | np.ndarray
 
+    def take(self, idx) -> "_Points":
+        """The points at the positions idx of a sweep."""
+        return self._make(v[idx] if isinstance(v, np.ndarray) else v for v in self)
+
 
 def _points(p: RotorParams, axis: str | None = None, values=None) -> _Points:
-    """`_Points` of p, or of each point of a sweep of p along omega or
-    theta. The cosine and sine are math's, one point at a time: numpy's
+    """`_Points` of p, or of each point of a sweep of p along omega, theta
+    or delta. The cosine and sine are math's, one point at a time: numpy's
     round some values differently in the last bit."""
     cos, sin = math.cos(p.theta), math.sin(p.theta)
     if axis is None:
         return _Points(p.d, p.delta, p.phi0, p.omega, cos, sin)
-    if axis not in ("omega", "theta"):
+    if axis not in ("omega", "theta", "delta"):
         raise InvalidArgumentError(f"cannot sweep a frame matrix along {axis!r}")
     values = np.asarray(values, dtype=float).reshape(-1, 1, 1)
     if axis == "omega":
         return _Points(p.d, p.delta, p.phi0, values, cos, sin)
+    if axis == "delta":
+        return _Points(p.d, values, p.phi0, p.omega, cos, sin)
     thetas = values.ravel().tolist()
     return _Points(p.d, p.delta, p.phi0, p.omega,
                    np.array([math.cos(t) for t in thetas]).reshape(-1, 1, 1),
@@ -177,7 +183,7 @@ def h_interaction(p: RotorParams, axis: str | None = None,
     Only valid without a static field; with a field the drive cannot be
     rotated away and the truncated harmonic expansion must be used instead.
     """
-    if p.delta != 0:
+    if p.delta != 0 or axis == "delta":
         raise InvalidArgumentError(
             "h_interaction requires delta = 0; use the Floquet path for a finite field"
         )
@@ -186,12 +192,18 @@ def h_interaction(p: RotorParams, axis: str | None = None,
     return _static_part(q) + b + b.conj().swapaxes(-1, -2) - q.omega * SPIN.sz
 
 
-def without_period(p: RotorParams, omega=None):
+def without_period(p: RotorParams, axis: str | None = None, values=None):
     """Whether the rotation has no usable drive period, |omega| <= eps (d +
-    |delta|), at p or at each of the `omega` values of a sweep of p (see
-    `period_guard`)."""
-    omega = p.omega if omega is None else np.asarray(omega, dtype=float)
-    return abs(omega) <= np.finfo(float).eps * (p.d + abs(p.delta))
+    |delta|), at p or, as an array, at each point of a sweep of p along
+    `axis` (see `period_guard`)."""
+    if axis is None:
+        return abs(p.omega) <= np.finfo(float).eps * (p.d + abs(p.delta))
+    values = np.asarray(values, dtype=float)
+    omega = values if axis == "omega" else p.omega
+    delta = values if axis == "delta" else p.delta
+    with np.errstate(over="ignore"):  # a bound past the float64 range is inf
+        short = np.abs(omega) <= np.finfo(float).eps * (p.d + np.abs(delta))
+    return short | np.zeros(len(values), dtype=bool)
 
 
 def period_guard(p: RotorParams) -> None:

@@ -27,8 +27,7 @@ from .errors import (ConfigError, FlatTraceError, InvalidArgumentError,
                      NumericFailureError, RotorSpinError)
 from .floquet import (EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES, LABELS,
                       quasienergy_spectrum)
-from .geomphase import (geometric_phases_with_field, geometric_phases_zero_field,
-                        zero_field_phases)
+from .geomphase import field_phases
 from .model import RotorParams, derived_scales, h_rotating
 from .sensing import angle_uncertainty, resonant_field
 
@@ -185,29 +184,15 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
 
 def _run_geomphase(cfg: SweepConfig) -> Dataset:
     values = _axis_values(cfg)
-    p0 = _params(cfg)
     name = cfg.axis.name
-    if p0.delta == 0 and name != "delta":
-        # one batch, and no harmonic solve whose truncation to record
-        ph = zero_field_phases(p0, name, values)
-        if ph.error is not None:
-            raise _at(name, float(values[len(ph.gamma)]), ph.error) from ph.error
-        gammas, provenance = ph.gamma, {}
-    else:
-        def point(v: float):
-            p = p0.with_(**{name: v})
-            if p.delta == 0:
-                return geometric_phases_zero_field(p)
-            return geometric_phases_with_field(p)
-
-        sets = _per_point(name, values, point)
-        gammas = [s.as_tuple() for s in sets]
-        provenance = _truncation(sets, EDGE_WEIGHT_STATES)
+    ph = field_phases(_params(cfg), name, values)
+    if ph.error is not None:
+        raise _at(name, float(values[len(ph.gamma)]), ph.error) from ph.error
     return Dataset(
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
-        columns=[values, *np.transpose(gammas)],
+        columns=[values, *ph.gamma.T],
         kinds=[_AXIS_KINDS[name], _PLAIN, _PLAIN, _PLAIN],
-        provenance=provenance,
+        provenance=_truncation([ph], EDGE_WEIGHT_STATES),
     )
 
 

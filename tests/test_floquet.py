@@ -10,8 +10,9 @@ from scipy.linalg import eig_banded
 
 from rotorspin import dynamics, floquet, geomphase
 from rotorspin.cli import main
-from rotorspin.errors import (InvalidArgumentError, NoCrossingError,
-                              NumericFailureError, TrackingError)
+from rotorspin.errors import (DegeneracyError, InvalidArgumentError,
+                              NoCrossingError, NumericFailureError,
+                              RotorSpinError, TrackingError)
 from rotorspin.floquet import (
     EDGE_WEIGHT_LEVELS,
     EDGE_WEIGHT_STATES,
@@ -29,10 +30,25 @@ from rotorspin.floquet import (
     quasienergy_spectrum,
     zero_field_modes,
 )
-from rotorspin.model import RotorParams, drive_amplitude, h_interaction, static_part
-from rotorspin.spin_algebra import hermitian_eigensystem, hermiticity_defect
+from rotorspin.model import (RotorParams, drive_amplitude, gauge_harmonics,
+                             h_interaction, static_part)
+from rotorspin.spin_algebra import SPIN, hermitian_eigensystem, hermiticity_defect
 
 RNG = np.random.default_rng(99)
+
+
+def recording_eigh(eigh, shape=None, array=None):
+    """np.linalg.eigh that first hands the shape of each input of a
+    harmonic matrix (last axis above 3), or the input itself, to a
+    recorder."""
+    def wrapper(a, *args, **kwargs):
+        if np.shape(a)[-1] > 3:
+            if shape is not None:
+                shape(np.shape(a))
+            if array is not None:
+                array(a)
+        return eigh(a, *args, **kwargs)
+    return wrapper
 
 
 def fold_dist(a, b, omega):
@@ -238,15 +254,12 @@ class TestAutoHarmonics:
     @pytest.mark.parametrize("bound", [EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES])
     def test_start_is_the_bessel_estimate(self, monkeypatch, bound):
         # the first solve is at the smallest N >= 1 with
-        # ((sin(theta) / 2)^N / N!)^2 <= bound / 100
+        # ((sin(theta) / 2)^N / N!)^2 <= bound / 100; every harmonic matrix
+        # solved is recorded, by its truncation
         solved = []
-        modes = floquet.physical_modes
-
-        def recording_modes(p, n):
-            solved.append(n)
-            return modes(p, n)
-
-        monkeypatch.setattr(floquet, "physical_modes", recording_modes)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh(
+            np.linalg.eigh, lambda shape: solved.extend(
+                [(shape[-1] // 3 - 1) // 2] * math.prod(shape[:-2]))))
         for theta in (0.0, 1e-9, 0.02, 0.3, 1.0, math.pi / 2, 3.0, math.pi):
             solved.clear()
             auto_harmonics(RotorParams(omega=0.7, theta=theta, delta=0.2), bound)
@@ -290,7 +303,7 @@ class TestZeroFieldModes:
     """Without a field `auto_harmonics` returns the exact frame modes: the
     cubic roots, the `h_interaction` eigenvectors and no harmonic matrix."""
 
-    def test_match_a_24_harmonic_solve(self, monkeypatch):
+    def test_match_a_24_harmonic_solve(self):
         # 40 points: |omega| log-uniform in [0.01, 3] of both signs, theta in
         # [0, pi], d in [0.5, 2], phi0 in [-5, 5]
         rng = np.random.default_rng(2024)
@@ -311,12 +324,9 @@ class TestZeroFieldModes:
                 worst["weights"] = max(worst["weights"], np.abs(
                     exact.weights[m] - ref.weights[r]).max())
             got = geomphase.geometric_phases_with_field(p).gamma
-            with monkeypatch.context() as mp:
-                mp.setattr(geomphase, "auto_harmonics",
-                           lambda q, bound: physical_modes(q, 24))
-                want = geomphase.geometric_phases_with_field(p).gamma
-            worst["gamma"] = max(worst["gamma"],
-                                 max(abs(got[lab] - want[lab]) for lab in LABELS))
+            want = oracle_field_phases(p, ref)[0]
+            worst["gamma"] = max(worst["gamma"], max(
+                abs(got[lab] - want[b]) for b, lab in enumerate(LABELS)))
         assert worst["quasi"] <= 1e-13, worst
         assert worst["weights"] <= 1e-12, worst
         assert worst["gamma"] <= 1e-10, worst
@@ -387,6 +397,117 @@ def scalar_cubic(d, omega, theta):
     return np.sort(roots)
 
 
+def oracle_physical_modes(p, n):
+    """`physical_modes` as it was before field sweeps were solved as one
+    batch: one matrix, its three modes picked greedily in Python. The
+    reference the batch must equal bit for bit."""
+    f = floquet_matrix(p.with_(phi0=0.0), n).real
+    vals, vecs = np.linalg.eigh(f)
+    blocks = vecs.reshape(2 * n + 1, 3, -1)
+    if p.phi0 != 0:
+        phi = np.angle(np.exp(1j * p.phi0))
+        blocks = blocks * np.exp(1j * phi * np.arange(-n, n + 1))[:, None, None]
+    central = (np.abs(blocks[n]) ** 2).sum(axis=0)
+    order = np.argsort(central)[::-1]
+    states0 = blocks.sum(axis=0)
+    norms0 = np.linalg.norm(states0, axis=0)
+    pick = []
+    for j in order:
+        if norms0[j] < 1e-8:
+            continue
+        dup = False
+        for i in pick:
+            same_fold = abs(fold(vals[j] - vals[i], p.omega)) < 1e-6 * abs(p.omega)
+            ov = abs(np.vdot(states0[:, i], states0[:, j])) / (norms0[i] * norms0[j])
+            if same_fold and ov > 0.99:
+                dup = True
+                break
+        if not dup:
+            pick.append(int(j))
+        if len(pick) == 3:
+            break
+    if len(pick) < 3:
+        raise NumericFailureError(
+            "could not isolate three distinct drive modes; raise the truncation")
+    pick = np.array(pick)
+    v = vecs[:, pick]
+    quasi = np.einsum("im,im->m", v, f @ v) / np.einsum("im,im->m", v, v)
+    fourier = blocks[:, :, pick]
+    weights = (np.abs(fourier) ** 2).sum(axis=0).T
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    mode0 = fourier.sum(axis=0)
+    mode0 = mode0 / np.linalg.norm(mode0, axis=0, keepdims=True)
+    edge = (np.abs(fourier[[0, -1]]) ** 2).sum(axis=(0, 1)).max()
+    return ModeSet(quasi=quasi, fourier=fourier, weights=weights, mode0=mode0,
+                   n_harmonics=n, edge_weight=float(edge))
+
+
+def oracle_auto_harmonics(p, bound=EDGE_WEIGHT_LEVELS, solved=None):
+    """`auto_harmonics` as it was before field sweeps were batched, one
+    point at a time over `oracle_physical_modes`; `solved`, if a list,
+    collects each truncation solved."""
+    if p.omega == 0:
+        es = hermitian_eigensystem(static_part(p))
+        return ModeSet(quasi=es.values, fourier=es.vectors[None],
+                       weights=(np.abs(es.vectors) ** 2).T, mode0=es.vectors,
+                       n_harmonics=0, edge_weight=0.0)
+    if p.delta == 0:
+        zf = zero_field_modes(p, "omega", [p.omega])
+        if zf.error is not None:
+            raise zf.error
+        v = zf.modes[0]
+        return ModeSet(quasi=zf.quasi[0], fourier=np.eye(3)[:, :, None] * v,
+                       weights=(np.abs(v) ** 2).T, mode0=v, n_harmonics=0,
+                       edge_weight=0.0)
+    n = floquet._n_start(p.theta, bound)
+    while n <= 512:
+        modes = oracle_physical_modes(p, n)
+        if solved is not None:
+            solved.append(n)
+        if modes.edge_weight <= bound:
+            return modes
+        n *= 2
+    raise NumericFailureError("harmonic truncation did not converge below N = 512")
+
+
+def oracle_field_phases(p, ms=None):
+    """(gamma, term1, term2) rows in LABELS order of the harmonic sum as
+    `geometric_phases_with_field` computed it one point at a time, over
+    the modes ms (by default `oracle_auto_harmonics` at
+    EDGE_WEIGHT_STATES)."""
+    t_signed = math.copysign(p.period, p.omega)
+    ms = oracle_auto_harmonics(p, EDGE_WEIGHT_STATES) if ms is None else ms
+    idx = _assign_labels(ms.weights)
+    for i, a in enumerate(LABELS):
+        for b in LABELS[i + 1:]:
+            gap = fold_dist(ms.quasi[idx[a]], ms.quasi[idx[b]], p.omega)
+            if gap < 1e-10 * p.d:
+                purity = min(ms.weights[idx[a]].max(), ms.weights[idx[b]].max())
+                if purity < 0.999:
+                    raise DegeneracyError(
+                        f"branches {a} and {b} are degenerate; phases not separable")
+    a0, a_minus = gauge_harmonics(p)
+    rows = []
+    for lab in LABELS:
+        c = ms.fourier[:, :, idx[lab]]
+        norm = np.vdot(c, c).real
+        static = np.einsum("ks,st,kt->", c.conj(), a0, c).real
+        hop = np.einsum("ks,st,kt->", c[:-1].conj(), a_minus, c[1:]).real
+        sz = np.einsum("ks,st,kt->", c.conj(), SPIN.sz, c).real
+        gamma = float(t_signed * (static + 2.0 * hop) / norm)
+        term1 = float(t_signed * p.omega * sz / norm)
+        rows.append((gamma, term1, term1 - gamma))
+    return np.array(rows).T
+
+
+def oracle_slope_targets(p):
+    """The slope-rule targets in LABELS order of one point."""
+    levels = hermitian_eigensystem(static_part(p)).values
+    idx = static_labels(p)
+    return np.array([levels[idx[lab]] + floquet.SLOPE[lab] * p.omega
+                     for lab in LABELS])
+
+
 def static_labels(p):
     """The index, among the ascending levels of `static_part(p)`, of the
     level each branch label takes by spin character."""
@@ -410,7 +531,7 @@ def per_point_spectrum(p_template, axis, values):
     n_max, edge_max, overlap_min = 0, 0.0, 1.0
     for i, x in enumerate(values):
         p = p_template.with_(**{axis: float(x)})
-        ms = auto_harmonics(p)
+        ms = oracle_auto_harmonics(p)
         width = abs(p.omega) if field else 0.0
         n_max = max(n_max, ms.n_harmonics)
         edge_max = max(edge_max, ms.edge_weight)
@@ -437,7 +558,7 @@ def per_point_spectrum(p_template, axis, values):
         reps[i] = ms.quasi[perm]
         modes[i] = ms.mode0[:, perm].T
         if width:
-            target = floquet._slope_targets(p)
+            target = oracle_slope_targets(p)
             reps[i] += np.round((target + offset - reps[i]) / width) * width
             offset = reps[i] - target
         if i >= 2:
@@ -464,8 +585,11 @@ def per_point_phases(p):
     point, as `geometric_phases_zero_field` computed them before sweeps
     were batched."""
     t_signed = math.copysign(p.period, p.omega)
+    ms = oracle_auto_harmonics(p)
+    idx = _assign_labels(ms.weights)
     rows = []
-    for _, lam, vec in quasienergies_zero_field(p):
+    for lam, vec in ((float(ms.quasi[idx[lab]]), ms.mode0[:, idx[lab]])
+                     for lab in LABELS):
         w = np.abs(vec) ** 2
         dyn = (p.d - p.omega) * w[0] + (p.d + p.omega) * w[2]
         rows.append((lam * t_signed - dyn * t_signed, lam * t_signed,
@@ -613,6 +737,54 @@ class TestZeroFieldBatch:
                              "omega", [0.3])
 
 
+def bits(a):
+    """The bits of an array of numbers, real or complex, as complex128."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
+
+
+def result_or_error(call):
+    """The result of call(), or the type and text of the error it raised."""
+    try:
+        return call(), None
+    except RotorSpinError as exc:
+        return None, (type(exc), str(exc))
+
+
+def params_of(argv):
+    """The RotorParams of a CLI argv's flags (before its --axis) and the
+    axis name and values."""
+    p = RotorParams(omega=0.0, theta=0.0)
+    for flag, value in zip(argv[1:-2:2], argv[2:-2:2]):
+        p = p.with_(**{flag.lstrip("-"): float(value)})
+    name, lo, hi, points = argv[-1].split(":")
+    return p, name, np.linspace(float(lo), float(hi), int(points))
+
+
+@st.composite
+def batch_sweeps(draw):
+    """(template, axis, values) of a sweep for the field batch: along omega
+    of both signs, through an exact 0 or not, along theta in [0, pi], or
+    along delta through an exact 0 or not; tilts up to pi/2 and beyond,
+    where the truncation doubles; phi0 0 or not; d in [0.3, 3]; 2-12
+    points."""
+    d = draw(st.floats(0.3, 3.0))
+    phi0 = draw(st.just(0.0) | st.floats(-7.0, 7.0))
+    points = draw(st.integers(2, 12))
+    axis = draw(st.sampled_from(["omega", "theta", "delta"]))
+    fixed = {"omega": draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.02, 1.5)),
+             "theta": draw(st.floats(0.0, math.pi)
+                           | st.sampled_from((1.2, 1.4, math.pi / 2, math.pi))),
+             "delta": draw(st.floats(-2.0, 2.0) | st.just(0.0))}
+    span = {"omega": (-1.5, 1.5), "theta": (0.0, math.pi), "delta": (-2.0, 2.0)}
+    lo, hi = sorted(draw(st.lists(st.floats(*span[axis]), min_size=2,
+                                  max_size=2, unique=True)))
+    values = np.linspace(lo, hi, points)
+    if lo < 0 < hi and draw(st.booleans()):
+        values = np.unique(np.append(values, 0.0))
+    return RotorParams(d=d, phi0=phi0, **{**fixed, axis: float(values[0])}), \
+        axis, values
+
+
 def matched_worst(got, ref, omega):
     """Largest folded distance between the three values of `got` and of
     `ref` under the pairing that makes it least."""
@@ -628,6 +800,117 @@ def field_params(draw):
     return RotorParams(omega=omega, theta=draw(st.floats(0.0, math.pi)),
                        delta=draw(st.floats(-2.0, 2.0)),
                        phi0=draw(st.floats(0.0, 2 * math.pi)))
+
+
+class TestFieldBatch:
+    """A field sweep is one batch: its modes and phases equal, bit for bit,
+    the points solved one at a time by the code the batch replaced (the
+    oracles above), and a sweep fails where and as its first failing point
+    fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep=batch_sweeps(),
+           bound=st.sampled_from([EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES]))
+    # the truncation doubles at every point (9 -> 18 at theta = 1.4), and
+    # at some points of a tilt sweep only
+    @example(sweep=(RotorParams(omega=0.3, theta=1.4, delta=0.9), "omega",
+                    np.linspace(0.3, 0.5, 4)), bound=EDGE_WEIGHT_LEVELS)
+    @example(sweep=(RotorParams(omega=0.3, theta=0.8, delta=0.9, phi0=1.3),
+                    "theta", np.linspace(0.8, 1.5, 8)), bound=EDGE_WEIGHT_STATES)
+    def test_field_modes_equal_the_oracle(self, sweep, bound):
+        p, axis, values = sweep
+        fm = floquet.field_modes(p, axis, values, bound)
+        for i, x in enumerate(values):
+            want, err = result_or_error(
+                lambda: oracle_auto_harmonics(p.with_(**{axis: float(x)}), bound))
+            if i == len(fm.quasi):
+                assert (type(fm.error), str(fm.error)) == err
+                break
+            assert err is None
+            got = (fm.quasi[i], fm.fourier[i], fm.weights[i], fm.mode0[i])
+            for g, w in zip(got, want):
+                assert np.array_equal(bits(g), bits(w))
+            assert (fm.n_harmonics[i], fm.edge_weight[i]) == (want.n_harmonics,
+                                                                want.edge_weight)
+        else:
+            assert fm.error is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep=batch_sweeps())
+    def test_field_phases_equal_the_oracle(self, sweep):
+        # the closed form at delta = 0, the harmonic sum elsewhere
+        p, axis, values = sweep
+        ph = geomphase.field_phases(p, axis, values)
+        n_max, edge_max = 0, 0.0
+        for i, x in enumerate(values):
+            q = p.with_(**{axis: float(x)})
+            want, err = result_or_error(
+                lambda: per_point_phases(q) if q.delta == 0 else oracle_field_phases(q))
+            if i == len(ph.gamma):
+                assert (type(ph.error), str(ph.error)) == err
+                break
+            assert err is None
+            got = np.array([ph.gamma[i], ph.term1[i], ph.term2[i]])
+            assert np.array_equal(bits(got), bits(want))
+            if q.delta != 0:
+                ms = oracle_auto_harmonics(q, EDGE_WEIGHT_STATES)
+                n_max = max(n_max, ms.n_harmonics)
+                edge_max = max(edge_max, ms.edge_weight)
+        else:
+            assert ph.error is None
+            assert (ph.truncation, ph.edge_weight) == (n_max, edge_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=field_params(), kind=st.sampled_from(["field", "delta=0", "omega=0"]),
+           n=st.integers(0, 20))
+    def test_one_point_calls_equal_the_oracle(self, p, kind, n):
+        p = {"field": p, "delta=0": p.with_(delta=0.0),
+             "omega=0": p.with_(omega=0.0)}[kind]
+        for got, want in (
+                (lambda: auto_harmonics(p), lambda: oracle_auto_harmonics(p)),
+                (lambda: physical_modes(p, n), lambda: oracle_physical_modes(p, n))):
+            (a, err), (b, want_err) = result_or_error(got), result_or_error(want)
+            assert err == want_err
+            if err is None:
+                for x, y in zip(a, b):
+                    assert np.array_equal(bits(x), bits(y))
+        got, err = result_or_error(lambda: geomphase.geometric_phases_with_field(p))
+        want, want_err = result_or_error(lambda: oracle_field_phases(p))
+        assert err == want_err
+        if err is None:
+            assert np.array_equal(bits([[s[lab] for lab in LABELS] for s in got[:3]]),
+                                  bits(want))
+
+    @pytest.mark.parametrize("argv", [
+        ["geomphase", "--theta", "0.3", "--delta", "0.4", "--axis", "omega:-0.5:0.5:11"],
+        ["geomphase", "--theta", "0.3", "--delta", "0.3", "--axis",
+         "omega:1e306:1e307:3"],
+        ["geomphase", "--theta", "0.3", "--delta", "1e308", "--axis", "omega:0.1:0.2:3"],
+        ["geomphase", "--omega", "0", "--theta", "0.8", "--axis", "delta:-0.2:0.2:21"],
+        ["geomphase", "--theta", "0.3", "--delta", "0.3", "--axis",
+         "omega:1e-300:1e-299:3"],
+        ["spectrum", "--theta", "0.3", "--delta", "0.3", "--axis",
+         "omega:1e306:1e307:3"],
+        ["spectrum", "--theta", "0.3", "--delta", "1e308", "--axis", "omega:0.1:0.2:3"],
+    ])
+    def test_refused_sweep_fails_as_its_first_failing_point(self, capsys, argv):
+        # the error the sweep raised one point at a time; a geomphase error
+        # names its first failing point
+        p, name, values = params_of(argv)
+        if argv[0] == "spectrum":
+            _, err = result_or_error(lambda: per_point_spectrum(p, name, values))
+        for x in values if argv[0] == "geomphase" else ():
+            q = p.with_(**{name: float(x)})
+            _, err = result_or_error(lambda: per_point_phases(q) if q.delta == 0
+                                     else oracle_field_phases(q))
+            if err is not None:
+                err = err[0], f"{err[1]} (at {name} = {x:.6g})"
+                break
+        kind, text = err
+        code = 2 if issubclass(kind, InvalidArgumentError) else 3
+        prefix = "config error" if code == 2 else "numeric failure"
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"{prefix}: {text}\n"
 
 
 class TestProperties:
@@ -763,7 +1046,8 @@ class TestRealHarmonicSolve:
         p = RotorParams(omega=0.2, theta=0.3, delta=0.3, phi0=1e300)
         psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
         got = dynamics.evolve(p, psi0, 10.0).states
-        monkeypatch.setattr(floquet, "physical_modes", complex_modes)
+        monkeypatch.setattr(dynamics, "auto_harmonics", lambda q, bound: complex_modes(
+            q, auto_harmonics(q, bound).n_harmonics))
         ref = dynamics.evolve(p, psi0, 10.0).states
         assert np.abs(got - ref).max() <= 1e-12
 
@@ -840,36 +1124,27 @@ class TestSpectrumSweep:
     ], ids=["readme-resonance", "spectrum-201"])
     def test_harmonic_solves_start_where_the_tilt_asks(self, monkeypatch, capsys,
                                                       argv, solves, size):
-        # the README resonance solves at N = 4, the spectrum at N = 7
+        # the README resonance solves at N = 4, the spectrum at N = 7; a
+        # stacked eigensolve counts each of its matrices
         sizes = []
-        eigh = np.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            if np.shape(a)[-1] > 3:
-                sizes.append(np.shape(a)[-1])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh(
+            np.linalg.eigh, lambda shape: sizes.extend(
+                [shape[-1]] * math.prod(shape[:-2]))))
         assert main(argv) == 0
         assert (len(sizes), max(sizes)) == (solves, size)
 
     def test_field_sweep_eigensolves_per_point(self, monkeypatch):
         # automatic truncation: one solve at N = 7, whose edge weight
-        # certifies it, and whose modes are the point's modes
-        count = 0
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            nonlocal count
-            if np.shape(a)[-1] > 3:
-                count += 1
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # certifies it, and whose modes are the point's modes; a stacked
+        # eigensolve counts each of its matrices
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh(
+            np.linalg.eigh, shapes.append))
         values = np.linspace(0.3, 0.8, 11)
         quasienergy_spectrum(RotorParams(omega=0.5, theta=0.3, delta=0.3),
                              "omega", values)
-        assert count == len(values)
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == len(values)
+        assert {shape[-1] for shape in shapes} == {45}
 
     @pytest.mark.parametrize("lo, hi, points", [
         (-0.5, 0.5, 11), (-0.5, 0.5, 10), (0.0, 0.5, 11), (-0.5, 0.0, 6)])
@@ -976,24 +1251,53 @@ class TestSpectrumSweep:
             "and 0.23, where omega (1 - cos theta) - delta cos theta passes "
             "zero; no finer grid avoids this\n")
 
-    @pytest.mark.parametrize("argv, points", [
-        (["--theta", "0.3", "--delta", "0.3", "--axis", "omega:0.05:1.2:41"], 41),
-        (["--omega", "0.45", "--theta", "0.8", "--axis", "delta:-0.2:0.2:21"], 21),
-        (["--omega", "0.45", "--delta", "0.3", "--axis", "theta:0.1:1.0:17"], 17),
-    ], ids=["omega", "delta-through-0", "theta"])
-    def test_field_spectrum_solves_each_point_once(self, monkeypatch, capsys,
-                                                   argv, points):
-        count = 0
-        solve = floquet.auto_harmonics
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--theta", "0.3", "--delta", "0.3", "--axis",
+         "omega:0.05:1.2:41"],
+        ["spectrum", "--omega", "0.45", "--theta", "0.8", "--axis",
+         "delta:-0.2:0.2:21"],
+        ["spectrum", "--omega", "0.45", "--delta", "0.3", "--axis",
+         "theta:0.1:1.0:17"],
+        ["spectrum", "--omega", "0.3", "--delta", "0.9", "--axis",
+         "theta:0.8:1.5:15"],
+        ["geomphase", "--theta", "0.3", "--delta", "0.4", "--axis",
+         "omega:0.3:0.6:31"],
+        ["geomphase", "--omega", "0.3", "--delta", "0.9", "--axis",
+         "theta:0.8:1.5:15"],
+    ], ids=["omega", "delta-through-0", "theta", "theta-doubling",
+            "geomphase", "geomphase-doubling"])
+    def test_field_sweep_solves_each_matrix_once_within_the_stack_budget(
+            self, monkeypatch, tmp_path, argv):
+        # every harmonic matrix a sweep solves through main, recorded by its
+        # bytes: each point's matrix once at each truncation the point tries
+        # (its own doubling, as a single point takes it), and no stacked
+        # input of more than one matrix above the byte budget, which bounds
+        # the memory a sweep takes whatever its length
+        name, lo, hi, points = argv[-1].split(":")
+        p = RotorParams(omega=0.0, theta=0.0)
+        for flag, value in zip(argv[1:-2:2], argv[2:-2:2]):
+            p = p.with_(**{flag.lstrip("-"): float(value)})
+        bound = EDGE_WEIGHT_LEVELS if argv[0] == "spectrum" else EDGE_WEIGHT_STATES
+        want = []
+        for x in np.linspace(float(lo), float(hi), int(points)):
+            q = p.with_(**{name: float(x)})
+            truncations = []
+            oracle_auto_harmonics(q, bound, truncations)
+            want += [floquet_matrix(q.with_(phi0=0.0), n).real.tobytes()
+                     for n in truncations]
+        solved = []
 
-        def counting_auto_harmonics(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return solve(*args, **kwargs)
+        def record(a):
+            a = np.asarray(a)
+            assert a.ndim == 3, a.shape
+            assert a.nbytes <= floquet.STACK_BYTES or len(a) == 1, a.shape
+            solved.extend(m.tobytes() for m in a)
 
-        monkeypatch.setattr(floquet, "auto_harmonics", counting_auto_harmonics)
-        assert main(["spectrum", *argv]) == 0
-        assert count == points
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh(np.linalg.eigh,
+                                                              array=record))
+        assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+        assert len(set(solved)) == len(solved)
+        assert sorted(solved) == sorted(want)
 
     def test_rejects_unsorted_axis(self):
         with pytest.raises(InvalidArgumentError):

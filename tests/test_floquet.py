@@ -1251,23 +1251,8 @@ class TestSpectrumSweep:
             "and 0.23, where omega (1 - cos theta) - delta cos theta passes "
             "zero; no finer grid avoids this\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--theta", "0.3", "--delta", "0.3", "--axis",
-         "omega:0.05:1.2:41"],
-        ["spectrum", "--omega", "0.45", "--theta", "0.8", "--axis",
-         "delta:-0.2:0.2:21"],
-        ["spectrum", "--omega", "0.45", "--delta", "0.3", "--axis",
-         "theta:0.1:1.0:17"],
-        ["spectrum", "--omega", "0.3", "--delta", "0.9", "--axis",
-         "theta:0.8:1.5:15"],
-        ["geomphase", "--theta", "0.3", "--delta", "0.4", "--axis",
-         "omega:0.3:0.6:31"],
-        ["geomphase", "--omega", "0.3", "--delta", "0.9", "--axis",
-         "theta:0.8:1.5:15"],
-    ], ids=["omega", "delta-through-0", "theta", "theta-doubling",
-            "geomphase", "geomphase-doubling"])
-    def test_field_sweep_solves_each_matrix_once_within_the_stack_budget(
-            self, monkeypatch, tmp_path, argv):
+    @staticmethod
+    def assert_solves_each_matrix_once(monkeypatch, tmp_path, argv):
         # every harmonic matrix a sweep solves through main, recorded by its
         # bytes: each point's matrix once at each truncation the point tries
         # (its own doubling, as a single point takes it), and no stacked
@@ -1298,6 +1283,28 @@ class TestSpectrumSweep:
         assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
         assert len(set(solved)) == len(solved)
         assert sorted(solved) == sorted(want)
+
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "0.3", "--delta", "0.3", "--axis", "omega:0.05:1.2:41"],
+        ["--omega", "0.45", "--theta", "0.8", "--axis", "delta:-0.2:0.2:21"],
+        ["--omega", "0.45", "--delta", "0.3", "--axis", "theta:0.1:1.0:17"],
+    ], ids=["omega", "delta-through-0", "theta"])
+    def test_field_spectrum_solves_each_point_once(self, monkeypatch,
+                                                   tmp_path, argv):
+        self.assert_solves_each_matrix_once(monkeypatch, tmp_path,
+                                            ["spectrum", *argv])
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--omega", "0.3", "--delta", "0.9", "--axis",
+         "theta:0.8:1.5:15"],
+        ["geomphase", "--theta", "0.3", "--delta", "0.4", "--axis",
+         "omega:0.3:0.6:31"],
+        ["geomphase", "--omega", "0.3", "--delta", "0.9", "--axis",
+         "theta:0.8:1.5:15"],
+    ], ids=["theta-doubling", "geomphase", "geomphase-doubling"])
+    def test_field_sweep_solves_each_matrix_once_within_the_stack_budget(
+            self, monkeypatch, tmp_path, argv):
+        self.assert_solves_each_matrix_once(monkeypatch, tmp_path, argv)
 
     def test_rejects_unsorted_axis(self):
         with pytest.raises(InvalidArgumentError):

@@ -7,8 +7,6 @@ and return the same floats. A NaN function value, a root that is not
 bracketed and an exhausted iteration budget raise NumericFailureError.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

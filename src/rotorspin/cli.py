@@ -8,10 +8,6 @@ the output was written, 2 configuration or usage error, 3 numeric
 failure.
 """
 
-from __future__ import annotations
-
-import atexit
-import gc
 import math
 import os
 import sys
@@ -32,16 +28,6 @@ _FLAGS = {"--config": "config", "--output": "output_path",
           **{f"--{key.replace('_', '-')}": key for key in _FLAG_KEYS}}
 
 _USAGE = "usage: rotorspin COMMAND [--flag VALUE | --flag=VALUE]..."
-
-# At exit the interpreter runs full collections over every object still
-# tracked, some 21,000 from the imports of numpy and the package. The
-# collections skip frozen objects, so the first exit handler freezes them
-# all: from that handler to the process's end took 30 ms before and 8 ms
-# after, on a 2-vCPU VM (BENCH_19.json). Handlers registered before this
-# import still run after it. Importing the package alone, or calling
-# `main` in a process, leaves the collector as it is.
-atexit.register(gc.freeze)
-
 
 def _help() -> str:
     commands = "".join(f"  {mode:<12} run the {mode} mode\n" for mode in MODES)
@@ -234,5 +220,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """Run `main` as a whole process and end it: the entry point of
+    `python -m rotorspin.cli` and of the `rotorspin` script. Once `main`
+    has returned and stdout and stderr are flushed, `os._exit` ends the
+    process with main's code, skipping the interpreter's finalization:
+    its collections over the objects that the imports of numpy and the
+    package leave, and its module teardown, took 4.1-7.7 ms (medians
+    4.6-5.3 ms) from the end of `main` to the parent process's `wait`
+    even with the heap frozen at exit, against medians of 1.3-1.6 ms
+    this way (BENCH_29.json). So no exit handler runs. An exception out
+    of `main`, such as the SystemExit of a usage error, ends the process
+    the usual way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -6,8 +6,6 @@ comment, blank lines ignored. A sweep axis is written compactly as
 which overrides the file value.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -8,8 +8,6 @@ of two exact 3x3 matrix exponentials, so every step is unitary to
 rounding error.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

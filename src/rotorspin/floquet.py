@@ -21,8 +21,6 @@ certify it, until the bound its output needs holds: an edge weight of
 amplitude of 1e-14) for states and phases read along the period.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cache
 from itertools import permutations

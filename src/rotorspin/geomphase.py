@@ -11,8 +11,6 @@ rest-frame levels in the co-rotating Hamiltonian; its harmonics come from
 `rotorspin.model.gauge_harmonics`, the one place they are computed.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -7,10 +7,7 @@ is not a static field along the rotation axis, whose quasi-energies differ
 from these by 0.003-0.15 at theta > 0 (lab geometry: ROADMAP.md, item 8).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RotorParams:
+class _RotorFields(NamedTuple):
+    omega: float
+    theta: float
+    d: float = 1.0
+    phi0: float = 0.0
+    delta: float = 0.0
+
+
+class RotorParams(_RotorFields):
     """Physical parameters of the rotating spin.
 
     d       zero-field splitting (frequency units, > 0)
@@ -40,30 +44,35 @@ class RotorParams:
     theta   tilt angle between the spin axis and the rotation axis, in [0, pi]
     phi0    initial azimuth of the spin axis (radians)
     delta   field parameter, static in the co-rotating frame (module docstring)
+
+    A named tuple, validated however it is made, `_make` and `_replace`
+    included: immutable, and equal and hashed by value.
     """
 
-    omega: float
-    theta: float
-    d: float = 1.0
-    phi0: float = 0.0
-    delta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.d, self.omega, self.theta, self.phi0, self.delta)
-        if not all(math.isfinite(v) for v in vals):
+    def __new__(cls, omega: float, theta: float, d: float = 1.0,
+                phi0: float = 0.0, delta: float = 0.0):
+        if not all(math.isfinite(v) for v in (d, omega, theta, phi0, delta)):
             raise InvalidArgumentError("all parameters must be finite")
-        if self.d <= 0:
+        if d <= 0:
             raise InvalidArgumentError("d must be positive")
-        if not 0.0 <= self.theta <= math.pi:
+        if not 0.0 <= theta <= math.pi:
             raise InvalidArgumentError("theta must lie in [0, pi]")
+        return super().__new__(cls, omega, theta, d, phi0, delta)
 
     @property
     def period(self) -> float:
         period_guard(self)
         return 2.0 * math.pi / abs(self.omega)
 
+    @classmethod
+    def _make(cls, iterable) -> "RotorParams":
+        return cls(*iterable)
+
     def with_(self, **kw) -> "RotorParams":
-        return replace(self, **kw)
+        """A copy with the fields in kw replaced, validated again."""
+        return self._replace(**kw)
 
 
 class DerivedScales(NamedTuple):

@@ -10,13 +10,12 @@ forced, but all defaults assume it); physical-units output only rescales
 columns at serialization time.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +46,16 @@ _PSI0 = {
 }
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     """A run's table: `columns` holds one equal-length array (or sequence)
     per `header` name, `kinds` the physical-units scaling of each column
     (freq, time or plain), and `provenance` the preamble's key=value
-    pairs."""
+    pairs. The default provenance, shared by every dataset that takes it,
+    is an empty read-only mapping."""
     header: list[str]
     columns: list
     kinds: list[str]
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = MappingProxyType({})
 
     def scaled_columns(self, physical_d: float | None) -> list[np.ndarray]:
         """`columns` as arrays, as both output routes write them; with
@@ -251,7 +250,7 @@ _RUNNERS = {
 def run(cfg: SweepConfig) -> Dataset:
     """Execute one configured run and optionally write its CSV."""
     ds = _RUNNERS[cfg.mode](cfg)
-    ds.provenance = {**_provenance(cfg), **ds.provenance}
+    ds = ds._replace(provenance={**_provenance(cfg), **ds.provenance})
     if cfg.output_path:
         emit_csv(ds, cfg.output_path, physical_d=cfg.physical_d)
     return ds
@@ -381,7 +380,7 @@ def _rows_text(columns: list[np.ndarray]) -> bytes:
             _int_cells(c, buf[:, j, :-1])
         else:
             _float_cells(c.astype(float, copy=False), buf[:, j, :-1])
-    return buf[buf != 0].tobytes()
+    return buf.tobytes().translate(None, b"\0")
 
 
 def table_chunks(header: list[str], columns: list[np.ndarray]):

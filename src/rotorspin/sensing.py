@@ -9,8 +9,6 @@ reports how far the crossing centre lies from the request, in closed form
 from the weights and separation of the pair at the solved field.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cache
 from typing import NamedTuple

@@ -6,8 +6,6 @@ diag(1, 0, -1) and raising/lowering operators move population toward the
 top/bottom of the column vector respectively.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

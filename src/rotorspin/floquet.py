@@ -9,11 +9,14 @@ rotated away, so the spectrum comes from a truncated harmonic
 modulo |omega| and unfolded for plotting via the slope rule that connects
 each branch to its zero-rotation eigenvalue. A field sweep is solved as
 one batch too: stacks of harmonic matrices of at most STACK_BYTES per
-eigensolve, the modes picked and certified on arrays; a single point is a
-batch of one. One tracker follows the branches of every sweep, from
-either kind of modes, on arrays. The matrix is real symmetric at phi0 = 0
-and one solve there serves every phi0, which only phases the harmonic
-blocks of the eigenvectors, so the quasi-energies do not depend on phi0.
+eigensolve, the modes picked and certified on arrays. `field_modes` is
+the only way into that certified solve; `auto_harmonics`, the modes of a
+single point, is a batch of one (`physical_modes` solves one point at a
+truncation its caller picks). One tracker follows the branches of every
+sweep, from either kind of modes, on arrays. The matrix is real symmetric
+at phi0 = 0 and one solve there serves every phi0, which only phases the
+harmonic blocks of the eigenvectors, so the quasi-energies do not depend
+on phi0.
 The truncation N starts where the Bessel estimate of the edge weight for
 the tilt asks and doubles, for the points whose solve does not yet
 certify it, until the bound its output needs holds: an edge weight of
@@ -196,6 +199,16 @@ def _valid_prefix(p: RotorParams, axis: str, values: np.ndarray):
     raise AssertionError(f"RotorParams accepts {axis} = {values[n]!r}")
 
 
+def _eigensystems(h: np.ndarray):
+    """`hermitian_eigensystem` of a stack of matrices, or, where it refuses
+    one, of the matrices before it; returns the eigensystems and the
+    refusal, if any."""
+    try:
+        return hermitian_eigensystem(h), None
+    except RotorSpinError as exc:
+        return hermitian_eigensystem(h[:exc.index]), exc
+
+
 class ZeroFieldModes(NamedTuple):
     """The exact modes at the leading points of a zero-field sweep."""
 
@@ -227,14 +240,11 @@ def zero_field_modes(p: RotorParams, axis: str, values) -> ZeroFieldModes:
         # the cubic first: it refuses an |omega| whose frame matrix overflows
         error = NumericFailureError(
             f"zero-field cubic overflows at omega = {omega[n]:.3g}")
-    h = h_interaction(p, axis, values[:n])
-    try:
-        es = hermitian_eigensystem(h)
-    except RotorSpinError as exc:
-        n, error = exc.index, exc
-        es = hermitian_eigensystem(h[:n])
+    es, refused = _eigensystems(h_interaction(p, axis, values[:n]))
+    n = len(es.values)
     quasi = np.where(inexact[:n, None], es.values, roots[:n])
-    return ZeroFieldModes(quasi=quasi, modes=es.vectors, error=error)
+    return ZeroFieldModes(quasi=quasi, modes=es.vectors,
+                          error=error if refused is None else refused)
 
 
 #: The 3! permutations of range(3), one per row.
@@ -544,28 +554,69 @@ class FieldModes(NamedTuple):
     error: RotorSpinError | None  # that of the next point, which failed
 
 
-def _check_bound(edge_weight_max: float) -> None:
+def field_modes(p: RotorParams, axis: str, values,
+                edge_weight_max: float = EDGE_WEIGHT_LEVELS) -> FieldModes:
+    """The modes of `auto_harmonics` at each point of a sweep of p along
+    omega, theta or delta, in one batch; the only way into the harmonic
+    route.
+
+    Points at omega = 0 take one stacked static eigensolve, points at
+    delta = 0 the `zero_field_modes` batch. The others share the harmonic
+    solve: the points still to solve are held by truncation N, starting at
+    the Bessel estimate of `_n_start`; each pass solves those at the
+    smallest N as stacks of real phi0 = 0 matrices, their modes picked and
+    certified on arrays, and the points whose edge weight exceeds
+    `edge_weight_max` wait at 2N, up to N = 512. Each point meets the
+    checks a single one meets, in the same order; the points from the
+    first that fails on are neither solved further nor returned, and its
+    error is returned, not raised, as by `zero_field_modes`.
+    """
     if not 0.0 < edge_weight_max < 1.0:
         raise InvalidArgumentError(
             f"edge_weight_max must lie in (0, 1), got {edge_weight_max!r}")
-
-
-def _harmonic_modes(p: RotorParams, axis: str, values: np.ndarray, q: _Points,
-                    omega: np.ndarray, harm: np.ndarray, edge_weight_max: float):
-    """The certified harmonic modes at the points `harm` of a sweep of p
-    (`values` along `axis`, `q` and `omega` at each point), none at omega
-    = 0 or delta = 0: a list of (points, modes, N), and the index and error
-    of the first point that fails (len(values) and None if none fails).
-
-    The points still to solve are held by truncation; each pass solves
-    those at the smallest, up to the first failing point, and those it does
-    not certify wait at twice it, up to N = 512."""
-    n, error, parts = len(values), None, []
+    values = np.asarray(values, dtype=float)
+    n, error = _valid_prefix(p, axis, values)
+    values = values[:n]
+    omega = values if axis == "omega" else np.full(n, p.omega)
+    delta = values if axis == "delta" else p.delta
+    q = _points(p, axis, values)
+    # (points, modes, truncation) of each route and truncation solved
+    parts = []
 
     def fail(i: int, exc: RotorSpinError) -> None:
         nonlocal n, error
         if i < n:
             n, error = i, exc
+
+    harm = (omega != 0) & (delta != 0)
+    if not harm.all():
+        static = np.flatnonzero(omega == 0)
+        if static.size:
+            es, refused = _eigensystems(_static_part(q.take(static)))
+            if refused is not None:
+                fail(int(static[refused.index]), refused)
+            static = static[:len(es.values)]
+            parts.append((static, (es.values, es.vectors[:, None],
+                                   (np.abs(es.vectors) ** 2).swapaxes(1, 2),
+                                   es.vectors, np.zeros(len(static))), 0))
+        zero = np.flatnonzero((omega != 0) & (delta == 0))
+        if zero.size:
+            # along delta each zero keeps its own sign, as at a single point
+            zf = ([zero_field_modes(p.with_(delta=float(values[i])), "omega",
+                                    [p.omega]) for i in zero] if axis == "delta"
+                  else [zero_field_modes(p, axis, values[zero])])
+            # up to the first batch that fails, and its leading points
+            first = next((k for k, b in enumerate(zf) if b.error is not None),
+                         len(zf))
+            levels = np.concatenate([b.quasi for b in zf[:first + 1]])
+            vectors = np.concatenate([b.modes for b in zf[:first + 1]])
+            if first < len(zf):
+                fail(int(zero[len(levels)]), zf[first].error)
+            parts.append((zero[:len(levels)], (
+                levels, np.eye(3)[:, :, None] * vectors[:, None],
+                (np.abs(vectors) ** 2).swapaxes(1, 2), vectors,
+                np.zeros(len(levels))), 0))
+    harm = np.flatnonzero(harm[:n])
 
     if axis == "theta":
         start = np.array([_n_start(t, edge_weight_max)
@@ -578,7 +629,7 @@ def _harmonic_modes(p: RotorParams, axis: str, values: np.ndarray, q: _Points,
     # parameter far beyond any level whose copies up to N = 512 fit in
     # float64
     wabs = np.abs(omega)
-    top = np.maximum(np.abs(values if axis == "delta" else p.delta), p.d)
+    top = np.maximum(np.abs(delta), p.d)
     risky = (wabs <= 1e-15 * top) | (np.maximum(wabs, top) > 1e300)
     if not risky.any():
         risky = None
@@ -611,82 +662,12 @@ def _harmonic_modes(p: RotorParams, axis: str, values: np.ndarray, q: _Points,
         done = modes[4] <= edge_weight_max
         if done.all():
             parts.append((at, modes, nh))
-        else:
+            continue
+        if done.any():  # an empty part would keep a point from the shortcut below
             parts.append((at[done], [a[done] for a in modes], nh))
-            later = at[~done]
-            todo[2 * nh] = (np.sort(np.concatenate((todo[2 * nh], later)))
-                            if 2 * nh in todo else later)
-    return parts, n, error
-
-
-def field_modes(p: RotorParams, axis: str, values,
-                edge_weight_max: float = EDGE_WEIGHT_LEVELS) -> FieldModes:
-    """The modes of `auto_harmonics` at each point of a sweep of p along
-    omega, theta or delta, in one batch.
-
-    Points at omega = 0 take one stacked static eigensolve, points at
-    delta = 0 the `zero_field_modes` batch. The others share the harmonic
-    solve: the points that start at the same truncation N (`_n_start`) are
-    solved as stacks of real phi0 = 0 matrices, their modes picked and
-    certified on arrays, and only the points whose edge weight exceeds
-    `edge_weight_max` are solved again at 2N, up to N = 512. Each point
-    meets the checks a single one meets, in the same order; the points from
-    the first that fails on are not returned, and its error is returned,
-    not raised, as by `zero_field_modes`.
-    """
-    _check_bound(edge_weight_max)
-    values = np.asarray(values, dtype=float)
-    n, error = _valid_prefix(p, axis, values)
-    values = values[:n]
-    omega = values if axis == "omega" else np.full(n, p.omega)
-    delta = values if axis == "delta" else p.delta
-    q = _points(p, axis, values)
-    # (points, modes, truncation) of each route and truncation solved
-    parts = []
-
-    def fail(i: int, exc: RotorSpinError) -> None:
-        nonlocal n, error
-        if i < n:
-            n, error = i, exc
-
-    harm = (omega != 0) & (delta != 0)
-    if not harm.all():
-        static = np.flatnonzero(omega == 0)
-        if static.size:
-            h = _static_part(q.take(static))
-            try:
-                es = hermitian_eigensystem(h)
-            except RotorSpinError as exc:
-                fail(int(static[exc.index]), exc)
-                static = static[:exc.index]
-                es = hermitian_eigensystem(h[:exc.index])
-            parts.append((static, (es.values, es.vectors[:, None],
-                                   (np.abs(es.vectors) ** 2).swapaxes(1, 2),
-                                   es.vectors, np.zeros(len(static))), 0))
-        zero = np.flatnonzero((omega != 0) & (delta == 0))
-        if zero.size:
-            # along delta each zero keeps its own sign, as at a single point
-            zf = ([zero_field_modes(p.with_(delta=float(values[i])), "omega",
-                                    [p.omega]) for i in zero] if axis == "delta"
-                  else [zero_field_modes(p, axis, values[zero])])
-            # up to the first batch that fails, and its leading points
-            first = next((k for k, b in enumerate(zf) if b.error is not None),
-                         len(zf))
-            levels = np.concatenate([b.quasi for b in zf[:first + 1]])
-            vectors = np.concatenate([b.modes for b in zf[:first + 1]])
-            if first < len(zf):
-                fail(int(zero[len(levels)]), zf[first].error)
-            parts.append((zero[:len(levels)], (
-                levels, np.eye(3)[:, :, None] * vectors[:, None],
-                (np.abs(vectors) ** 2).swapaxes(1, 2), vectors,
-                np.zeros(len(levels))), 0))
-
-    harm = np.arange(n) if not parts else np.flatnonzero(harm[:n])
-    solved, last, exc = _harmonic_modes(p, axis, values, q, omega, harm,
-                                        edge_weight_max)
-    parts += solved
-    if exc is not None:
-        fail(last, exc)
+        later = at[~done]
+        todo[2 * nh] = (np.sort(np.concatenate((todo[2 * nh], later)))
+                        if 2 * nh in todo else later)
 
     # the parts in axis order, up to the first failing point
     if len(parts) == 1 and len(parts[0][0]) == n:
@@ -718,25 +699,15 @@ def auto_harmonics(p: RotorParams,
     EDGE_WEIGHT_STATES for anything read from the modes along the period.
     The modes are exact, with n_harmonics 0 and edge weight 0, at omega = 0
     (the static eigensystem, one harmonic each) and at delta = 0 (a
-    one-point `zero_field_modes`). A one-point `field_modes`: p, already
-    checked, enters its harmonic solve directly where it has a field."""
-    if p.omega == 0 or p.delta == 0:
-        fm = field_modes(p, "omega", [p.omega], edge_weight_max)
-        if fm.error is not None:
-            raise fm.error
-        return ModeSet(quasi=fm.quasi[0], fourier=fm.fourier[0],
-                       weights=fm.weights[0], mode0=fm.mode0[0], n_harmonics=0,
-                       edge_weight=0.0)
-    _check_bound(edge_weight_max)
-    omega = np.array([p.omega])
-    parts, _, error = _harmonic_modes(p, "omega", omega, _points(p, "omega", omega),
-                                      omega, np.arange(1), edge_weight_max)
-    if error is not None:
-        raise error
-    (quasi, fourier, weights, mode0, edge), n = parts[-1][1:]
-    return ModeSet(quasi=quasi[0], fourier=fourier[0], weights=weights[0],
-                   mode0=mode0[0].astype(complex), n_harmonics=n,
-                   edge_weight=float(edge[0]))
+    one-point `zero_field_modes`). A one-point `field_modes` at every p,
+    which raises the error that batch returns."""
+    fm = field_modes(p, "omega", [p.omega], edge_weight_max)
+    if fm.error is not None:
+        raise fm.error
+    return ModeSet(quasi=fm.quasi[0], fourier=fm.fourier[0],
+                   weights=fm.weights[0], mode0=fm.mode0[0],
+                   n_harmonics=int(fm.n_harmonics[0]),
+                   edge_weight=float(fm.edge_weight[0]))
 
 
 class SpectrumBranch(NamedTuple):
@@ -766,13 +737,8 @@ def _slope_targets(p_template: RotorParams, axis: str, values: np.ndarray):
     each label takes by spin character plus its slope-rule harmonic shift.
     Also returns the index of that level per label, and the number of
     leading points solved with the error of the next one, if any."""
-    q = _points(p_template, axis, values)
-    try:
-        es = hermitian_eigensystem(_static_part(q))
-        n, error = len(values), None
-    except RotorSpinError as exc:
-        n, error = exc.index, exc
-        es = hermitian_eigensystem(_static_part(q.take(slice(0, n))))
+    es, error = _eigensystems(_static_part(_points(p_template, axis, values)))
+    n = len(es.values)
     labels = _best_permutation(_label_score((np.abs(es.vectors) ** 2).swapaxes(1, 2)))
     omega = values[:n] if axis == "omega" else np.full(n, p_template.omega)
     slope = np.array([SLOPE[lab] for lab in LABELS])

@@ -6,8 +6,10 @@ dynamical contribution is subtracted. Without a static field there is a
 closed form in the cubic roots and their eigenvector weights; with a
 field the phase is the one-period integral of the gauge potential along
 the periodic drive mode, summed exactly over the mode's harmonic
-coefficients. The gauge potential is what the rotation adds to the
-rest-frame levels in the co-rotating Hamiltonian; its harmonics come from
+coefficients. `field_phases` computes both for a whole sweep, in one
+batch over one `field_modes` call; the one-point functions are batches of
+one. The gauge potential is what the rotation adds to the rest-frame
+levels in the co-rotating Hamiltonian; its harmonics come from
 `rotorspin.model.gauge_harmonics`, the one place they are computed.
 """
 
@@ -35,8 +37,6 @@ __all__ = [
     "GeometricPhaseSet",
     "gauge_operator",
     "geometric_phases_zero_field",
-    "ZeroFieldPhases",
-    "zero_field_phases",
     "FieldPhases",
     "field_phases",
     "geometric_phases_with_field",
@@ -81,61 +81,37 @@ def gauge_operator(p: RotorParams, t) -> np.ndarray:
 
 
 def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
-    """Closed-form geometric phases without a static field: a one-point
-    `zero_field_phases`."""
+    """Closed-form geometric phases without a static field:
+
+        gamma_n = (2 pi / omega) * (lambda_n - (d - omega)|c_{n,+1}|^2
+                  - (d + omega)|c_{n,-1}|^2),
+
+    from the cubic root lambda_n and the spin weights of its exact mode,
+    using the signed rotation frequency, so reversing the rotation
+    direction flips the phases as required; term1 is the lambda_n part and
+    term2 the rest. A one-point `field_phases`."""
     if p.delta != 0:
         raise InvalidArgumentError("geometric_phases_zero_field requires delta = 0")
-    ph = zero_field_phases(p, "omega", [p.omega])
+    ph = field_phases(p, "omega", [p.omega])
     if ph.error is not None:
         raise ph.error
     return GeometricPhaseSet(*(dict(zip(LABELS, a[0].tolist()))
                                for a in (ph.gamma, ph.term1, ph.term2)))
 
 
-class ZeroFieldPhases(NamedTuple):
-    """Closed-form phases at the leading points of a zero-field sweep, as
-    (points, 3) arrays in LABELS order (see GeometricPhaseSet)."""
-
-    gamma: np.ndarray
-    term1: np.ndarray
-    term2: np.ndarray
-    error: RotorSpinError | None  # that of the next point, which failed
-
-
 def _closed_form(d: float, omega: np.ndarray, quasi: np.ndarray,
-                 modes: np.ndarray):
+                 weights: np.ndarray, labels: np.ndarray):
     """(gamma, term1, term2) of the closed form, (points, 3) in LABELS
-    order, from the exact zero-field modes of each point (see
-    `zero_field_phases`)."""
+    order, from the exact zero-field modes of each point, their quasi-
+    energies and (mode, spin) weights, and the mode of each label (see
+    `geometric_phases_zero_field`)."""
     omega = omega[:, None]
-    w = np.abs(modes) ** 2                                # (point, spin, mode)
-    perm = _best_permutation(_label_score(w.swapaxes(1, 2)))  # (point, label)
-    lam = np.take_along_axis(quasi, perm, axis=1)
-    w = np.take_along_axis(w, perm[:, None, :], axis=2)   # (point, spin, label)
+    lam = np.take_along_axis(quasi, labels, axis=1)
+    w = np.take_along_axis(weights, labels[:, :, None], axis=1)  # (point, label, spin)
     t_signed = np.copysign(2.0 * math.pi / np.abs(omega), omega)
-    dyn = (d - omega) * w[:, 0] + (d + omega) * w[:, 2]
+    dyn = (d - omega) * w[:, :, 0] + (d + omega) * w[:, :, 2]
     term1, term2 = lam * t_signed, dyn * t_signed
     return term1 - term2, term1, term2
-
-
-def zero_field_phases(p: RotorParams, axis: str, values) -> ZeroFieldPhases:
-    """Closed-form geometric phases at each point of a sweep of p without a
-    field along omega or theta, in one pass over `zero_field_modes`:
-
-        gamma_n = (2 pi / omega) * (lambda_n - (d - omega)|c_{n,+1}|^2
-                  - (d + omega)|c_{n,-1}|^2),
-
-    using the signed rotation frequency, so reversing the rotation
-    direction flips the phases as required; term1 is the lambda_n part and
-    term2 the rest. Each point is checked as a single one is: its
-    parameters, then its drive period, then its modes. The points from the
-    first that fails on are not returned, and its error is returned, not
-    raised.
-    """
-    if p.delta != 0:
-        raise InvalidArgumentError("zero_field_phases requires delta = 0")
-    ph = field_phases(p, axis, values)
-    return ZeroFieldPhases(ph.gamma, ph.term1, ph.term2, ph.error)
 
 
 class FieldPhases(NamedTuple):
@@ -230,7 +206,7 @@ def _degeneracy_error(pair) -> DegeneracyError:
 def field_phases(p: RotorParams, axis: str, values) -> FieldPhases:
     """Geometric phases at each point of a sweep of p along omega, theta or
     delta, in one batch over one `field_modes` call: the closed form of
-    `zero_field_phases` where delta = 0, the harmonic sum of
+    `geometric_phases_zero_field` where delta = 0, the harmonic sum of
     `geometric_phases_with_field` elsewhere. Each point is checked as a
     single one is: its parameters, its drive period, its modes and, with a
     field, the separability of its branches. The points from the first
@@ -254,7 +230,7 @@ def field_phases(p: RotorParams, axis: str, values) -> FieldPhases:
         phases[:, field] = _harmonic_sums(p, axis, values, fm, labels, field)
     if zero.any():
         phases[:, zero] = _closed_form(p.d, omega[:n][zero], fm.quasi[:n][zero],
-                                       fm.mode0[:n][zero])
+                                       fm.weights[:n][zero], labels[:n][zero])
     return FieldPhases(*phases, truncation=int(fm.n_harmonics[:n].max(initial=0)),
                        edge_weight=float(fm.edge_weight[:n].max(initial=0.0)),
                        error=error)

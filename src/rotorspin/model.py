@@ -19,6 +19,7 @@ __all__ = [
     "RotorParams",
     "DerivedScales",
     "derived_scales",
+    "rabi_frequency",
     "harmonic_sum",
     "h_rotating",
     "h_interaction",
@@ -78,19 +79,32 @@ class RotorParams(_RotorFields):
 class DerivedScales(NamedTuple):
     """Convenience frequencies derived from the raw parameters."""
 
-    rabi: float          # sqrt(2) * |omega| * sin(theta)
+    rabi: float          # rabi_frequency(p)
     d_tilde: float       # splitting corrected to second order in theta
     delta_tilde: float   # field parameter corrected to second order in theta
 
 
+def rabi_frequency(p: RotorParams) -> float:
+    """The Rabi frequency of the drive, sqrt(2) |omega| sin(theta)."""
+    return math.sqrt(2.0) * abs(p.omega) * math.sin(p.theta)
+
+
 def derived_scales(p: RotorParams) -> DerivedScales:
+    """The Rabi frequency, and the splitting and the field parameter
+    corrected to second order in theta. The corrections divide by
+    2 (d^2 - delta^2): RegimeError where that is 0, at delta = +-d (or
+    where d^2 and delta^2 round to equal values)."""
     d, om, th, de = p.d, p.omega, p.theta, p.delta
     th2 = th * th
     denom = 2.0 * (d * d - de * de)
+    if denom == 0:
+        raise RegimeError(
+            f"second-order scales diverge where d^2 = delta^2 (d = {d:.3g}, "
+            f"delta = {de:.3g})")
     d_tilde = d + 3.0 * d * de * de * th2 / denom
     delta_tilde = de - 0.5 * om * th2 - d * d * de * th2 / denom
     return DerivedScales(
-        rabi=math.sqrt(2.0) * abs(om) * math.sin(th),
+        rabi=rabi_frequency(p),
         d_tilde=d_tilde,
         delta_tilde=delta_tilde,
     )
@@ -201,31 +215,48 @@ def h_interaction(p: RotorParams, axis: str | None = None,
     return _static_part(q) + b + b.conj().swapaxes(-1, -2) - q.omega * SPIN.sz
 
 
+#: the float64 rounding unit
+_EPS = float(np.finfo(float).eps)
+
+
+def _below_rounding(omega, d: float, delta):
+    """Whether |omega| <= eps (d + |delta|), for floats or arrays."""
+    return abs(omega) <= _EPS * (d + abs(delta))
+
+
 def without_period(p: RotorParams, axis: str | None = None, values=None):
-    """Whether the rotation has no usable drive period, |omega| <= eps (d +
-    |delta|), at p or, as an array, at each point of a sweep of p along
-    `axis` (see `period_guard`)."""
+    """Whether the rotation has no usable drive period, at p or, as an
+    array, at each point of a sweep of p along `axis`: where |omega| <= eps
+    (d + |delta|), or where the period 2 pi / |omega| is past the float64
+    range (|omega| below about 3.5e-308; see `period_guard`)."""
     if axis is None:
-        return abs(p.omega) <= np.finfo(float).eps * (p.d + abs(p.delta))
+        w = abs(p.omega)
+        return _below_rounding(w, p.d, p.delta) or math.isinf(2.0 * math.pi / w)
     values = np.asarray(values, dtype=float)
     omega = values if axis == "omega" else p.omega
     delta = values if axis == "delta" else p.delta
-    with np.errstate(over="ignore"):  # a bound past the float64 range is inf
-        short = np.abs(omega) <= np.finfo(float).eps * (p.d + np.abs(delta))
+    # a bound or a period past the float64 range is inf
+    with np.errstate(divide="ignore", over="ignore"):
+        short = (_below_rounding(omega, p.d, delta)
+                 | np.isinf(2.0 * math.pi / np.abs(omega)))
     return short | np.zeros(len(values), dtype=bool)
 
 
 def period_guard(p: RotorParams) -> None:
     """Raise where the rotation has no usable drive period:
     InvalidArgumentError at omega = 0, NumericFailureError where
-    |omega| <= eps (d + |delta|). There the harmonic copies n omega of a
-    level round onto the level, and a one-period phase, level times
-    2 pi / omega, keeps no digit or overflows."""
+    |omega| <= eps (d + |delta|) or where the period overflows. There the
+    harmonic copies n omega of a level round onto the level, and a
+    one-period phase, level times 2 pi / omega, keeps no digit or
+    overflows."""
     if p.omega == 0:
         raise InvalidArgumentError("no drive period at omega = 0")
     if without_period(p):
+        w = abs(p.omega)
         raise NumericFailureError(
-            f"|omega| = {abs(p.omega):.3g} is below the rounding of the levels")
+            f"|omega| = {w:.3g} is below the rounding of the levels"
+            if _below_rounding(w, p.d, p.delta) else
+            f"the drive period 2 pi / |omega| overflows at |omega| = {w:.3g}")
 
 
 # Small-angle validity guard: theta must stay well below 1 - delta/d for the

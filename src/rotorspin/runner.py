@@ -27,7 +27,7 @@ from .errors import (ConfigError, FlatTraceError, InvalidArgumentError,
 from .floquet import (EDGE_WEIGHT_LEVELS, EDGE_WEIGHT_STATES, LABELS,
                       quasienergy_spectrum)
 from .geomphase import field_phases
-from .model import RotorParams, derived_scales, h_rotating
+from .model import RotorParams, h_rotating, rabi_frequency
 from .sensing import angle_uncertainty, resonant_field
 
 __all__ = ["Dataset", "run", "emit_csv", "format_float", "table_chunks"]
@@ -89,9 +89,11 @@ def _params(cfg: SweepConfig) -> RotorParams:
 def _axis_values(cfg: SweepConfig) -> np.ndarray:
     if cfg.axis is None:
         raise ConfigError(f"mode {cfg.mode!r} requires an axis")
-    if cfg.axis.points > _MAX_FLOATS:
+    if float(cfg.axis.points) > _MAX_FLOATS:
         # numpy fails on such a count with a ValueError or an IndexError,
-        # not with the MemoryError of a count that only does not fit
+        # not with the MemoryError of a count that only does not fit; it
+        # sizes the array from the count as a float, which may round up
+        # past the limit (2**60 - 64 does)
         raise NumericFailureError(
             f"out of memory: {cfg.axis.points} axis points exceed the "
             f"{_MAX_FLOATS} float64 values an array can index")
@@ -140,9 +142,9 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
     p = _params(cfg)
     t_end, default = cfg.t_end, None
     if t_end is None:
-        sc = derived_scales(p)
-        if sc.rabi > 0:
-            t_end, default = 2.5 * 2.0 * math.pi / sc.rabi, "2.5 Rabi periods"
+        rabi = rabi_frequency(p)
+        if rabi > 0:
+            t_end, default = 2.5 * 2.0 * math.pi / rabi, "2.5 Rabi periods"
         elif p.omega != 0:
             t_end, default = 10.0 * p.period, "10 drive periods"
         else:
@@ -167,9 +169,11 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
     # the populations swing at quasi-energy differences shifted by the first
     # drive harmonics, all below W = (level spread) + 2|omega|; samples
-    # farther apart than pi/W alias the swings, so nothing is fitted
-    band = np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega)
-    if trace.times[1] - trace.times[0] > math.pi / band:
+    # farther apart than pi/W alias the swings, so nothing is fitted. The
+    # test multiplies, in Python floats: pi/W overflows at a subnormal W,
+    # and a product past the float64 range is inf without a warning
+    band = float(np.ptp(np.linalg.eigvalsh(h_rotating(p, 0.0))) + 2.0 * abs(p.omega))
+    if float(trace.times[1] - trace.times[0]) * band > math.pi:
         ds.provenance["rabi_fit_skipped"] = "undersampled"
         return ds
     try:

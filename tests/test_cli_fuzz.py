@@ -9,7 +9,9 @@ without a field, `sensitivity`, `evolve` over a short time, `resonance` at
 theta <= 0.03 over at most 3 points), and sweeps have at most 5 points or
 at least 1e14, which no array can hold, so a draw runs in tens of
 milliseconds at most. omega, delta and physical_d also take the extreme
-magnitudes 5e-324, 1e-300, 1e52 and 1e308. A draw is valid, or spoils one
+magnitudes 5e-324, 1e-300, 1e52 and 1e308, and d takes 5e-324 and
+1e-300; `evolve` may leave out t_end, which then defaults to 2.5 Rabi
+periods, and its delta may equal +-d. A draw is valid, or spoils one
 key with an out-of-range, non-numeric or non-finite value, a malformed
 axis, a junk config line, a config file that is not UTF-8 or an unusable
 path.
@@ -21,7 +23,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotorspin.cli import main
@@ -61,7 +63,8 @@ _BAD_AXES = ["omega:1:0:3", "omega:0:1", "omega:0:1:3:4", "spin:0:1:3",
 # key -> (valid values, spoiled values); a valid None leaves the key out
 _COMMON = {
     "theta": (_OPTIONAL | _numbers(0.0, math.pi), ["4.0", "-0.5", *_NON_NUMERIC]),
-    "d": (_OPTIONAL | _numbers(0.1, 3.0), ["0", "-1", *_NON_NUMERIC]),
+    "d": (_OPTIONAL | _numbers(0.1, 3.0) | st.sampled_from(["5e-324", "1e-300"]),
+          ["0", "-1", *_NON_NUMERIC]),
     "phi0": (_OPTIONAL | _numbers(-7.0, 7.0), _NON_NUMERIC),
     "physical_d": (_OPTIONAL | _numbers(0.1, 5.0) | st.sampled_from(_TINY_AND_HUGE),
                    ["0", "-2.87", *_NON_NUMERIC,
@@ -93,8 +96,10 @@ _KINDS = [
     }),
     ("evolve", {
         "omega": (_OPTIONAL | _numbers(-3.0, 3.0) | _EXTREMES, _NON_NUMERIC),
-        "delta": (_OPTIONAL | _numbers(-1.0, 1.0) | _EXTREMES, _NON_NUMERIC),
-        "t_end": (_numbers(0.1, 5.0), ["0", "-1", *_NON_NUMERIC]),
+        # "d" and "-d" stand for +-d, see _calls
+        "delta": (_OPTIONAL | _numbers(-1.0, 1.0) | _EXTREMES
+                  | st.sampled_from(["d", "-d"]), _NON_NUMERIC),
+        "t_end": (_OPTIONAL | _numbers(0.1, 5.0), ["0", "-1", *_NON_NUMERIC]),
         "psi0": (_OPTIONAL | st.sampled_from(["+1", "0", "-1"]), ["2", "", "up"]),
     }),
     ("resonance", {
@@ -124,6 +129,10 @@ def _calls(draw):
         value = draw(st.sampled_from(spoiled) if key == spoil else valid)
         if value is not None:
             values[key] = value
+    if values.get("delta") in ("d", "-d"):
+        # the drawn d, or the default 1 where d is left out or spoiled
+        d = values.get("d", "1.0") if spoil != "d" else "1.0"
+        values["delta"] = values["delta"].replace("d", d)
     in_file = {k for k in values if draw(st.booleans())}
     argv = [mode]
     for key, value in values.items():
@@ -144,8 +153,23 @@ def _calls(draw):
     return argv, config, output, spoil == "config"
 
 
+def _argv(line: str):
+    return line.split(), None, None, False
+
+
 @settings(max_examples=120, deadline=None)
 @given(call=_calls())
+# a default t_end from scales that divide by d^2 - delta^2, and a period,
+# a one-period phase or a sampling bound past the float64 range
+@example(call=_argv("evolve --omega 0.2 --theta 0.3 --delta 1"))
+@example(call=_argv("evolve --omega 0.2 --theta 0.3 --delta -1"))
+@example(call=_argv("evolve --omega 1e-310 --theta 0.3 --d 1e-300"))
+@example(call=_argv("geomphase --d 5e-324 --omega -5e-324 --axis theta:0:0.01:3"))
+@example(call=_argv("geomphase --d 5e-324 --omega -5e-324 --theta 0.01 "
+                    "--delta 1e300 --axis delta:5e-324:1:2"))
+@example(call=_argv("evolve --d 5e-324 --phi0 5e-324 --t-end 10"))
+# a point count that rounds up to 2**60 as a float
+@example(call=_argv("spectrum --axis omega:0.0:1.0:1152921504606846912"))
 def test_cli_exits_0_2_or_3(call):
     argv, config_bytes, output, config_missing = call
     with tempfile.TemporaryDirectory() as tmp:

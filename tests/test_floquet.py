@@ -273,6 +273,19 @@ class TestAutoHarmonics:
         with pytest.raises(InvalidArgumentError, match="edge_weight_max"):
             auto_harmonics(RotorParams(omega=0.7, theta=0.3, delta=0.2), bound)
 
+    @pytest.mark.parametrize("bound", [0.0, 1.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("p", [RotorParams(omega=0.7, theta=0.3, delta=0.2),
+                                   RotorParams(omega=0.0, theta=0.3, delta=0.2),
+                                   RotorParams(omega=0.7, theta=0.3)],
+                             ids=["field", "omega=0", "delta=0"])
+    def test_every_route_rejects_a_bound_outside_the_unit_interval(self, p, bound):
+        # the exact routes too, whose modes do not read the bound
+        with pytest.raises(InvalidArgumentError, match="edge_weight_max"):
+            auto_harmonics(p, bound)
+        for axis in ("omega", "theta", "delta"):
+            with pytest.raises(InvalidArgumentError, match="edge_weight_max"):
+                floquet.field_modes(p, axis, [getattr(p, axis)], bound)
+
     def test_matches_a_160_harmonic_reference(self):
         # 44 points: |omega| log-uniform in [0.01, 3] of both signs, theta
         # uniform in [0, pi] and, for every fourth point, within 0.05 of
@@ -707,7 +720,7 @@ class TestZeroFieldBatch:
     @given(sweep=zero_field_sweeps())
     def test_phases_equal_the_per_point_closed_form(self, sweep):
         p, axis, values = sweep
-        ph = geomphase.zero_field_phases(p, axis, values)
+        ph = geomphase.field_phases(p, axis, values)
         for i, v in enumerate(values):
             want, err = outcome(
                 lambda: per_point_phases(p.with_(**{axis: float(v)})))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotorspin.errors import InvalidArgumentError, RegimeError
+from rotorspin.errors import InvalidArgumentError, NumericFailureError, RegimeError
 from rotorspin.model import (
     RotorParams,
     derived_scales,
@@ -11,8 +11,11 @@ from rotorspin.model import (
     h_interaction,
     h_rotating,
     harmonic_sum,
+    period_guard,
+    rabi_frequency,
     small_angle_guard,
     static_part,
+    without_period,
 )
 from rotorspin.spin_algebra import SPIN, SZ2, hermiticity_defect, spin1_exp
 
@@ -217,6 +220,15 @@ class TestSmallAngle:
             assert derived_scales(RotorParams(omega=1.0, theta=th)).rabi \
                 == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [RotorParams(omega=0.2, theta=0.3, delta=1.0),
+                                   RotorParams(omega=0.2, theta=0.3, delta=-1.0),
+                                   # d^2 underflows to 0 = delta^2
+                                   RotorParams(omega=1e-310, theta=0.3, d=1e-300)])
+    def test_scales_refuse_their_pole(self, p):
+        with pytest.raises(RegimeError, match="d\\^2 = delta\\^2"):
+            derived_scales(p)
+        assert rabi_frequency(p) == math.sqrt(2.0) * abs(p.omega) * math.sin(p.theta)
+
     def test_resonance_residual_small_at_demo_point(self):
         sc = derived_scales(RotorParams(omega=0.2, theta=math.pi / 100, delta=0.803))
         assert abs(sc.d_tilde - sc.delta_tilde - 0.2) <= 3e-3
@@ -227,3 +239,26 @@ class TestSmallAngle:
             small_angle_guard(1.0, 0.5, 0.2)
         with pytest.raises(RegimeError):
             small_angle_guard(1.0, 1.5, 0.01)
+
+
+class TestPeriod:
+    def test_a_period_past_the_float64_range_is_none(self):
+        # 2 pi / |omega| overflows below about 3.5e-308, however small the
+        # levels, whose rounding alone flags nothing here
+        p = RotorParams(omega=-5e-324, theta=0.3, d=5e-324)
+        assert without_period(p)
+        with pytest.raises(NumericFailureError, match="period .* overflows"):
+            period_guard(p)
+        assert not without_period(p.with_(omega=1e-300))
+        values = [-5e-324, 3e-308, 4e-308, 1.0]
+        for axis, q in (("omega", p), ("delta", p.with_(omega=3e-308))):
+            np.testing.assert_array_equal(
+                without_period(q, axis, values),
+                [without_period(q.with_(**{axis: v})) for v in values])
+        np.testing.assert_array_equal(without_period(p, "omega", values),
+                                      [True, True, False, False])
+
+    def test_rounding_keeps_its_message(self):
+        with pytest.raises(NumericFailureError,
+                           match="below the rounding of the levels"):
+            period_guard(RotorParams(omega=1e-310, theta=0.3))

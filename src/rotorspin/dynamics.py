@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._brent import brent_min
-from .errors import FlatTraceError, InvalidArgumentError
+from .errors import FlatTraceError, InvalidArgumentError, NumericFailureError
 from .floquet import EDGE_WEIGHT_STATES, SPIN_INDEX, auto_harmonics, fold
 from .model import RotorParams, h_interaction, h_rotating
 from .spin_algebra import hermitian_eigensystem
@@ -117,7 +117,8 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     eigenvectors, one harmonic each, and at delta = 0 the exact frame modes
     on the harmonics -1, 0, 1. t_end must be finite, long enough for
     distinct sample times, and short enough that the rounding of the
-    phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad.
+    phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad; the drive
+    phase |omega| t_end must be a finite float.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:
@@ -138,6 +139,10 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
         raise InvalidArgumentError(
             f"t_end = {t_end:.6g} rounds the mode phases eps t by up to "
             f"{rounding:.3g} rad; at most 1e-2 rad is resolved")
+    if math.isinf(abs(p.omega) * t_end):
+        raise NumericFailureError(
+            f"the drive phase |omega| t_end overflows at |omega| = "
+            f"{abs(p.omega):.3g}, t_end = {t_end:.3g}")
     a = np.linalg.solve(ms.fourier.sum(axis=0), psi0)
     coef = (ms.fourier * a).reshape(2 * n + 1, 9)
     # by chunks of samples, to bound memory; exp(i k omega t) as powers of

@@ -105,18 +105,6 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     return zf.quasi[0]
 
 
-def _python_pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k of each value as Python's float power computes it (numpy's
-    power rounds some values differently), inf where that overflows."""
-    out = []
-    for v in x.tolist():
-        try:
-            out.append(v ** k)
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out, dtype=float)
-
-
 def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
     """The three real roots, ascending, of the characteristic cubic of the
     frame Hamiltonian at each point (omega, theta) of a sweep, by the
@@ -125,23 +113,20 @@ def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
     Returns the (points, 3) roots, a mask of the points where the cubic is
     degenerate or marginal or its terms underflow, whose roots are NaN and
     left to the eigensolver, and a mask of the points where it overflows
-    (at a huge d as at a huge |omega|). Each float operation is the one a
-    single point would take; the powers, sines and arccosines are
-    Python's, point by point, since numpy's round some values differently.
+    (at a huge d as at a huge |omega|).
     """
     b = -2.0 * d
-    thetas = theta.tolist()
     # a point that overflows, or whose terms leave the float64 range, is
     # masked; its infinities and NaNs are not read
     with np.errstate(all="ignore"):
         c = -(omega * omega - d * d)
-        e = omega * omega * d * np.array([math.sin(t) ** 2 for t in thetas])
+        e = omega * omega * d * np.sin(theta) ** 2
         p = c - b * b / 3.0
-        q = e - b * c / 3.0 + 2.0 * _python_pow(np.array([b]), 3) / 27.0
-        p3 = _python_pow(p, 3)
-        scale = _python_pow(np.maximum(d, np.abs(omega)), 6)
-        # a float power raises where the result overflows, not where its
-        # input is already infinite
+        q = e - b * c / 3.0 + 2.0 * np.power(b, 3) / 27.0
+        p3 = np.power(p, 3)
+        scale = np.power(np.maximum(d, np.abs(omega)), 6)
+        # p^3 may overflow where scale does not; an infinite p comes with an
+        # infinite scale
         overflow = np.isinf(scale) | (np.isinf(p3) & np.isfinite(p))
         disc = -4.0 * p3 - 27.0 * q * q
         m = 2.0 * np.sqrt(-p / 3.0)
@@ -150,8 +135,7 @@ def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
         inexact = (overflow | (disc < 1e-13 * scale) | (p >= 0.0)
                    | ~np.isfinite(arg))
     i = np.flatnonzero(~inexact)
-    arg = np.clip(arg[i], -1.0, 1.0).tolist()
-    phi = np.array([math.acos(a) for a in arg]) / 3.0
+    phi = np.arccos(np.clip(arg[i], -1.0, 1.0)) / 3.0
     x = (m[i, None] * np.cos(phi[:, None] - 2.0 * math.pi * np.arange(3) / 3.0)
          - b / 3.0)
     # the trig formula subtracts numbers of size |omega| and loses the root
@@ -167,7 +151,7 @@ def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
     # the two, where its terms are small: x^3 + b x^2 + c x + e, and with
     # y = x - d, y^3 + d y^2 - omega^2 y - omega^2 d cos^2 theta
     w = omega[i, None]
-    cos2 = np.array([math.cos(thetas[j]) ** 2 for j in i.tolist()])[:, None]
+    cos2 = np.cos(theta[i, None]) ** 2
     near_d = ~(np.abs(x) <= np.abs(x - d))
     shift = np.where(near_d, d, 0.0)
     c2 = np.where(near_d, d, b)
@@ -366,15 +350,13 @@ def _columns(vecs: np.ndarray, pick: np.ndarray, phase, n: int):
     """The columns `pick` of each eigenvector matrix of a stack, mode by
     mode (point, mode, row), their harmonic blocks each times its phase
     (point, mode, harmonic, spin), and their t = 0 states, the sums of
-    those blocks in order (point, spin, mode), with the norms of the
-    states. A point's modes lie in memory as `vecs[:, pick]` lays them out
-    for a single matrix, so the sums run in the order they take there."""
+    those blocks (point, spin, mode), with the norms of the states."""
     v = vecs.swapaxes(1, 2)[np.arange(len(pick))[:, None], pick]
     c = v.reshape(len(v), len(pick[0]), 2 * n + 1, 3)
     if phase is not None:
         c = c * phase[:, None]
-    t0 = c.transpose(0, 2, 3, 1).sum(axis=1)
-    return v, c, t0, np.linalg.norm(t0, axis=1)
+    t0 = c.sum(axis=2).swapaxes(1, 2)
+    return v, c, t0, np.sqrt((t0.conj() * t0).real.sum(axis=1))
 
 
 def _same_fold(level: np.ndarray, omega: np.ndarray, window: int) -> np.ndarray:
@@ -446,7 +428,9 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
     if drive.shape != static.shape:  # along delta the drive is fixed
         drive = np.broadcast_to(drive, static.shape)
     chunk = max(1, STACK_BYTES // (8 * dim * dim))
-    quasi, fourier, mode0, found = [], [], [], []
+    quasi, found = np.empty((m, 3)), np.ones(m, dtype=bool)
+    fourier = np.empty((m, 3, 2 * n + 1, 3), float if phase is None else complex)
+    mode0 = np.empty((m, 3, 3), fourier.dtype)
     for lo in range(0, m, chunk):
         at = slice(lo, lo + chunk)
         f = _harmonic_matrices(static[at], drive[at], omega[at], n)
@@ -457,24 +441,17 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
         odd = (_same_fold(vals[np.arange(len(vals))[:, None], pick], omega[at],
                           3).any(axis=1)
                | (norms < 1e-8).any(axis=1))
-        ok = np.ones(len(vals), dtype=bool)
         if odd.any():
-            rows = np.flatnonzero(odd)
+            rows, ok = np.flatnonzero(odd), found[at]  # a view of found
             again, ok[rows] = _pick(vals[rows], vecs[rows], omega[at][rows],
                                     order[rows], phase, n)
             v[rows], c[rows], t0[rows], norms[rows] = _columns(vecs[rows], again,
                                                                phase, n)
             norms[~ok] = 1.0  # no three modes, and none is read
-        # the Rayleigh quotients point by point: einsum's sum order
-        # depends on the operands' shape
-        quasi += [np.einsum("im,im->m", a, fa) / np.einsum("im,im->m", a, a)
-                  for a, fa in zip(v.swapaxes(1, 2), f @ v.swapaxes(1, 2))]
-        fourier.append(c)
-        mode0.append(t0 / norms[:, None])
-        found.append(ok)
-    quasi = np.array(quasi).reshape(m, 3)
-    fourier, mode0, found = (a[0] if len(a) == 1 else np.concatenate(a)
-                             for a in (fourier, mode0, found))
+        a = v.swapaxes(1, 2)
+        quasi[at] = (np.einsum("pim,pim->pm", a, f @ a)
+                     / np.einsum("pim,pim->pm", a, a))
+        fourier[at], mode0[at] = c, t0 / norms[:, None]
     fourier = fourier.transpose(0, 2, 3, 1)
     power = np.abs(fourier) ** 2
     weights = power.sum(axis=1).swapaxes(1, 2)  # (mode, spin)
@@ -580,42 +557,40 @@ def field_modes(p: RotorParams, axis: str, values,
     omega = values if axis == "omega" else np.full(n, p.omega)
     delta = values if axis == "delta" else p.delta
     q = _points(p, axis, values)
-    # (points, modes, truncation) of each route and truncation solved
-    parts = []
+    # each route writes the modes of its points here
+    quasi, weights = np.empty((n, 3)), np.empty((n, 3, 3))
+    mode0, fourier = np.empty((n, 3, 3), dtype=complex), [None] * n
+    n_harmonics, edge = np.zeros(n, dtype=int), np.zeros(n)
 
     def fail(i: int, exc: RotorSpinError) -> None:
         nonlocal n, error
         if i < n:
             n, error = i, exc
 
+    def put(at, quasi_at, fourier_at, weights_at, mode0_at, edge_at=0.0, nh=0):
+        quasi[at], weights[at], mode0[at] = quasi_at, weights_at, mode0_at
+        edge[at], n_harmonics[at] = edge_at, nh
+        for i, c in zip(at.tolist(), fourier_at):
+            fourier[i] = c
+
     harm = (omega != 0) & (delta != 0)
-    if not harm.all():
+    if not harm.all():  # the exact routes
         static = np.flatnonzero(omega == 0)
         if static.size:
             es, refused = _eigensystems(_static_part(q.take(static)))
             if refused is not None:
                 fail(int(static[refused.index]), refused)
-            static = static[:len(es.values)]
-            parts.append((static, (es.values, es.vectors[:, None],
-                                   (np.abs(es.vectors) ** 2).swapaxes(1, 2),
-                                   es.vectors, np.zeros(len(static))), 0))
+            put(static[:len(es.values)], es.values, es.vectors[:, None],
+                (np.abs(es.vectors) ** 2).swapaxes(1, 2), es.vectors)
         zero = np.flatnonzero((omega != 0) & (delta == 0))
         if zero.size:
-            # along delta each zero keeps its own sign, as at a single point
-            zf = ([zero_field_modes(p.with_(delta=float(values[i])), "omega",
-                                    [p.omega]) for i in zero] if axis == "delta"
-                  else [zero_field_modes(p, axis, values[zero])])
-            # up to the first batch that fails, and its leading points
-            first = next((k for k, b in enumerate(zf) if b.error is not None),
-                         len(zf))
-            levels = np.concatenate([b.quasi for b in zf[:first + 1]])
-            vectors = np.concatenate([b.modes for b in zf[:first + 1]])
-            if first < len(zf):
-                fail(int(zero[len(levels)]), zf[first].error)
-            parts.append((zero[:len(levels)], (
-                levels, np.eye(3)[:, :, None] * vectors[:, None],
-                (np.abs(vectors) ** 2).swapaxes(1, 2), vectors,
-                np.zeros(len(levels))), 0))
+            zf = (zero_field_modes(p.with_(delta=0.0), "omega", omega[zero])
+                  if axis == "delta" else zero_field_modes(p, axis, values[zero]))
+            if zf.error is not None:
+                fail(int(zero[len(zf.quasi)]), zf.error)
+            put(zero[:len(zf.quasi)], zf.quasi,
+                np.eye(3)[:, :, None] * zf.modes[:, None],
+                (np.abs(zf.modes) ** 2).swapaxes(1, 2), zf.modes)
     harm = np.flatnonzero(harm[:n])
 
     if axis == "theta":
@@ -636,8 +611,7 @@ def field_modes(p: RotorParams, axis: str, values,
     while todo:
         nh = min(todo)
         at = todo.pop(nh)
-        if n < len(values):
-            at = at[at < n]
+        at = at[at < n]
         if not at.size:
             continue
         if nh > _N_MAX:
@@ -659,34 +633,15 @@ def field_modes(p: RotorParams, axis: str, values,
             fail(int(at[np.argmin(found)]), NumericFailureError(
                 "could not isolate three distinct drive modes; raise the "
                 "truncation"))
-        done = modes[4] <= edge_weight_max
-        if done.all():
-            parts.append((at, modes, nh))
-            continue
-        if done.any():  # an empty part would keep a point from the shortcut below
-            parts.append((at[done], [a[done] for a in modes], nh))
-        later = at[~done]
-        todo[2 * nh] = (np.sort(np.concatenate((todo[2 * nh], later)))
-                        if 2 * nh in todo else later)
-
-    # the parts in axis order, up to the first failing point
-    if len(parts) == 1 and len(parts[0][0]) == n:
-        _, (quasi, fourier, weights, mode0, edge), nh = parts[0]
-        n_harmonics, fourier = np.full(n, nh), list(fourier)
-    else:
-        order = np.argsort(np.concatenate(
-            [part[0] for part in parts] + [np.zeros(0, dtype=int)]))[:n]
-        quasi, weights, mode0, edge = (
-            np.concatenate([part[1][k] for part in parts]
-                           + [np.zeros((0,) + shape)])[order]
-            for k, shape in ((0, (3,)), (2, (3, 3)), (3, (3, 3)), (4, ())))
-        fourier = [c for part in parts for c in part[1][1]]
-        fourier = [fourier[i] for i in order.tolist()]
-        n_harmonics = np.concatenate([np.full(len(part[0]), part[2])
-                                      for part in parts] + [np.zeros(0, int)])[order]
-    return FieldModes(quasi=quasi, fourier=fourier, weights=weights,
-                      mode0=mode0.astype(complex, copy=False),
-                      n_harmonics=n_harmonics, edge_weight=edge, error=error)
+        # a point not yet certified is written again at 2N, or ends past n
+        put(at, *modes, nh=nh)
+        later = at[modes[4] > edge_weight_max]
+        if later.size:
+            todo[2 * nh] = (np.sort(np.concatenate((todo[2 * nh], later)))
+                            if 2 * nh in todo else later)
+    return FieldModes(quasi=quasi[:n], fourier=fourier[:n], weights=weights[:n],
+                      mode0=mode0[:n], n_harmonics=n_harmonics[:n],
+                      edge_weight=edge[:n], error=error)
 
 
 def auto_harmonics(p: RotorParams,

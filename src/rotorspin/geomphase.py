@@ -148,34 +148,29 @@ def _harmonic_sums(p: RotorParams, axis: str, values: np.ndarray,
                    fm: FieldModes, labels: np.ndarray, at: np.ndarray):
     """(gamma, term1, term2) at the points `at` of a sweep of p, (points,
     3) in LABELS order, by the harmonic sum of `geometric_phases_with_field`
-    over the modes `fm`, the mode of each label in `labels`. The points
-    with as many harmonic blocks are summed as one stack."""
+    over the modes `fm`, the mode of each label in `labels`: one stack, each
+    mode's harmonic blocks zero-padded about k = 0 to the longest."""
     q = _points(p, axis, values[at])
     omega = values[at] if axis == "omega" else np.full(len(at), p.omega)
-    t_signed = np.copysign(2.0 * math.pi / np.abs(omega), omega)
+    t_signed = np.copysign(2.0 * math.pi / np.abs(omega), omega)[:, None]
     a0 = np.broadcast_to(_gauge_static(q), (len(at), 3, 3))
     a_minus = np.broadcast_to(_drive_amplitude(q), (len(at), 3, 3))
-    gamma, term1 = np.zeros((len(at), 3)), np.zeros((len(at), 3))
-    # the points with as many harmonic blocks, from one route: einsum's sum
-    # order follows the layout of its operands, and a mode's coefficients
-    # lie contiguous from the harmonic solve, strided from the exact modes
-    groups = np.array([len(fm.fourier[i]) for i in at.tolist()], dtype=int)
-    exact = fm.n_harmonics[at] == 0
-    groups[exact] *= -1
-    for k in sorted(set(groups.tolist())):
-        g = np.flatnonzero(groups == k)
-        modes = np.take_along_axis(np.stack([fm.fourier[i] for i in at[g].tolist()]),
-                                   labels[at[g], None, None, :], axis=3)
-        for b in range(3):
-            c = modes[..., b] if k < 0 else np.ascontiguousarray(modes[..., b])
-            flat = c.reshape(len(g), 1, -1)
-            norm = (flat.conj() @ flat.swapaxes(1, 2))[:, 0, 0].real
-            static = np.einsum("pks,pst,pkt->p", c.conj(), a0[g], c).real
-            hop = np.einsum("pks,pst,pkt->p", c[:, :-1].conj(), a_minus[g],
-                            c[:, 1:]).real
-            sz = np.einsum("pks,st,pkt->p", c.conj(), SPIN.sz, c).real
-            gamma[g, b] = t_signed[g] * (static + 2.0 * hop) / norm
-            term1[g, b] = t_signed[g] * omega[g] * sz / norm
+    modes = [fm.fourier[i] for i in at.tolist()]
+    blocks = max(len(m) for m in modes)
+    # (point, label, k, spin); real where every mode is, as a complex dot
+    # of real numbers rounds otherwise
+    c = np.zeros((len(at), 3, blocks, 3), dtype=np.result_type(*modes))
+    for j, (m, lab) in enumerate(zip(modes, labels[at])):
+        lo = (blocks - len(m)) // 2
+        c[j, :, lo:blocks - lo] = m[:, :, lab].transpose(2, 0, 1)
+    flat = c.reshape(len(at), 3, 1, -1)
+    norm = (flat.conj() @ flat.swapaxes(2, 3))[..., 0, 0].real
+    static = np.einsum("pbks,pst,pbkt->pb", c.conj(), a0, c).real
+    hop = np.einsum("pbks,pst,pbkt->pb", c[:, :, :-1].conj(), a_minus,
+                    c[:, :, 1:]).real
+    sz = np.einsum("pbks,st,pbkt->pb", c.conj(), SPIN.sz, c).real
+    gamma = t_signed * (static + 2.0 * hop) / norm
+    term1 = t_signed * omega[:, None] * sz / norm
     return gamma, term1, term1 - gamma
 
 

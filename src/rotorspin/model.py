@@ -2,9 +2,16 @@
 
 Frequencies are dimensionless by default (zero-field splitting d = 1).
 The field parameter ``delta`` is the term -delta cos(theta) S_z + delta
-sin(theta) S_x of `static_part`, held static in the co-rotating frame; it
-is not a static field along the rotation axis, whose quasi-energies differ
-from these by 0.003-0.15 at theta > 0 (lab geometry: ROADMAP.md, item 8).
+sin(theta) S_x of `static_part`, held static in the frame U(t) =
+R_z(omega t) R_y(theta) R_z(-omega t) that turns with the spin axis: the
+paper's frame Hamiltonian. In the lab it is the field delta b(t) along
+the unit vector that the frame rotation carries,
+
+    b(t) = U(t) (sin theta, 0, -cos theta),
+
+which starts at b(0) = -z and turns with the frame. It is not a static
+field along the rotation axis, whose quasi-energies differ from these by
+0.003-0.15 at theta > 0.
 """
 
 import math
@@ -44,7 +51,8 @@ class RotorParams(_RotorFields):
     omega   rotation angular frequency; the sign encodes the direction
     theta   tilt angle between the spin axis and the rotation axis, in [0, pi]
     phi0    initial azimuth of the spin axis (radians)
-    delta   field parameter, static in the co-rotating frame (module docstring)
+    delta   field strength along b(t) = U(t) (sin theta, 0, -cos theta), the
+            unit vector the frame rotation U(t) carries (module docstring)
 
     A named tuple, validated however it is made, `_make` and `_replace`
     included: immutable, and equal and hashed by value.
@@ -127,8 +135,8 @@ def h_rotating(p: RotorParams, t) -> np.ndarray:
 class _Points(NamedTuple):
     """The parameters the Hamiltonian builders read, at one point or along
     a sweep: there the swept delta, omega, or cos theta and sin theta are
-    (points, 1, 1) arrays, and every builder does the same float
-    operations on them as at one point."""
+    (points, 1, 1) arrays, on which every builder does what it does at one
+    point."""
 
     d: float
     delta: float | np.ndarray
@@ -144,8 +152,7 @@ class _Points(NamedTuple):
 
 def _points(p: RotorParams, axis: str | None = None, values=None) -> _Points:
     """`_Points` of p, or of each point of a sweep of p along omega, theta
-    or delta. The cosine and sine are math's, one point at a time: numpy's
-    round some values differently in the last bit."""
+    or delta."""
     cos, sin = math.cos(p.theta), math.sin(p.theta)
     if axis is None:
         return _Points(p.d, p.delta, p.phi0, p.omega, cos, sin)
@@ -156,10 +163,7 @@ def _points(p: RotorParams, axis: str | None = None, values=None) -> _Points:
         return _Points(p.d, p.delta, p.phi0, values, cos, sin)
     if axis == "delta":
         return _Points(p.d, values, p.phi0, p.omega, cos, sin)
-    thetas = values.ravel().tolist()
-    return _Points(p.d, p.delta, p.phi0, p.omega,
-                   np.array([math.cos(t) for t in thetas]).reshape(-1, 1, 1),
-                   np.array([math.sin(t) for t in thetas]).reshape(-1, 1, 1))
+    return _Points(p.d, p.delta, p.phi0, p.omega, np.cos(values), np.sin(values))
 
 
 def _static_part(q: _Points):
@@ -200,8 +204,7 @@ def h_interaction(p: RotorParams, axis: str | None = None,
                   values=None) -> np.ndarray:
     """Time-independent Hamiltonian in the frame co-rotating with the drive,
     h_rotating(p, 0) - omega S_z; with an axis ("omega" or "theta") and its
-    values, the (points, 3, 3) stack of it along that sweep of p, equal
-    point by point to the single matrices.
+    values, the (points, 3, 3) stack of it along that sweep of p.
 
     Only valid without a static field; with a field the drive cannot be
     rotated away and the truncated harmonic expansion must be used instead.

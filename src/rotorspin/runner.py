@@ -95,8 +95,8 @@ def _axis_values(cfg: SweepConfig) -> np.ndarray:
         # sizes the array from the count as a float, which may round up
         # past the limit (2**60 - 64 does)
         raise NumericFailureError(
-            f"out of memory: {cfg.axis.points} axis points exceed the "
-            f"{_MAX_FLOATS} float64 values an array can index")
+            f"out of memory: {float(cfg.axis.points)!r} axis points exceed "
+            f"the {_MAX_FLOATS} float64 values an array can index")
     return np.linspace(cfg.axis.min, cfg.axis.max, cfg.axis.points)
 
 

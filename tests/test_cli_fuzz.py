@@ -157,6 +157,17 @@ def _argv(line: str):
     return line.split(), None, None, False
 
 
+# the line that an example below writes to stderr, where it is pinned
+_STDERR = {
+    "spectrum --axis omega:0.0:1.0:1152921504606846912":
+        "numeric failure: out of memory: 1.152921504606847e+18 axis points "
+        "exceed the 1152921504606846975 float64 values an array can index\n",
+    "evolve --omega 1e300 --theta 0 --delta 0.5 --t-end 1e13":
+        "numeric failure: the drive phase |omega| t_end overflows at "
+        "|omega| = 1e+300, t_end = 1e+13\n",
+}
+
+
 @settings(max_examples=120, deadline=None)
 @given(call=_calls())
 # a default t_end from scales that divide by d^2 - delta^2, and a period,
@@ -170,8 +181,11 @@ def _argv(line: str):
 @example(call=_argv("evolve --d 5e-324 --phi0 5e-324 --t-end 10"))
 # a point count that rounds up to 2**60 as a float
 @example(call=_argv("spectrum --axis omega:0.0:1.0:1152921504606846912"))
+# a drive phase omega t past the float64 range at the last sample
+@example(call=_argv("evolve --omega 1e300 --theta 0 --delta 0.5 --t-end 1e13"))
 def test_cli_exits_0_2_or_3(call):
     argv, config_bytes, output, config_missing = call
+    pinned = _STDERR.get(" ".join(argv))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         if config_bytes is not None:
@@ -196,6 +210,8 @@ def test_cli_exits_0_2_or_3(call):
         assert err == "", argv
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    if pinned is not None:
+        assert err == pinned, argv
     if code == 0 and output is None:
         cells = [c for line in stdout.getvalue().splitlines()[1:]
                  for c in line.split(",")]

@@ -288,8 +288,12 @@ _SLOT = 21
 # the decimal exponents of finite nonzero float64 values
 _E_MIN, _E_MAX = -324, 308
 # 10**(12 - e) for each exponent e, parsed from decimal text so that every
-# entry is correctly rounded, and the compact exponent text of e padded
-# with zero bytes
+# entry is correctly rounded: in float64 for the first pass over a column
+# (inf for e < -296, where 10**(12 - e) overflows), in extended precision
+# for the cells the first pass leaves undecided; and the compact exponent
+# text of e padded with zero bytes
+_POW10_F64 = np.array([f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)],
+                      dtype=np.float64)
 _POW10 = np.array([f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)],
                   dtype=np.longdouble)
 _EXP_TEXT = np.array([f"e{e}" for e in range(_E_MIN, _E_MAX + 1)], dtype="S5")
@@ -308,39 +312,61 @@ def _digit_table() -> np.ndarray:
 
 _DIGITS = _digit_table()
 # the scaled value s < 1e13 is within eps * 1e13 of the exact
-# |x| * 10**(12 - e), eps that of _POW10's dtype (one rounding in the table,
-# one in the product); where it lies within _TIE, 8 times that, of a
-# rounding tie, the cell is formatted by `format_float` instead
+# |x| * 10**(12 - e), eps that of the table's dtype (one rounding in the
+# table, one in the product); where it lies within the table's tie margin
+# of a rounding tie the cell is undecided: 2 times that bound for the
+# float64 pass, 8 times for the extended pass, whose undecided cells are
+# formatted by `format_float` instead
+_TIE_F64 = 2.0 * float(np.finfo(np.float64).eps) * 1e13
 _TIE = 8.0 * float(np.finfo(_POW10.dtype).eps) * 1e13
 
 
-def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
-    """Write `format_float` of each value of the finite float64 array x into
-    the rows of the uint8 array out, of shape (len(x), 20), zero-padded."""
-    a = np.abs(x)
+def _mantissas(a: np.ndarray, pow10: np.ndarray, tie: float):
+    """The 13-digit integer mantissa and the decimal exponent e of each
+    value of the finite float64 array a >= 0, its rounded
+    a * 10**(12 - e) scaled in the dtype of the table pow10, and the mask of
+    the undecided values, mantissa 0: those whose scaled value is not
+    finite, lies outside [1e12, 1e13) after one step of e, or lies within
+    `tie` of a rounding tie. A value within the scaling error of 1e12 or
+    1e13 needs no mask: it is written as 1.000000000000e(e) from either
+    side, since 10 times the error is below 1/2."""
     nonzero = a > 0
-    # e = floor(log10 |x|), so that 1e12 <= s = |x| * 10**(12 - e) < 1e13;
+    # e = floor(log10 a), so that 1e12 <= s = a * 10**(12 - e) < 1e13;
     # the estimate from log10 is off by one at most, next to a power of ten
     e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-    a = a.astype(_POW10.dtype)
-    s = a * _POW10[e - _E_MIN]
+    a = a.astype(pow10.dtype, copy=False)
+    s = a * pow10[e - _E_MIN]
     step = (s >= 1e13).astype(np.int64) - (nonzero & (s < 1e12))
     if step.any():
         e += step
-        s = a * _POW10[e - _E_MIN]
-    # where _POW10 is float64, 10**(12 - e) overflows for e < -296: s is
-    # inf, or out of range after a step away from inf; such cells fall
-    # back too
+        s = a * pow10[e - _E_MIN]
+    # where pow10 is float64, 10**(12 - e) overflows for e < -296: s is
+    # inf, or out of range after a step away from inf
     with np.errstate(invalid="ignore"):
         mant = np.rint(s)
-        fallback = (~np.isfinite(s) | nonzero & ((s < 1e12) | (s >= 1e13))
-                    | (np.abs(np.abs((s - mant).astype(float)) - 0.5) <= _TIE))
-    mant[fallback] = 0
+        undecided = (~np.isfinite(s) | nonzero & ((s < 1e12) | (s >= 1e13))
+                     | (np.abs(np.abs((s - mant).astype(float)) - 0.5) <= tie))
+    mant[undecided] = 0
     mant = mant.astype(np.int64)
     # a mantissa that rounds up to 10**13 is 10**12 at the next exponent
     carry = mant == 10**13
     mant[carry] = 10**12
-    e += carry
+    return mant, e + carry, undecided
+
+
+def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write `format_float` of each value of the finite float64 array x into
+    the rows of the uint8 array out, of shape (len(x), 20), zero-padded.
+
+    Each mantissa is scaled in float64 first; only the few undecided cells
+    of that pass are scaled again in extended precision, and those still
+    undecided there are formatted by `format_float` itself."""
+    a = np.abs(x)
+    mant, e, undecided = _mantissas(a, _POW10_F64, _TIE_F64)
+    fallback = np.flatnonzero(undecided)
+    if fallback.size:
+        mant[fallback], e[fallback], again = _mantissas(a[fallback], _POW10, _TIE)
+        fallback = fallback[again]
     out[:, 0] = np.signbit(x) * ord("-")
     out[:, 2] = ord(".")
     # the 12 digits after the point as three groups of four, each one
@@ -353,7 +379,7 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
         mant = q
     out[:, 1] = mant + ord("0")
     out[:, 15:].view("S5")[:, 0] = _EXP_TEXT[e - _E_MIN]
-    for i in np.flatnonzero(fallback):
+    for i in fallback:
         text = format_float(float(x[i])).encode()
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)

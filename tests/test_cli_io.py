@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +292,56 @@ class TestEmitCsv:
         path = tmp_path / "boundaries.csv"
         emit_csv(ds, str(path))
         _assert_matches_reference(path, ds, None)
+
+    def test_float64_guard_band_matches_reference_writer(self, tmp_path):
+        # values whose float64-scaled mantissa lies within _TIE_F64 of a
+        # rounding tie while the exact one lies farther than _TIE from it:
+        # the float64 pass leaves them to the extended pass
+        rng = np.random.default_rng(5)
+        mants = rng.integers(10**12, 10**13, 600)
+        offsets = rng.uniform(1e-4, 1e-3, 600) * rng.choice([-1, 1], 600)
+        exps = rng.integers(-290, 300, 600)
+        values = np.array([float((int(m) + Decimal(0.5) + Decimal(float(o)))
+                                 .scaleb(int(k) - 12))
+                           for m, o, k in zip(mants, offsets, exps)])
+        with localcontext() as ctx:
+            ctx.prec = 1000  # exact for every float64
+            exact = np.array([abs(Decimal(v).scaleb(12 - Decimal(v).adjusted()) % 1
+                                  - Decimal(0.5)) for v in values], dtype=float)
+        _, _, undecided = runner._mantissas(values, runner._POW10_F64,
+                                            runner._TIE_F64)
+        band = values[undecided & (exact > runner._TIE)]
+        assert len(band) >= 500
+        # next to powers of ten, and below 1e-296, where 10**(12 - e)
+        # overflows float64 and every product is inf
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        tiny = rng.uniform(1.0, 10.0, 400) * 10.0 ** rng.integers(-323, -296, 400)
+        assert runner._mantissas(tiny, runner._POW10_F64, runner._TIE_F64)[2].all()
+        values = np.concatenate([band, powers, tiny])
+        values = np.concatenate([values, np.nextafter(values, 0),
+                                 np.nextafter(values, np.inf)])
+        ds = Dataset(header=["x"], columns=[np.concatenate([values, -values])],
+                     kinds=["plain"])
+        path = tmp_path / "guard.csv"
+        emit_csv(ds, str(path))
+        _assert_matches_reference(path, ds, None)
+
+    def test_few_cells_reach_the_extended_pass(self, monkeypatch):
+        # the float64 tie margin is 2 * 2.2e-16 * 1e13 = 4.4e-3 on either
+        # side of a tie, so about 0.9 % of random mantissas, and the cells
+        # next to a power of ten, are scaled twice
+        scaled = []
+
+        def counting(a, pow10, tie):
+            if pow10 is runner._POW10:
+                scaled.append(len(a))
+            return mantissas(a, pow10, tie)
+
+        mantissas = runner._mantissas
+        monkeypatch.setattr(runner, "_mantissas", counting)
+        x = np.random.default_rng(17).standard_normal(20000)
+        runner._float_cells(x, np.zeros((len(x), 20), dtype=np.uint8))
+        assert 0 < sum(scaled) <= 0.02 * len(x)
 
     def test_digit_and_exponent_tables(self):
         assert runner._DIGITS.tolist() == [f"{i:04d}".encode() for i in range(10**4)]

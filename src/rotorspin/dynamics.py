@@ -33,6 +33,9 @@ __all__ = [
 #: samples of every `evolve` trace
 MAX_TRACE_SAMPLES = 20000
 _CHUNK_SAMPLES = 4096
+# samples per block of the phase kernel `_grid_phases`: a power of two, so
+# that the block length _PHASE_BLOCK * h is exact
+_PHASE_BLOCK = 128
 
 #: steps per drive period of `monodromy`, the stepper oracle of `evolve`;
 #: the monodromy agrees with a 4x finer one to 1e-9 for |omega| >= 0.01
@@ -106,6 +109,21 @@ def monodromy(p: RotorParams):
     return m, np.sort(lam)
 
 
+def _grid_phases(w, t0: float, h: float, n: int) -> np.ndarray:
+    """exp(i w_j (t0 + k h)) for k < n, one row per frequency w_j, by block
+    factorisation: exp(i w (b B h)) exp(i w (t0 + r h)) for k = b B + r,
+    B = _PHASE_BLOCK. A row takes B + n / B complex exp calls and n
+    complex products, not n exp calls; every factor has modulus 1 to
+    rounding. Each factor rounds its time and its phase once, so a phase
+    is off by a few ulp of |w| max |t0 + k h|, against half an ulp for the
+    direct exp(i w t_k) of the rounded t_k."""
+    w = np.asarray(w, dtype=float)[:, None]
+    within = np.exp(1j * (w * (t0 + np.arange(min(n, _PHASE_BLOCK)) * h)))
+    blocks = np.arange(-(-n // within.shape[1])) * (_PHASE_BLOCK * h)
+    across = np.exp(1j * (w * blocks))
+    return (across[:, :, None] * within[:, None, :]).reshape(len(w), -1)[:, :n]
+
+
 def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     """Sample the frame state at MAX_TRACE_SAMPLES equally spaced times
     from t = 0 to t_end.
@@ -115,10 +133,13 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     modes (Shirley, Phys. Rev. 138, B979, 1965), eps_m the eigenvalue of
     each mode's harmonic vector; at omega = 0 the modes are the static
     eigenvectors, one harmonic each, and at delta = 0 the exact frame modes
-    on the harmonics -1, 0, 1. t_end must be finite, long enough for
-    distinct sample times, and short enough that the rounding of the
-    phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad; the drive
-    phase |omega| t_end must be a finite float.
+    on the harmonics -1, 0, 1. The phases exp(-i eps_m t) and the drive
+    turn exp(i omega t) come from the phase kernel `_grid_phases` on the
+    sample grid, a few hundred exp calls per frequency and chunk, and
+    exp(i k omega t) from powers of the turn. t_end must be finite, long
+    enough for distinct sample times, and short enough that the rounding
+    of the phases, max |eps_m| t_end 2**-53, stays within 1e-2 rad; the
+    drive phase |omega| t_end must be a finite float.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,) or not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:
@@ -145,21 +166,22 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
             f"{abs(p.omega):.3g}, t_end = {t_end:.3g}")
     a = np.linalg.solve(ms.fourier.sum(axis=0), psi0)
     coef = (ms.fourier * a).reshape(2 * n + 1, 9)
-    # by chunks of samples, to bound memory; exp(i k omega t) as powers of
-    # exp(i omega t)
+    h = t_end / (MAX_TRACE_SAMPLES - 1)  # the spacing of `times`
+    # by chunks of samples, to bound memory: the mode phases exp(-i eps t)
+    # and the drive turn exp(i omega t) from one phase kernel call, and
+    # exp(i k omega t) as powers of the turn
     states = np.empty((MAX_TRACE_SAMPLES, 3), dtype=complex)
     for lo in range(0, MAX_TRACE_SAMPLES, _CHUNK_SAMPLES):
-        t = times[lo:lo + _CHUNK_SAMPLES]
-        turns = np.empty((2 * n + 1, len(t)), dtype=complex)
+        size = min(_CHUNK_SAMPLES, MAX_TRACE_SAMPLES - lo)
+        phases = _grid_phases(np.append(-eps, p.omega), times[lo], h, size)
+        turns = np.empty((2 * n + 1, size), dtype=complex)
         turns[n] = 1.0
-        turn = np.exp(1j * p.omega * t)
         for k in range(1, n + 1):
-            turns[n + k] = turns[n + k - 1] * turn
+            turns[n + k] = turns[n + k - 1] * phases[3]
             turns[n - k] = turns[n + k].conj()
         periodic = (turns.T @ coef).reshape(-1, 3, 3)
-        states[lo:lo + _CHUNK_SAMPLES] = np.einsum(
-            "tsm,tm->ts", periodic, np.exp(-1j * np.outer(t, eps)))
-    pops = np.abs(states) ** 2
+        states[lo:lo + size] = np.einsum("tsm,mt->ts", periodic, phases[:3])
+    pops = states.real ** 2 + states.imag ** 2
     return EvolutionTrace(times=times, states=states, populations=pops,
                           truncation=ms.n_harmonics, edge_weight=ms.edge_weight)
 
@@ -171,7 +193,10 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
     swings the most. The frequency seed is the dominant nonzero bin of its
     discrete spectrum, refined by a single-tone fit, least squares via the
     3x3 normal system. Contrast is the peak-to-peak swing of that
-    population.
+    population. The times must ascend with a uniform spacing (to 1e-9
+    relative); each trial frequency takes its cos and sin rows from the
+    phase kernel `_grid_phases`, or from direct cos and sin where the
+    times are off that kernel's grid t0 + k h by more than rounding.
     """
     cols = []
     for lab in pair:
@@ -196,6 +221,9 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
 
     t = trace.times
     dts = np.diff(t)
+    # a spacing of 0 or below has no frequency axis: refused before the FFT
+    if not np.all(dts > 0):
+        raise InvalidArgumentError("rabi_fit requires ascending sample times")
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise InvalidArgumentError("rabi_fit requires a uniform time grid")
     dt = float(dts[0])
@@ -212,14 +240,26 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
     else:
         f0 = freqs[k]
 
+    # the phase kernel's grid t0 + k h; samples off it by more than a few
+    # ulp of their times take the direct cos and sin, so that the fit is
+    # always one of the samples as given
+    n, t0 = len(t), float(t[0])
+    h = (float(t[-1]) - t0) / (n - 1)
+    on_grid = (np.abs(t - (t0 + np.arange(n) * h)).max()
+               <= 4.0 * np.finfo(float).eps * np.abs(t[[0, -1]]).max())
     # the rows 1, cos(wt), sin(wt) of the tone's basis, refilled in place
-    basis = np.ones((3, len(t)))
+    basis = np.ones((3, n))
 
     def residual(f: float) -> float:
-        # wt waits in the cos row until its sine is taken
-        wt = np.multiply(2.0 * math.pi * f, t, out=basis[1])
-        np.sin(wt, out=basis[2])
-        np.cos(wt, out=basis[1])
+        w = 2.0 * math.pi * f
+        if on_grid:
+            phase = _grid_phases((w,), t0, h, n)[0]
+            basis[1], basis[2] = phase.real, phase.imag
+        else:
+            # wt waits in the cos row until its sine is taken
+            wt = np.multiply(w, t, out=basis[1])
+            np.sin(wt, out=basis[2])
+            np.cos(wt, out=basis[1])
         # the normal matrix by einsum: BLAS is slower at this 3 x n shape
         gram = np.einsum("in,jn->ij", basis, basis)
         coef = np.linalg.solve(gram, basis @ sig)

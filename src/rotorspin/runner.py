@@ -165,7 +165,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
         kinds=[_TIME] + [_PLAIN] * 9,
         provenance=_truncation([trace], EDGE_WEIGHT_STATES),
     )
-    norms = np.linalg.norm(trace.states, axis=1)
+    norms = np.sqrt(trace.populations.sum(axis=1))
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
     # the populations swing at quasi-energy differences shifted by the first
     # drive harmonics, all below W = (level spread) + 2|omega|; samples
@@ -327,9 +327,10 @@ def _mantissas(a: np.ndarray, pow10: np.ndarray, tie: float):
     a * 10**(12 - e) scaled in the dtype of the table pow10, and the mask of
     the undecided values, mantissa 0: those whose scaled value is not
     finite, lies outside [1e12, 1e13) after one step of e, or lies within
-    `tie` of a rounding tie. A value within the scaling error of 1e12 or
-    1e13 needs no mask: it is written as 1.000000000000e(e) from either
-    side, since 10 times the error is below 1/2."""
+    `tie` of a rounding tie. An edge of the range needs no margin: a value
+    scaled to within the scaling error of 1e12 or 1e13 is written as the
+    same text from either side of it, since 10 times that error is below
+    1/2."""
     nonzero = a > 0
     # e = floor(log10 a), so that 1e12 <= s = a * 10**(12 - e) < 1e13;
     # the estimate from log10 is off by one at most, next to a power of ten
@@ -432,10 +433,12 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
 
     The rows are formatted by whole columns into a byte buffer and streamed
     to a temporary file a chunk of rows at a time, which then replaces
-    `path`. The digits come from each value's integer mantissa, scaled in
-    extended precision, four at a time from a table; the few values next to
-    a rounding tie are formatted by `format_float`, so every cell is exactly
-    its `format_float` text."""
+    `path`. The digits come from each value's integer mantissa, four at a
+    time from a table. The mantissa is scaled in float64; the values whose
+    float64 scaling cannot decide the rounding (about 1 %) are scaled again
+    in extended precision, and the few next to a rounding tie even there
+    are formatted by `format_float`, so every cell is exactly its
+    `format_float` text."""
     if len(ds.columns) != len(ds.header) or len({len(c) for c in ds.columns}) != 1:
         raise NumericFailureError("columns do not match the header")
     columns = ds.scaled_columns(physical_d)

@@ -170,10 +170,11 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     # by chunks of samples, to bound memory: the mode phases exp(-i eps t)
     # and the drive turn exp(i omega t) from one phase kernel call, and
     # exp(i k omega t) as powers of the turn
+    freqs = np.append(-eps, p.omega)
     states = np.empty((MAX_TRACE_SAMPLES, 3), dtype=complex)
     for lo in range(0, MAX_TRACE_SAMPLES, _CHUNK_SAMPLES):
         size = min(_CHUNK_SAMPLES, MAX_TRACE_SAMPLES - lo)
-        phases = _grid_phases(np.append(-eps, p.omega), times[lo], h, size)
+        phases = _grid_phases(freqs, times[lo], h, size)
         turns = np.empty((2 * n + 1, size), dtype=complex)
         turns[n] = 1.0
         for k in range(1, n + 1):

@@ -292,10 +292,9 @@ _E_MIN, _E_MAX = -324, 308
 # (inf for e < -296, where 10**(12 - e) overflows), in extended precision
 # for the cells the first pass leaves undecided; and the compact exponent
 # text of e padded with zero bytes
-_POW10_F64 = np.array([f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)],
-                      dtype=np.float64)
-_POW10 = np.array([f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)],
-                  dtype=np.longdouble)
+_POW10_TEXT = [f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)]
+_POW10_F64 = np.array(_POW10_TEXT, dtype=np.float64)
+_POW10 = np.array(_POW10_TEXT, dtype=np.longdouble)
 _EXP_TEXT = np.array([f"e{e}" for e in range(_E_MIN, _E_MAX + 1)], dtype="S5")
 
 

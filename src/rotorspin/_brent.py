@@ -62,8 +62,11 @@ def brent_root(f, a: float, b: float, xtol: float) -> float:
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                denom = dblk * dpre * (fblk - fpre)
+                # where the denominator underflows to 0, SciPy's C divides
+                # to an infinity or NaN, which fails the step test: bisect
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom if denom
+                        else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:

@@ -194,8 +194,10 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
     swings the most. The frequency seed is the dominant nonzero bin of its
     discrete spectrum, refined by a single-tone fit, least squares via the
     3x3 normal system. Contrast is the peak-to-peak swing of that
-    population. The times must ascend with a uniform spacing (to 1e-9
-    relative); each trial frequency takes its cos and sin rows from the
+    population. The times must ascend with a uniform spacing (to 1e-9 of
+    it, beyond 4 eps max|t| of rounding), and the frequency is fitted to
+    1e-12 of a bin of the spectrum, so that neither test depends on the
+    unit of time; each trial frequency takes its cos and sin rows from the
     phase kernel `_grid_phases`, or from direct cos and sin where the
     times are off that kernel's grid t0 + k h by more than rounding.
     """
@@ -225,7 +227,9 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
     # a spacing of 0 or below has no frequency axis: refused before the FFT
     if not np.all(dts > 0):
         raise InvalidArgumentError("rabi_fit requires ascending sample times")
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+    # uniform to 1e-9 of the spacing, beyond the rounding of the times
+    eps_t = 4.0 * np.finfo(float).eps * np.abs(t[[0, -1]]).max()
+    if not np.all(np.abs(dts - dts[0]) <= 1e-9 * dts[0] + eps_t):
         raise InvalidArgumentError("rabi_fit requires a uniform time grid")
     dt = float(dts[0])
     y = sig - sig.mean()
@@ -246,8 +250,7 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
     # always one of the samples as given
     n, t0 = len(t), float(t[0])
     h = (float(t[-1]) - t0) / (n - 1)
-    on_grid = (np.abs(t - (t0 + np.arange(n) * h)).max()
-               <= 4.0 * np.finfo(float).eps * np.abs(t[[0, -1]]).max())
+    on_grid = np.abs(t - (t0 + np.arange(n) * h)).max() <= eps_t
     # the rows 1, cos(wt), sin(wt) of the tone's basis, refilled in place
     basis = np.ones((3, n))
 
@@ -268,5 +271,5 @@ def rabi_fit(trace: EvolutionTrace, pair) -> tuple[float, float]:
         return float(r @ r)
 
     df = freqs[1] - freqs[0]
-    f_fit = brent_min(residual, max(f0 - df, df / 10), f0 + df, xatol=1e-12)
+    f_fit = brent_min(residual, max(f0 - df, df / 10), f0 + df, xatol=1e-12 * df)
     return 2.0 * math.pi * f_fit, contrast

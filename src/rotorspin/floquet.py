@@ -9,7 +9,11 @@ rotated away, so the spectrum comes from a truncated harmonic
 modulo |omega| and unfolded for plotting via the slope rule that connects
 each branch to its zero-rotation eigenvalue. A field sweep is solved as
 one batch too: stacks of harmonic matrices of at most STACK_BYTES per
-eigensolve, the modes picked and certified on arrays. `field_modes` is
+eigensolve, the modes picked and certified on arrays (`_pick` picks the
+points whose three leading columns are not distinct modes one by one).
+`_separation`, the distance of two branches modulo |omega|, decides which
+columns are distinct modes, whether a sweep may start, whether the field
+phases are separable and the gap of a crossing. `field_modes` is
 the only way into that certified solve; `auto_harmonics`, the modes of a
 single point, is a batch of one (`physical_modes` solves one point at a
 truncation its caller picks). One tracker follows the branches of every
@@ -85,13 +89,14 @@ def fold(x, omega: float):
     return ((np.asarray(x) + w / 2.0) % w) - w / 2.0
 
 
-def _circ_dist(a: float, b: float, width: float) -> float:
-    """Distance between two quasi-energies modulo the spacing `width` of
-    their copies, or the plain distance when the width is 0 (no copies)."""
-    if width == 0:
+def _separation(a, b, width):
+    """The branch separation: min(r, width - r), r = (a - b) mod width, of
+    quasi-energies a and b whose copies lie `width` apart, on floats or
+    arrays; the plain |a - b| where width is the scalar 0 (no copies)."""
+    if np.ndim(width) == 0 and width == 0:
         return abs(a - b)
-    d = (a - b) % width
-    return min(d, width - d)
+    r = (a - b) % width
+    return np.minimum(r, width - r)
 
 
 def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
@@ -339,13 +344,6 @@ class ModeSet(NamedTuple):
 STACK_BYTES = 1 << 16
 
 
-@cache
-def _pairs(window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each of `window` candidates against each earlier one, in the order
-    (1, 0), (2, 0), (2, 1), (3, 0), ..."""
-    return np.tril_indices(window, -1)
-
-
 def _columns(vecs: np.ndarray, pick: np.ndarray, phase, n: int):
     """The columns `pick` of each eigenvector matrix of a stack, mode by
     mode (point, mode, row), their harmonic blocks each times its phase
@@ -359,54 +357,34 @@ def _columns(vecs: np.ndarray, pick: np.ndarray, phase, n: int):
     return v, c, t0, np.sqrt((t0.conj() * t0).real.sum(axis=1))
 
 
-def _same_fold(level: np.ndarray, omega: np.ndarray, window: int) -> np.ndarray:
-    """Whether each candidate's quasi-energy folds onto an earlier one's,
-    within 1e-6 |omega|, in the pair order of `_pairs`."""
-    later, earlier = _pairs(window)
-    w = np.abs(omega)[:, None]
-    rise = level[:, later] - level[:, earlier]
-    return np.abs(((rise + w / 2.0) % w) - w / 2.0) < 1e-6 * w
-
-
 def _pick(vals: np.ndarray, vecs: np.ndarray, omega: np.ndarray, order,
           phase, n: int):
     """Columns of the three drive modes at each point of a stack of
     harmonic eigensystems, whose columns `order` ranks, and a mask of the
     points that have three.
 
-    The columns are visited in that order; one is skipped when its t = 0
-    state is null or when it is a harmonic copy of a column already
-    picked: a copy shares the folded quasi-energy and the t = 0 state, so
-    it would shadow a genuine third mode. The visit is greedy over a
-    window of the leading columns, which doubles for the points it leaves
-    short.
+    Point by point, the columns are visited in that order and the first
+    three are kept that are neither null at t = 0 nor a harmonic copy of
+    a column already kept: a copy shares the folded quasi-energy (within
+    1e-6 |omega|) and the t = 0 state (an overlap above 0.99), so it would
+    shadow a genuine third mode.
     """
-    m, dim = vals.shape
-    pick = np.zeros((m, 3), dtype=int)
-    found = np.zeros(m, dtype=bool)
-    todo, window = np.arange(m), 3
-    while todo.size:
-        cand = order[todo, :window]
-        copy = _same_fold(vals[todo[:, None], cand], omega[todo], window)
-        _, _, states, norms = _columns(vecs[todo], cand, phase, n)
-        taken = ~(norms < 1e-8)
-        # a copy overlaps its original's t = 0 state (NaN at a null
-        # state, which is skipped)
-        later, earlier = _pairs(window)
-        si, sj = states[:, :, earlier], states[:, :, later]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            copy &= (np.abs((si.conj() * sj).sum(axis=1))
-                     / (norms[:, earlier] * norms[:, later]) > 0.99)
-        for c in range(1, window):
-            pairs = slice(c * (c - 1) // 2, c * (c + 1) // 2)
-            taken[:, c] &= ~(copy[:, pairs] & taken[:, :c]).any(axis=1)
-        count = taken.cumsum(axis=1)
-        done = count[:, -1] >= 3
-        pick[todo[done]] = cand[done][taken[done] & (count[done] <= 3)].reshape(-1, 3)
-        found[todo[done]] = True
-        if window == dim:
-            break
-        todo, window = todo[~done], min(2 * window, dim)
+    pick, found = np.zeros((len(vals), 3), dtype=int), np.zeros(len(vals), bool)
+    _, _, states, norms = _columns(vecs, order, phase, n)
+    for i, w in enumerate(np.abs(omega).tolist()):
+        kept = []
+        for j in range(order.shape[1]):
+            if norms[i, j] < 1e-8 or any(
+                    _separation(vals[i, order[i, j]], vals[i, order[i, k]], w)
+                    < 1e-6 * w
+                    and abs(np.vdot(states[i, :, k], states[i, :, j]))
+                    / (norms[i, k] * norms[i, j]) > 0.99
+                    for k in kept):
+                continue
+            kept.append(j)
+            if len(kept) == 3:
+                pick[i], found[i] = order[i, kept], True
+                break
     return pick, found
 
 
@@ -419,12 +397,22 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
 
     The columns are ranked by their weight on the central harmonic block.
     The three leading ones are the modes unless one has a null t = 0 state
-    or two share a folded quasi-energy; only those points take the greedy
-    visit of `_pick`.
+    or two share a folded quasi-energy (within 1e-6 |omega|); only those
+    points are picked one at a time by `_pick`.
+
+    Where d lies beyond 2^+-400, the matrices are solved in units of the
+    power of two at or below the largest of d, |delta| and |omega|, as the
+    eigensolver would otherwise rescale them by a factor that rounds; so
+    the modes scale exactly with d, by a power of two.
     """
     m, dim = len(omega), 3 * (2 * n + 1)
     static = _static_part(q).real
     drive = _drive_amplitude(q._replace(phi0=0.0)).real
+    unit = 1.0
+    if not 2.0**-400 <= q.d <= 2.0**400:
+        top = max(q.d, np.abs(q.delta).max(), np.abs(omega).max())
+        unit = 2.0 ** (math.frexp(top)[1] - 1)
+        static, drive, omega = static / unit, drive / unit, omega / unit
     if drive.shape != static.shape:  # along delta the drive is fixed
         drive = np.broadcast_to(drive, static.shape)
     chunk = max(1, STACK_BYTES // (8 * dim * dim))
@@ -436,11 +424,11 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
         f = _harmonic_matrices(static[at], drive[at], omega[at], n)
         vals, vecs = np.linalg.eigh(f)
         order = np.argsort((vecs[:, 3 * n:3 * n + 3] ** 2).sum(axis=1))[:, ::-1]
-        pick = order[:, :3]
-        v, c, t0, norms = _columns(vecs, pick, phase, n)
-        odd = (_same_fold(vals[np.arange(len(vals))[:, None], pick], omega[at],
-                          3).any(axis=1)
-               | (norms < 1e-8).any(axis=1))
+        v, c, t0, norms = _columns(vecs, order[:, :3], phase, n)
+        level = vals[np.arange(len(vals))[:, None], order[:, :3]]
+        w = np.abs(omega[at])[:, None]
+        odd = ((_separation(level[:, [1, 2, 2]], level[:, [0, 0, 1]], w) < 1e-6 * w)
+               .any(axis=1) | (norms < 1e-8).any(axis=1))
         if odd.any():
             rows, ok = np.flatnonzero(odd), found[at]  # a view of found
             again, ok[rows] = _pick(vals[rows], vecs[rows], omega[at][rows],
@@ -449,8 +437,8 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
                                                                phase, n)
             norms[~ok] = 1.0  # no three modes, and none is read
         a = v.swapaxes(1, 2)
-        quasi[at] = (np.einsum("pim,pim->pm", a, f @ a)
-                     / np.einsum("pim,pim->pm", a, a))
+        quasi[at] = unit * (np.einsum("pim,pim->pm", a, f @ a)
+                            / np.einsum("pim,pim->pm", a, a))
         fourier[at], mode0[at] = c, t0 / norms[:, None]
     fourier = fourier.transpose(0, 2, 3, 1)
     power = np.abs(fourier) ** 2
@@ -764,8 +752,7 @@ def quasienergy_spectrum(
 
     # refuse to start labeling inside an avoided crossing: branches must be
     # separable either by energy or by near-pure spin character
-    gap = min(_circ_dist(quasi[0, a], quasi[0, b], width[0])
-              for a, b in ((0, 1), (0, 2), (1, 2)))
+    gap = _separation(quasi[0, [0, 0, 1]], quasi[0, [1, 2, 2]], width[0]).min()
     if gap < 1e-6 * p_template.d and weights[0].max(axis=1).min() < 0.99:
         raise TrackingError(
             "sweep starts inside a gap: branches not separable at the first point"
@@ -787,10 +774,10 @@ def quasienergy_spectrum(
         offset = reps[i] - targets[i]
 
     # continuity: from the third point on, no branch moves by more than 10
-    # steps of its last slope, or of min_slope where that is larger
-    base_slope = {"omega": 1.5, "delta": 1.5,
-                  "theta": (abs(p_template.omega) + p_template.d) / p_template.d}[axis]
-    min_slope = base_slope * p_template.d
+    # steps of its last slope, or of min_slope where that is larger; a
+    # slope along omega or delta is a pure number, one along theta a
+    # frequency
+    min_slope = 1.5 if axis != "theta" else abs(p_template.omega) + p_template.d
     step = np.diff(values[:n])[:, None]
     move = np.abs(np.diff(reps, axis=0))
     bound = 10.0 * step[1:] * np.maximum(move[:-1] / step[:-1], min_slope)
@@ -853,7 +840,7 @@ def _pair_members(p: RotorParams,
     spec_spin = ({0, 1, 2} - {i, j}).pop()
     spectator = int(np.argmax(ms.weights[:, spec_spin]))
     a, b = (k for k in range(3) if k != spectator)
-    sep = _circ_dist(ms.quasi[a], ms.quasi[b], width)
+    sep = _separation(ms.quasi[a], ms.quasi[b], width)
     rise = ms.quasi[b] - ms.quasi[a]
     b_above = rise % width <= width / 2 if width else rise >= 0
     members = [a, b] if b_above else [b, a]
@@ -946,8 +933,10 @@ def avoided_crossing(
     # higher one is kept, so the nearby lower peak cannot capture the search.
     imix = int(np.argmax(mix))
     k0, k1 = max(0, imix - 3), min(points - 1, imix + 3)
+    # the tolerance in the axis' own unit: d along omega or delta
+    unit = 1.0 if axis == "theta" else p_template.d
     found = _strongest_equal_mixing(members, xs[k0:k1 + 1],
-                                    xtol=1e-10 * max(1.0, abs(xs[imix])))
+                                    xtol=1e-10 * max(unit, abs(xs[imix])))
     if found is None:
         raise NoCrossingError(
             f"branches {branch_pair} reach no equal mixing near the mixing "

@@ -26,6 +26,7 @@ from .floquet import (
     FieldModes,
     _best_permutation,
     _label_score,
+    _separation,
     _valid_prefix,
     field_modes,
 )
@@ -182,13 +183,10 @@ def _degenerate(d: float, omega: np.ndarray, quasi: np.ndarray,
     as the two modes kept a pure spin character."""
     quasi = np.take_along_axis(quasi, labels, axis=1)
     purity = np.take_along_axis(weights.max(axis=2), labels, axis=1)
-    width = np.abs(omega)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    meet = np.zeros((len(omega), 3), dtype=bool)
-    for j, (a, b) in enumerate(pairs):
-        rise = (quasi[:, a] - quasi[:, b]) % width
-        meet[:, j] = ((np.minimum(rise, width - rise) < 1e-10 * d)
-                      & (np.minimum(purity[:, a], purity[:, b]) < 0.999))
+    pairs, a, b = ((0, 1), (0, 2), (1, 2)), [0, 0, 1], [1, 2, 2]
+    meet = ((_separation(quasi[:, a], quasi[:, b], np.abs(omega)[:, None])
+             < 1e-10 * d)
+            & (np.minimum(purity[:, a], purity[:, b]) < 0.999))
     return [None if not row.any() else pairs[int(np.argmax(row))]
             for row in meet]
 

@@ -387,17 +387,10 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
 
 def _int_cells(x: np.ndarray, out: np.ndarray) -> None:
     """Write each value of the integer array x in decimal into the rows of
-    the uint8 array out, of shape (len(x), 20): digits right-aligned, the
-    sign of a negative value in the first byte (its magnitude has at most 19
-    digits), zero bytes between."""
-    negative = x < 0
-    n = x.astype(np.uint64)
-    n = np.where(negative, -n, n)  # the magnitude, also of the int64 minimum
-    for pos in range(19, -1, -1):
-        q = n // 10
-        out[:, pos] = np.where((n > 0) | (pos == 19), n - q * 10 + ord("0"), 0)
-        n = q
-    out[negative, 0] = ord("-")
+    the uint8 array out, of shape (len(x), 20), by numpy's own cast: the
+    text left-aligned, zero bytes after it (the int64 minimum and the
+    uint64 maximum both take 20 bytes)."""
+    out[:] = x.astype("S20").view(np.uint8).reshape(len(x), 20)
 
 
 def _rows_text(columns: list[np.ndarray]) -> bytes:

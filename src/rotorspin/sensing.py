@@ -61,25 +61,26 @@ def _small_angle_root(theta: float, omega: float, branch: str, d: float) -> floa
     the scales of `derived_scales` make the residual times 2 (d^2 - delta^2)
     the cubic 2 s delta^3 + (3 d theta^2 - 2 c) delta^2
     + s d^2 (theta^2 - 2) delta + 2 c d^2, whose sign is the residual's on
-    [0, d). A root just below zero field is taken as the tangent root from
+    [0, d). It is solved in units of d, x = delta / d, whose coefficients
+    do not leave the float64 range with d, and the root scaled back by d.
+    A root just below zero field is taken as the tangent root from
     delta = 0, clamped into the interval.
     """
     s = 1.0 if branch == "plus" else -1.0
     th2 = theta * theta
-    c = d - s * omega * (1.0 - 0.5 * th2)
-    coeffs = [2.0 * s, 3.0 * d * th2 - 2.0 * c, s * d * d * (th2 - 2.0),
-              2.0 * c * d * d]
-    # a coefficient overflows only where |c| is far beyond d, and so is the
+    c = 1.0 - s * (omega / d) * (1.0 - 0.5 * th2)  # c / d
+    coeffs = [2.0 * s, 3.0 * th2 - 2.0 * c, s * (th2 - 2.0), 2.0 * c]
+    # a coefficient overflows only where |c| is far beyond 1, and so is the
     # residual at every field in [0, d)
     roots = (np.roots(coeffs) if all(map(math.isfinite, coeffs))
              else np.empty(0, dtype=complex))
-    real = roots[np.abs(roots.imag) <= 1e-12 * d].real
-    inside = real[(real >= 0.0) & (real <= 0.98 * d)]
+    real = roots[np.abs(roots.imag) <= 1e-12].real
+    inside = real[(real >= 0.0) & (real <= 0.98)]
     if len(inside) > 0:
-        return float(inside.min())
-    if abs(c) < 1e-3 * d:
+        return d * float(inside.min())
+    if abs(c) < 1e-3:
         # the residual at zero field is c; its slope there is s (theta^2 / 2 - 1)
-        return float(min(max(c / (s * (1.0 - 0.5 * th2)), 0.0), 0.98 * d))
+        return d * float(min(max(c / (s * (1.0 - 0.5 * th2)), 0.0), 0.98))
     raise RegimeError(
         f"no resonant field in (0, {d:.3g}) for theta = {theta:.4g}, "
         f"omega = {omega:.4g}"

@@ -562,12 +562,14 @@ def per_point_spectrum(p_template, axis, values):
     """A spectrum solved and tracked one point at a time, as
     `quasienergy_spectrum` did before its tracker worked on arrays: (reps,
     modes, largest truncation, largest edge weight, worst overlap), or the
-    error of the first point that fails. A sweep with a field unfolds each
-    point with omega != 0 by its offset from the slope-rule target."""
+    error of the first point that fails. A grid that does not strictly
+    ascend is refused first, as the code refuses it, before any slope is
+    taken. A sweep with a field unfolds each point with omega != 0 by its
+    offset from the slope-rule target."""
+    if np.any(np.diff(values) <= 0):
+        raise InvalidArgumentError("axis values must be strictly ascending")
     field = axis == "delta" or p_template.delta != 0
-    base_slope = {"omega": 1.5, "delta": 1.5,
-                  "theta": (abs(p_template.omega) + p_template.d) / p_template.d}
-    min_slope = base_slope[axis] * p_template.d
+    min_slope = 1.5 if axis != "theta" else abs(p_template.omega) + p_template.d
     reps = np.empty((len(values), 3))
     modes = np.empty((len(values), 3, 3), dtype=complex)
     offset = np.zeros(3)
@@ -733,6 +735,9 @@ class TestZeroFieldBatch:
                     np.linspace(0.2, 1.2, 101)[:30]))
     @example(sweep=(RotorParams(omega=0.0669, theta=0.2236, delta=-1.8437),
                     "theta", np.linspace(0.2236, 0.8867, 5)))
+    # two adjacent floats, which linspace repeats: both refuse the grid
+    @example(sweep=(RotorParams(omega=-3.0, theta=0.5), "omega",
+                    np.linspace(-3.0, np.nextafter(-3.0, 0.0), 3)))
     def test_spectrum_equals_the_per_point_loop(self, sweep):
         p, axis, values = sweep
         got, err = outcome(lambda: quasienergy_spectrum(p, axis, values))

@@ -10,7 +10,9 @@ modulo |omega| and unfolded for plotting via the slope rule that connects
 each branch to its zero-rotation eigenvalue. A field sweep is solved as
 one batch too: stacks of harmonic matrices of at most STACK_BYTES per
 eigensolve, the modes picked and certified on arrays (`_pick` picks the
-points whose three leading columns are not distinct modes one by one).
+points whose three leading columns are not distinct modes one by one);
+each pass refuses, on arrays, the points `_harmonic_guard` refuses, and
+`_valid_prefix` finds a sweep's first refused point and its error.
 `_separation`, the distance of two branches modulo |omega|, decides which
 columns are distinct modes, whether a sweep may start, whether the field
 phases are separable and the gap of a crossing. `field_modes` is
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .model import (RotorParams, _drive_amplitude, _points, _Points,
                     _static_part, drive_amplitude, h_interaction, period_guard,
-                    static_part)
+                    static_part, without_period)
 from .spin_algebra import hermitian_eigensystem
 
 __all__ = [
@@ -172,20 +174,28 @@ def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
     return roots, inexact, overflow
 
 
-def _valid_prefix(p: RotorParams, axis: str, values: np.ndarray):
+def _valid_prefix(p: RotorParams, axis: str, values: np.ndarray,
+                  refused=None, guard=None):
     """The number of leading `values` at which p, swept along `axis`, is
-    valid, and the error `RotorParams` raises at the next one, if any."""
-    ok = np.isfinite(values)  # RotorParams' checks of a swept value
+    valid and not `refused` (a mask of the points `guard` refuses), and
+    the error at the next one, if any: that `RotorParams` raises there, or
+    else `guard`, called with the point. The one place a sweep's first
+    refused point and its error are found."""
+    bad = ~np.isfinite(values)  # RotorParams' checks of a swept value
     if axis == "theta":
-        ok &= (0.0 <= values) & (values <= math.pi)
-    if ok.all():
+        bad |= ~((0.0 <= values) & (values <= math.pi))
+    if refused is not None:
+        bad |= refused
+    if not bad.any():
         return len(values), None
-    n = int(np.argmin(ok))
+    n = int(np.argmax(bad))
     try:
-        p.with_(**{axis: float(values[n])})
-    except InvalidArgumentError as exc:
+        q = p.with_(**{axis: float(values[n])})
+        if guard is not None:
+            guard(q)
+    except RotorSpinError as exc:
         return n, exc
-    raise AssertionError(f"RotorParams accepts {axis} = {values[n]!r}")
+    raise AssertionError(f"the checks accept {axis} = {values[n]!r}")
 
 
 def _eigensystems(h: np.ndarray):
@@ -284,15 +294,22 @@ def quasienergies_zero_field(p: RotorParams):
             for lab in LABELS]
 
 
+def _levels_overflow(d: float, delta, omega, n: int):
+    """Whether the levels of the harmonic matrix at truncation N leave the
+    float64 range, for floats or arrays: each eigenvalue lies within d +
+    |delta| + (N + 3) |omega| of zero, and the difference of two must stay
+    a finite number."""
+    with np.errstate(over="ignore"):
+        return ~np.isfinite(2.0 * (d + np.abs(delta) + (n + 3) * np.abs(omega)))
+
+
 def _harmonic_guard(p: RotorParams, n: int) -> None:
     """Raise where the harmonic matrix of p cannot be built at truncation
     N: without a drive period (`period_guard`, for N > 0), or where its
-    levels leave the float64 range."""
+    levels leave the float64 range (`_levels_overflow`)."""
     if n:
         period_guard(p)
-    # each eigenvalue lies within d + |delta| + (N + 3) |omega| of zero, and
-    # the difference of two must stay a finite number
-    if not math.isfinite(2.0 * (p.d + abs(p.delta) + (n + 3) * abs(p.omega))):
+    if _levels_overflow(p.d, p.delta, p.omega, n):
         raise NumericFailureError(
             f"harmonic matrix at N = {n} overflows at omega = {p.omega:.3g}, "
             f"delta = {p.delta:.3g}")
@@ -531,8 +548,9 @@ def field_modes(p: RotorParams, axis: str, values,
     the Bessel estimate of `_n_start`; each pass solves those at the
     smallest N as stacks of real phi0 = 0 matrices, their modes picked and
     certified on arrays, and the points whose edge weight exceeds
-    `edge_weight_max` wait at 2N, up to N = 512. Each point meets the
-    checks a single one meets, in the same order; the points from the
+    `edge_weight_max` wait at 2N, up to N = 512. Each pass applies the
+    rules of `_harmonic_guard` to its points on arrays, so each point meets
+    the checks a single one meets, in the same order; the points from the
     first that fails on are neither solved further nor returned, and its
     error is returned, not raised, as by `zero_field_modes`.
     """
@@ -543,7 +561,7 @@ def field_modes(p: RotorParams, axis: str, values,
     n, error = _valid_prefix(p, axis, values)
     values = values[:n]
     omega = values if axis == "omega" else np.full(n, p.omega)
-    delta = values if axis == "delta" else p.delta
+    delta = values if axis == "delta" else np.full(n, p.delta)
     q = _points(p, axis, values)
     # each route writes the modes of its points here
     quasi, weights = np.empty((n, 3)), np.empty((n, 3, 3))
@@ -587,32 +605,20 @@ def field_modes(p: RotorParams, axis: str, values,
         todo = {t: harm[start == t] for t in set(start.tolist())}
     else:
         todo = {_n_start(p.theta, edge_weight_max): harm} if harm.size else {}
-    # where the harmonic matrix's own checks may fail: |omega| within 1e-15
-    # of max(d, |delta|) (no drive period below 2.2e-16 of their sum), or a
-    # parameter far beyond any level whose copies up to N = 512 fit in
-    # float64
-    wabs = np.abs(omega)
-    top = np.maximum(np.abs(delta), p.d)
-    risky = (wabs <= 1e-15 * top) | (np.maximum(wabs, top) > 1e300)
-    if not risky.any():
-        risky = None
     while todo:
         nh = min(todo)
         at = todo.pop(nh)
-        at = at[at < n]
-        if not at.size:
-            continue
         if nh > _N_MAX:
             fail(int(at[0]), NumericFailureError(
                 f"harmonic truncation did not converge below N = {_N_MAX}"))
             continue
-        for i in [] if risky is None else at[risky[at]].tolist():
-            try:
-                _harmonic_guard(p.with_(**{axis: float(values[i])}), nh)
-            except RotorSpinError as exc:
-                fail(i, exc)
-                at = at[at < n]
-                break
+        # the rules of `_harmonic_guard`, on arrays
+        k, exc = _valid_prefix(p, axis, values[at], without_period(p, axis, values[at])
+                               | _levels_overflow(p.d, delta[at], omega[at], nh),
+                               lambda point: _harmonic_guard(point, nh))
+        if exc is not None:
+            fail(int(at[k]), exc)
+        at = at[at < n]
         if not at.size:
             continue
         modes, found = _solve_harmonics(q if len(at) == len(values) else q.take(at),

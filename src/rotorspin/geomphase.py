@@ -93,11 +93,7 @@ def geometric_phases_zero_field(p: RotorParams) -> GeometricPhaseSet:
     term2 the rest. A one-point `field_phases`."""
     if p.delta != 0:
         raise InvalidArgumentError("geometric_phases_zero_field requires delta = 0")
-    ph = field_phases(p, "omega", [p.omega])
-    if ph.error is not None:
-        raise ph.error
-    return GeometricPhaseSet(*(dict(zip(LABELS, a[0].tolist()))
-                               for a in (ph.gamma, ph.term1, ph.term2)))
+    return _phase_set(field_phases(p, "omega", [p.omega]))
 
 
 def _closed_form(d: float, omega: np.ndarray, quasi: np.ndarray,
@@ -126,23 +122,6 @@ class FieldPhases(NamedTuple):
     truncation: int
     edge_weight: float
     error: RotorSpinError | None  # that of the next point, which failed
-
-
-def _phase_modes(p: RotorParams, axis: str, values: np.ndarray):
-    """The modes at EDGE_WEIGHT_STATES of the leading points of a sweep of
-    p that are valid, have a drive period and are solved, as `RotorParams`,
-    `period_guard` and `field_modes` check a single point, and the error of
-    the next point, if any."""
-    n, error = _valid_prefix(p, axis, values)
-    no_period = without_period(p, axis, values[:n])
-    if no_period.any():
-        n = int(np.argmax(no_period))
-        try:
-            period_guard(p.with_(**{axis: float(values[n])}))
-        except RotorSpinError as exc:
-            error = exc
-    fm = field_modes(p, axis, values[:n], EDGE_WEIGHT_STATES)
-    return fm, error if fm.error is None else fm.error
 
 
 def _harmonic_sums(p: RotorParams, axis: str, values: np.ndarray,
@@ -196,20 +175,18 @@ def _degeneracy_error(pair) -> DegeneracyError:
     return DegeneracyError(f"branches {a} and {b} are degenerate; phases not separable")
 
 
-def field_phases(p: RotorParams, axis: str, values) -> FieldPhases:
-    """Geometric phases at each point of a sweep of p along omega, theta or
-    delta, in one batch over one `field_modes` call: the closed form of
-    `geometric_phases_zero_field` where delta = 0, the harmonic sum of
-    `geometric_phases_with_field` elsewhere. Each point is checked as a
-    single one is: its parameters, its drive period, its modes and, with a
-    field, the separability of its branches. The points from the first
-    that fails on are not returned, and its error is returned, not raised.
-    """
+def _phases(p: RotorParams, axis: str, values, closed_form: bool) -> FieldPhases:
+    """`field_phases`, with the closed form at delta = 0 or, without
+    `closed_form`, the harmonic sum over the exact modes there too."""
     values = np.asarray(values, dtype=float)
-    fm, error = _phase_modes(p, axis, values)
+    n, error = _valid_prefix(p, axis, values, without_period(p, axis, values),
+                             period_guard)
+    fm = field_modes(p, axis, values[:n], EDGE_WEIGHT_STATES)
+    error = error if fm.error is None else fm.error
     n = len(fm.quasi)
     omega = values[:n] if axis == "omega" else np.full(n, p.omega)
-    zero = (values[:n] if axis == "delta" else np.full(n, p.delta)) == 0
+    zero = closed_form & ((values[:n] if axis == "delta"
+                           else np.full(n, p.delta)) == 0)
     field = np.flatnonzero(~zero)
     labels = _best_permutation(_label_score(fm.weights))  # (point, label)
     refused = [(i, pair) for i, pair in zip(field.tolist(), _degenerate(
@@ -229,6 +206,27 @@ def field_phases(p: RotorParams, axis: str, values) -> FieldPhases:
                        error=error)
 
 
+def field_phases(p: RotorParams, axis: str, values) -> FieldPhases:
+    """Geometric phases at each point of a sweep of p along omega, theta or
+    delta, in one batch over one `field_modes` call: the closed form of
+    `geometric_phases_zero_field` where delta = 0, the harmonic sum of
+    `geometric_phases_with_field` elsewhere. Each point is checked as a
+    single one is: its parameters, its drive period, its modes and, with a
+    field, the separability of its branches. The points from the first
+    that fails on are not returned, and its error is returned, not raised.
+    """
+    return _phases(p, axis, values, closed_form=True)
+
+
+def _phase_set(ph: FieldPhases) -> GeometricPhaseSet:
+    """The phases of a one-point batch, or the error it returned, raised."""
+    if ph.error is not None:
+        raise ph.error
+    return GeometricPhaseSet(*(dict(zip(LABELS, a[0].tolist()))
+                               for a in (ph.gamma, ph.term1, ph.term2)),
+                             truncation=ph.truncation, edge_weight=ph.edge_weight)
+
+
 def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
     """Geometric phases with the field term delta (see `rotorspin.model`).
 
@@ -244,20 +242,9 @@ def geometric_phases_with_field(p: RotorParams) -> GeometricPhaseSet:
     and term2 = term1 - gamma. T = 2 pi / omega is the signed period, as in
     the closed form, so reversing the rotation direction flips the phases.
     At delta = 0 the sum runs over the exact modes. A one-point batch of
-    the code behind `field_phases`.
+    the code behind `field_phases`, with the closed form switched off.
     """
-    values = np.array([p.omega])
-    fm, error = _phase_modes(p, "omega", values)
-    if error is not None:
-        raise error
-    labels = _best_permutation(_label_score(fm.weights))
-    pair = _degenerate(p.d, values, fm.quasi, fm.weights, labels)[0]
-    if pair is not None:
-        raise _degeneracy_error(pair)
-    phases = _harmonic_sums(p, "omega", values, fm, labels, np.array([0]))
-    return GeometricPhaseSet(*(dict(zip(LABELS, a[0].tolist())) for a in phases),
-                             truncation=int(fm.n_harmonics[0]),
-                             edge_weight=float(fm.edge_weight[0]))
+    return _phase_set(_phases(p, "omega", [p.omega], closed_form=False))
 
 
 #: Slow reference rotation at which the pinned gauge sign is checked.

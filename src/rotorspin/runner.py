@@ -133,7 +133,7 @@ def _run_spectrum(cfg: SweepConfig) -> Dataset:
         header=["axis", "lambda_m1", "lambda_0", "lambda_p1", "gap_min_flag"],
         columns=[values, *lam.T, flags],
         kinds=[_AXIS_KINDS[cfg.axis.name], _FREQ, _FREQ, _FREQ, _PLAIN],
-        provenance={**_truncation([spec], EDGE_WEIGHT_LEVELS), "tracking_overlap_min":
+        provenance={**_truncation(spec, EDGE_WEIGHT_LEVELS), "tracking_overlap_min":
                     f"{spec.tracking_overlap_min:.6f}"},
     )
 
@@ -163,7 +163,7 @@ def _run_evolve(cfg: SweepConfig) -> Dataset:
                 "re_a_minus1", "im_a_minus1"],
         columns=[trace.times, *trace.populations.T, *trace.states.view(float).T],
         kinds=[_TIME] + [_PLAIN] * 9,
-        provenance=_truncation([trace], EDGE_WEIGHT_STATES),
+        provenance=_truncation(trace, EDGE_WEIGHT_STATES),
     )
     norms = np.sqrt(trace.populations.sum(axis=1))
     ds.provenance["norm_deviation_max"] = f"{np.abs(norms - 1.0).max():.3e}"
@@ -195,19 +195,18 @@ def _run_geomphase(cfg: SweepConfig) -> Dataset:
         header=["axis", "gamma_m1", "gamma_0", "gamma_p1"],
         columns=[values, *ph.gamma.T],
         kinds=[_AXIS_KINDS[name], _PLAIN, _PLAIN, _PLAIN],
-        provenance=_truncation([ph], EDGE_WEIGHT_STATES),
+        provenance=_truncation(ph, EDGE_WEIGHT_STATES),
     )
 
 
-def _truncation(results, edge_weight_bound: float) -> dict:
-    """The largest harmonic truncation and edge weight among `results`, and
-    the edge-weight bound their solves certified, as provenance; nothing
-    for a run without a harmonic solve."""
-    n_max = max(r.truncation for r in results)
-    if n_max == 0:
+def _truncation(result, edge_weight_bound: float) -> dict:
+    """The harmonic truncation and edge weight of `result`, each the
+    largest its solves met, and the edge-weight bound they certified, as
+    provenance; nothing for a run without a harmonic solve."""
+    if result.truncation == 0:
         return {}
-    return {"harmonics_n_max": str(n_max), "harmonics_edge_weight_max":
-            f"{max(r.edge_weight for r in results):.3e}",
+    return {"harmonics_n_max": str(result.truncation), "harmonics_edge_weight_max":
+            f"{result.edge_weight:.3e}",
             "harmonics_edge_weight_bound": f"{edge_weight_bound:.0e}"}
 
 

@@ -930,6 +930,25 @@ class TestCli:
         assert message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, shown", [
+        (["--d", "5e-324", "--delta", "5e-324", "--omega", "1e-323"], "9.88e-324"),
+        (["--d", "1e-300", "--delta", "1e-300", "--omega", "1e-309"], "1e-309"),
+    ])
+    def test_overflowing_drive_period_exits_3_in_every_field_mode(
+            self, flags, shown, capsys):
+        # 2 pi / |omega| overflows at a subnormal |omega|: each mode refuses
+        # it with one stderr line, a sweep's naming its first point
+        lines = {}
+        for mode, rest in (("geomphase", ["--axis", "theta:0:0.2:3"]),
+                           ("spectrum", ["--axis", "theta:0:0.2:3"]),
+                           ("evolve", ["--t-end", "1e300"])):
+            assert main([mode, *flags, "--theta", "0.3", *rest]) == 3
+            lines[mode] = capsys.readouterr()
+        message = ("numeric failure: the drive period 2 pi / |omega| overflows "
+                   f"at |omega| = {shown}")
+        assert lines["geomphase"] == ("", message + " (at theta = 0)\n")
+        assert lines["spectrum"] == lines["evolve"] == ("", message + "\n")
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"\xff\xfemode=spectrum\n")

@@ -738,6 +738,11 @@ class TestZeroFieldBatch:
     # two adjacent floats, which linspace repeats: both refuse the grid
     @example(sweep=(RotorParams(omega=-3.0, theta=0.5), "omega",
                     np.linspace(-3.0, np.nextafter(-3.0, 0.0), 3)))
+    # a subnormal |omega| whose drive period 2 pi / |omega| overflows
+    @example(sweep=(RotorParams(d=5e-324, delta=5e-324, omega=1e-323, theta=0.0),
+                    "theta", np.linspace(0.0, 0.2, 3)))
+    @example(sweep=(RotorParams(d=1e-300, delta=1e-300, omega=1e-309, theta=0.3),
+                    "omega", np.linspace(1e-309, 2e-309, 3)))
     def test_spectrum_equals_the_per_point_loop(self, sweep):
         p, axis, values = sweep
         got, err = outcome(lambda: quasienergy_spectrum(p, axis, values))
@@ -865,6 +870,12 @@ class TestFieldBatch:
                     np.linspace(0.3, 0.5, 4)), bound=EDGE_WEIGHT_LEVELS)
     @example(sweep=(RotorParams(omega=0.3, theta=0.8, delta=0.9, phi0=1.3),
                     "theta", np.linspace(0.8, 1.5, 8)), bound=EDGE_WEIGHT_STATES)
+    # a subnormal |omega| whose drive period 2 pi / |omega| overflows:
+    # refused at every point, as `floquet_matrix` refuses it
+    @example(sweep=(RotorParams(d=5e-324, delta=5e-324, omega=1e-323, theta=0.0),
+                    "theta", np.linspace(0.0, 0.2, 3)), bound=EDGE_WEIGHT_LEVELS)
+    @example(sweep=(RotorParams(d=1e-300, delta=1e-300, omega=1e-309, theta=0.3),
+                    "omega", np.linspace(1e-309, 2e-309, 3)), bound=EDGE_WEIGHT_STATES)
     def test_field_modes_equal_the_oracle(self, sweep, bound):
         p, axis, values = sweep
         fm = floquet.field_modes(p, axis, values, bound)
@@ -962,6 +973,43 @@ class TestFieldBatch:
         prefix = "config error" if code == 2 else "numeric failure"
         assert main(argv) == code
         assert capsys.readouterr().err == f"{prefix}: {text}\n"
+
+    @pytest.mark.parametrize("argv, solved, targets, text", [
+        # the static eigensolve at omega = 0 refuses the second point
+        (["spectrum", "--omega", "0", "--theta", "0.3", "--delta", "1e308",
+          "--axis", "delta:1e307:1e308:3"], 1, 1,
+         "matrix entry of magnitude 5.25e+307 leaves no float64 headroom"),
+        # every point is solved, and the slope-rule targets' static
+        # eigensolve refuses the third
+        (["spectrum", "--delta", "4e307", "--omega", "1e300", "--theta", "0.3",
+          "--axis", "delta:1e307:4e307:3"], 3, 2,
+         "matrix entry of magnitude 3.82e+307 leaves no float64 headroom"),
+    ], ids=["static-route", "slope-targets"])
+    def test_eigensolver_refusal_stops_the_sweep_where_one_point_fails(
+            self, capsys, argv, solved, targets, text):
+        p, name, values = params_of(argv)
+        points = [p.with_(**{name: float(x)}) for x in values]
+        refusal = (NumericFailureError, text)
+        fm = floquet.field_modes(p, name, values)
+        assert len(fm.quasi) == solved
+        for i, q in enumerate(points):
+            want, err = result_or_error(lambda: oracle_auto_harmonics(q))
+            if i == solved:
+                assert (type(fm.error), str(fm.error)) == err == refusal
+                break
+            assert err is None
+            assert_within_ulps(fm.quasi[i], want.quasi, QUASI_ULPS, quasi_ulp(q))
+        else:
+            assert fm.error is None
+        _, _, n, error = floquet._slope_targets(p, name, values)
+        assert n == targets and (type(error), str(error)) == refusal
+        for i, q in enumerate(points[:targets + 1]):
+            _, err = result_or_error(lambda: hermitian_eigensystem(static_part(q)))
+            assert err == (refusal if i == targets else None)
+        assert outcome(lambda: quasienergy_spectrum(p, name, values))[1] == refusal
+        assert outcome(lambda: per_point_spectrum(p, name, values))[1] == refusal
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"numeric failure: {text}\n"
 
 
 class TestProperties:

@@ -169,19 +169,24 @@ def evolve(p: RotorParams, psi0, t_end: float) -> EvolutionTrace:
     h = t_end / (MAX_TRACE_SAMPLES - 1)  # the spacing of `times`
     # by chunks of samples, to bound memory: the mode phases exp(-i eps t)
     # and the drive turn exp(i omega t) from one phase kernel call, and
-    # exp(i k omega t) as powers of the turn
+    # exp(i k omega t) as powers of the turn. The powers and their product
+    # with the coefficients fill arrays allocated once per call, and the
+    # states are written in place: no chunk faults in fresh pages
     freqs = np.append(-eps, p.omega)
     states = np.empty((MAX_TRACE_SAMPLES, 3), dtype=complex)
+    turns = np.empty((2 * n + 1, _CHUNK_SAMPLES), dtype=complex)
+    turns[n] = 1.0
+    periodic = np.empty((_CHUNK_SAMPLES, 9), dtype=complex)
     for lo in range(0, MAX_TRACE_SAMPLES, _CHUNK_SAMPLES):
         size = min(_CHUNK_SAMPLES, MAX_TRACE_SAMPLES - lo)
         phases = _grid_phases(freqs, times[lo], h, size)
-        turns = np.empty((2 * n + 1, size), dtype=complex)
-        turns[n] = 1.0
+        powers = turns[:, :size]
         for k in range(1, n + 1):
-            turns[n + k] = turns[n + k - 1] * phases[3]
-            turns[n - k] = turns[n + k].conj()
-        periodic = (turns.T @ coef).reshape(-1, 3, 3)
-        states[lo:lo + size] = np.einsum("tsm,mt->ts", periodic, phases[:3])
+            np.multiply(powers[n + k - 1], phases[3], out=powers[n + k])
+            np.conjugate(powers[n + k], out=powers[n - k])
+        product = np.matmul(powers.T, coef, out=periodic[:size])
+        np.einsum("tsm,mt->ts", product.reshape(size, 3, 3), phases[:3],
+                  out=states[lo:lo + size])
     pops = states.real ** 2 + states.imag ** 2
     return EvolutionTrace(times=times, states=states, populations=pops,
                           truncation=ms.n_harmonics, edge_weight=ms.edge_weight)

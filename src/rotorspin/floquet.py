@@ -46,8 +46,8 @@ from .errors import (
     RotorSpinError,
     TrackingError,
 )
-from .model import (RotorParams, _drive_amplitude, _points, _Points,
-                    _static_part, drive_amplitude, h_interaction, period_guard,
+from .model import (RotorParams, _drive_amplitude, _h_interaction, _points,
+                    _Points, _static_part, drive_amplitude, period_guard,
                     static_part, without_period)
 from .spin_algebra import hermitian_eigensystem
 
@@ -112,9 +112,9 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
     return zf.quasi[0]
 
 
-def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
+def _cubic_roots(d: np.ndarray, omega: np.ndarray, theta: np.ndarray):
     """The three real roots, ascending, of the characteristic cubic of the
-    frame Hamiltonian at each point (omega, theta) of a sweep, by the
+    frame Hamiltonian at each point (d, omega, theta) of a sweep, by the
     trigonometric method, each refined by two Newton steps.
 
     Returns the (points, 3) roots, a mask of the points where the cubic is
@@ -144,7 +144,7 @@ def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
     i = np.flatnonzero(~inexact)
     phi = np.arccos(np.clip(arg[i], -1.0, 1.0)) / 3.0
     x = (m[i, None] * np.cos(phi[:, None] - 2.0 * math.pi * np.arange(3) / 3.0)
-         - b / 3.0)
+         - b[i, None] / 3.0)
     # the trig formula subtracts numbers of size |omega| and loses the root
     # nearest zero; the product of the three roots, -e, gives it back
     rows, k = np.arange(len(i)), np.argmin(np.abs(x), axis=1)
@@ -157,11 +157,11 @@ def _cubic_roots(d: float, omega: np.ndarray, theta: np.ndarray):
     # 0), so each root is refined in the cubic written about the nearer of
     # the two, where its terms are small: x^3 + b x^2 + c x + e, and with
     # y = x - d, y^3 + d y^2 - omega^2 y - omega^2 d cos^2 theta
-    w = omega[i, None]
+    d, w = d[i, None], omega[i, None]
     cos2 = np.cos(theta[i, None]) ** 2
     near_d = ~(np.abs(x) <= np.abs(x - d))
     shift = np.where(near_d, d, 0.0)
-    c2 = np.where(near_d, d, b)
+    c2 = np.where(near_d, d, b[i, None])
     c1 = np.where(near_d, -w * w, c[i, None])
     c0 = np.where(near_d, -w * w * d * cos2, e[i, None])
     y = x - shift
@@ -221,7 +221,9 @@ def zero_field_modes(p: RotorParams, axis: str, values) -> ZeroFieldModes:
     omega or theta, in one pass: the cubic roots of `_cubic_roots` on
     arrays, and the `h_interaction` eigenvectors (spin m on harmonic -m)
     from one stacked eigensolve, whose values replace the roots where the
-    cubic is degenerate or marginal. Each point is checked as a single one
+    cubic is degenerate or marginal; at a d beyond 2^+-128 both are solved
+    in units of a power of two near each point's max(d, |omega|), so that
+    the cubic's powers stay in range. Each point is checked as a single one
     is: its parameters, then the cubic's overflow, then the eigensolver.
     The points from the first that fails on are not returned, and its
     error is returned, not raised, so that a caller can settle the points
@@ -233,15 +235,26 @@ def zero_field_modes(p: RotorParams, axis: str, values) -> ZeroFieldModes:
     n, error = _valid_prefix(p, axis, values)
     omega = values[:n] if axis == "omega" else np.full(n, p.omega)
     theta = values[:n] if axis == "theta" else np.full(n, p.theta)
-    roots, inexact, overflow = _cubic_roots(p.d, omega, theta)
+    # the cubic's sixth powers leave the float64 range from about 2^+-170:
+    # where d lies beyond 2^+-128, each point is solved in units of the
+    # power of two at or below the larger of d and |omega|, which scales
+    # its roots and levels exactly. A point whose levels leave the float64
+    # range is refused there too (at d = 1 the cubic refuses it first)
+    unit = np.ones(n)
+    if not 2.0**-128 <= p.d <= 2.0**128:
+        unit = np.ldexp(1.0, np.frexp(np.maximum(p.d, np.abs(omega)))[1] - 1)
+    roots, inexact, overflow = _cubic_roots(p.d / unit, omega / unit, theta)
+    overflow |= _levels_overflow(p.d, 0.0, omega, 1)
     if overflow.any():
         n = int(np.argmax(overflow))
         # the cubic first: it refuses an |omega| whose frame matrix overflows
         error = NumericFailureError(
             f"zero-field cubic overflows at omega = {omega[n]:.3g}")
-    es, refused = _eigensystems(h_interaction(p, axis, values[:n]))
+    q, unit = _points(p, axis, values[:n]), unit[:n, None, None]
+    es, refused = _eigensystems(_h_interaction(q._replace(
+        d=p.d / unit, omega=omega[:n, None, None] / unit)))
     n = len(es.values)
-    quasi = np.where(inexact[:n, None], es.values, roots[:n])
+    quasi = unit[:n, 0] * np.where(inexact[:n, None], es.values, roots[:n])
     return ZeroFieldModes(quasi=quasi, modes=es.vectors,
                           error=error if refused is None else refused)
 

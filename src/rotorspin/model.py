@@ -55,7 +55,9 @@ class RotorParams(_RotorFields):
             unit vector the frame rotation U(t) carries (module docstring)
 
     A named tuple, validated however it is made, `_make` and `_replace`
-    included: immutable, and equal and hashed by value.
+    included: immutable, and equal and hashed by value. Each field is
+    stored as a Python float, so that scalar arithmetic on it follows
+    Python's rules, not numpy's, whatever number type it was given as.
     """
 
     __slots__ = ()
@@ -68,7 +70,7 @@ class RotorParams(_RotorFields):
             raise InvalidArgumentError("d must be positive")
         if not 0.0 <= theta <= math.pi:
             raise InvalidArgumentError("theta must lie in [0, pi]")
-        return super().__new__(cls, omega, theta, d, phi0, delta)
+        return super().__new__(cls, *map(float, (omega, theta, d, phi0, delta)))
 
     @property
     def period(self) -> float:
@@ -135,10 +137,11 @@ def h_rotating(p: RotorParams, t) -> np.ndarray:
 class _Points(NamedTuple):
     """The parameters the Hamiltonian builders read, at one point or along
     a sweep: there the swept delta, omega, or cos theta and sin theta are
-    (points, 1, 1) arrays, on which every builder does what it does at one
-    point."""
+    (points, 1, 1) arrays, as d and omega are where each point is solved in
+    its own unit (`floquet.zero_field_modes`); every builder does at each
+    point what it does at one."""
 
-    d: float
+    d: float | np.ndarray
     delta: float | np.ndarray
     phi0: float
     omega: float | np.ndarray
@@ -213,7 +216,10 @@ def h_interaction(p: RotorParams, axis: str | None = None,
         raise InvalidArgumentError(
             "h_interaction requires delta = 0; use the Floquet path for a finite field"
         )
-    q = _points(p, axis, values)
+    return _h_interaction(_points(p, axis, values))
+
+
+def _h_interaction(q: _Points):
     b = _drive_amplitude(q)
     return _static_part(q) + b + b.conj().swapaxes(-1, -2) - q.omega * SPIN.sz
 

@@ -2,9 +2,10 @@
 
 Each run mode maps a validated config onto the library calls and hands
 over its table as whole columns, one array per header name; `emit_csv`
-formats them column by column, a chunk of rows at a time, and streams
-the CSV, after a provenance preamble, to the output file; `table_chunks`
-gives the same bytes without the preamble to the stdout route. The
+formats them a block of rows at a time, every float column of a block in
+one pass, and streams the CSV, after a provenance preamble, to the output
+file; `table_chunks` gives the same bytes without the preamble to the
+stdout route. The
 engine always computes in dimensionless units (d = 1 internally is not
 forced, but all defaults assume it); physical-units output only rescales
 columns at serialization time.
@@ -278,23 +279,24 @@ def format_float(x: float) -> str:
             .replace("e-0", "e-"))
 
 
-# `emit_csv` formats _CHUNK_ROWS rows at a time, so its traced peak stays
-# near 2.5 MB for 10 columns whatever the row count. A cell fills a slot of
-# _SLOT bytes: its text padded with zero bytes, then its separator; the
-# zero bytes are dropped before the rows are written.
-_CHUNK_ROWS = 4096
-_SLOT = 21
+# `table_chunks` formats _CHUNK_ROWS rows at a time into one row buffer per
+# table, so the traced peak of a 10-column table stays near 0.9 MB whatever
+# its row count. At up to 16 columns every (rows x columns) temporary of a
+# block stays under glibc's 128 KiB mmap threshold, so it reuses heap pages
+# instead of faulting fresh ones in. A cell fills a slot of _WORDS 4-byte
+# words: five of text padded with zero bytes, then one holding its
+# separator; the zero bytes are dropped before the rows are written.
+_CHUNK_ROWS = 1024
+_WORDS = 6
 # the decimal exponents of finite nonzero float64 values
 _E_MIN, _E_MAX = -324, 308
 # 10**(12 - e) for each exponent e, parsed from decimal text so that every
 # entry is correctly rounded: in float64 for the first pass over a column
-# (inf for e < -296, where 10**(12 - e) overflows), in extended precision
-# for the cells the first pass leaves undecided; and the compact exponent
-# text of e padded with zero bytes
+# (inf for e < -296, where 10**(12 - e) overflows), and in extended
+# precision for the cells the first pass leaves undecided
 _POW10_TEXT = [f"1e{12 - e}" for e in range(_E_MIN, _E_MAX + 1)]
 _POW10_F64 = np.array(_POW10_TEXT, dtype=np.float64)
 _POW10 = np.array(_POW10_TEXT, dtype=np.longdouble)
-_EXP_TEXT = np.array([f"e{e}" for e in range(_E_MIN, _E_MAX + 1)], dtype="S5")
 
 
 def _digit_table() -> np.ndarray:
@@ -309,6 +311,33 @@ def _digit_table() -> np.ndarray:
 
 
 _DIGITS = _digit_table()
+
+
+def _text_words():
+    """The word tables of the leading word of a float cell and of its
+    fourth (see below), built from the bytes of `_DIGITS`."""
+    digits = _DIGITS.view(np.uint8).reshape(10**4, 4)
+    lead = np.zeros((2, 100, 4), dtype=np.uint8)
+    lead[1, :, 0] = ord("-")
+    lead[:, :, 1::2] = digits[:100, 2:]
+    lead[:, :, 2] = ord(".")
+    tail = np.full((1000, 4), ord("e"), dtype=np.uint8)
+    tail[:, :3] = digits[:1000, 1:]
+    return lead.view(np.uint32).reshape(200), tail.view(np.uint32).reshape(1000)
+
+
+# A float cell's text is five words, -1.234567890123e-45 as "-1.2" "3456"
+# "7890" "123e" "-45", each one entry of a table of 4-byte words whose
+# bytes in memory are the text on either byte order: the sign (a zero byte
+# if none), the leading digit, the point and the first decimal, at
+# 100 s + 10 lead + first decimal, s = 1 for a minus sign; two four-digit
+# groups, `_DIGITS` as words; three digits and the "e"; and the exponent
+# text, at e - _E_MIN. The separator words are "," and newline, padded.
+_LEAD, _TAIL = _text_words()
+_GROUP = _DIGITS.view(np.uint32)
+_EXPONENT = np.array([str(e) for e in range(_E_MIN, _E_MAX + 1)],
+                     dtype="S4").view(np.uint32)
+_COMMA, _NEWLINE = np.array([b",", b"\n"], dtype="S4").view(np.uint32)
 # the scaled value s < 1e13 is within eps * 1e13 of the exact
 # |x| * 10**(12 - e), eps that of the table's dtype (one rounding in the
 # table, one in the product); where it lies within the table's tie margin
@@ -354,63 +383,77 @@ def _mantissas(a: np.ndarray, pow10: np.ndarray, tie: float):
 
 
 def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
-    """Write `format_float` of each value of the finite float64 array x into
-    the rows of the uint8 array out, of shape (len(x), 20), zero-padded.
+    """Write `format_float` of each value of the finite float64 array x,
+    zero-padded to 20 bytes, into the rows of out: a uint32 array of shape
+    (len(x), 5), five 4-byte words a cell, or the uint8 array of their
+    bytes, of shape (len(x), 20).
 
     Each mantissa is scaled in float64 first; only the few undecided cells
     of that pass are scaled again in extended precision, and those still
-    undecided there are formatted by `format_float` itself."""
+    undecided there are formatted by `format_float` itself. Every word is
+    an entry of a word table; the table index comes from floor division of
+    the mantissa (numpy's remainder, % or divmod, is slower)."""
     a = np.abs(x)
     mant, e, undecided = _mantissas(a, _POW10_F64, _TIE_F64)
     fallback = np.flatnonzero(undecided)
     if fallback.size:
         mant[fallback], e[fallback], again = _mantissas(a[fallback], _POW10, _TIE)
         fallback = fallback[again]
-    out[:, 0] = np.signbit(x) * ord("-")
-    out[:, 2] = ord(".")
-    # the 12 digits after the point as three groups of four, each one
-    # `_DIGITS` lookup written through a 4-byte view; the groups come from
-    # floor division by 10**4 (numpy's remainder, % or divmod, is slower)
-    groups = out[:, 3:15].view("S4")
-    for pos in (2, 1, 0):
-        q = mant // 10**4
-        groups[:, pos] = _DIGITS[mant - q * 10**4]
-        mant = q
-    out[:, 1] = mant + ord("0")
-    out[:, 15:].view("S5")[:, 0] = _EXP_TEXT[e - _E_MIN]
+    words = out.view(np.uint32)
+    q = mant // 10**3
+    words[:, 3] = _TAIL[mant - q * 10**3]
+    mant = q // 10**4
+    words[:, 2] = _GROUP[q - mant * 10**4]
+    q = mant // 10**4
+    words[:, 1] = _GROUP[mant - q * 10**4]
+    words[:, 0] = _LEAD[np.where(np.signbit(x), q + 100, q)]
+    words[:, 4] = _EXPONENT[e - _E_MIN]
     for i in fallback:
-        text = format_float(float(x[i])).encode()
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+        words[i] = np.frombuffer(format_float(float(x[i])).encode().ljust(20, b"\0"),
+                                 dtype=np.uint32)
 
 
 def _int_cells(x: np.ndarray, out: np.ndarray) -> None:
     """Write each value of the integer array x in decimal into the rows of
-    the uint8 array out, of shape (len(x), 20), by numpy's own cast: the
-    text left-aligned, zero bytes after it (the int64 minimum and the
-    uint64 maximum both take 20 bytes)."""
-    out[:] = x.astype("S20").view(np.uint8).reshape(len(x), 20)
-
-
-def _rows_text(columns: list[np.ndarray]) -> bytes:
-    """The CSV lines of equal-length columns, as `emit_csv` writes them."""
-    buf = np.zeros((len(columns[0]), len(columns), _SLOT), dtype=np.uint8)
-    buf[:, :, -1] = ord(",")
-    buf[:, -1, -1] = ord("\n")
-    for j, c in enumerate(columns):
-        if c.dtype.kind in "iu":
-            _int_cells(c, buf[:, j, :-1])
-        else:
-            _float_cells(c.astype(float, copy=False), buf[:, j, :-1])
-    return buf.tobytes().translate(None, b"\0")
+    the uint32 array out, of shape (len(x), 5), by numpy's own cast: the
+    text left-aligned in 20 bytes, zero bytes after it (the int64 minimum
+    and the uint64 maximum both take 20 bytes)."""
+    out[:] = x.astype("S20").view(np.uint32).reshape(len(x), 5)
 
 
 def table_chunks(header: list[str], columns: list[np.ndarray]):
-    """The CSV body of equal-length columns as bytes: the header line, then
-    the rows, _CHUNK_ROWS at a time. Both output routes write these."""
+    """The CSV body of equal-length columns as byte strings: the header
+    line, then the rows, _CHUNK_ROWS at a time. Both output routes write
+    these.
+
+    One row buffer of _CHUNK_ROWS rows serves every block of a table: its
+    separators are set once; each block's float columns are stacked into
+    one array and formatted in one pass, its integer columns written over
+    their cells after it, and the buffer's zero bytes dropped by
+    `bytearray.translate`. The short last block clears the rows it does not
+    fill, which then drop out with the padding."""
     yield (",".join(header) + "\n").encode()
-    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield _rows_text([c[lo:lo + _CHUNK_ROWS] for c in columns])
+    rows, width = len(columns[0]), len(columns)
+    size = min(rows, _CHUNK_ROWS)
+    buf = bytearray(size * width * _WORDS * 4)
+    cells = np.frombuffer(buf, dtype=np.uint32).reshape(size, width, _WORDS)
+    cells[:, :, -1] = _COMMA
+    cells[:, -1, -1] = _NEWLINE
+    text = cells.reshape(size * width, _WORDS)[:, :-1]  # a view of buf
+    ints = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
+    floats = [j for j in range(width) if j not in ints]
+    # the stacked values of a block; those of the integer columns stay 0
+    values = np.zeros((size, width))
+    for lo in range(0, rows, _CHUNK_ROWS):
+        n = min(size, rows - lo)
+        if n < size:
+            cells[n:] = 0
+        for j in floats:
+            values[:n, j] = columns[j][lo:lo + n]
+        _float_cells(values[:n].reshape(-1), text[:n * width])
+        for j in ints:
+            _int_cells(columns[j][lo:lo + n], cells[:n, j, :-1])
+        yield buf.translate(None, b"\0")
 
 
 def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
@@ -422,13 +465,14 @@ def emit_csv(ds: Dataset, path: str, physical_d: float | None = None) -> None:
     header or a value is not finite, and ConfigError, leaving no file
     behind, if the path cannot be written.
 
-    The rows are formatted by whole columns into a byte buffer and streamed
-    to a temporary file a chunk of rows at a time, which then replaces
-    `path`. The digits come from each value's integer mantissa, four at a
-    time from a table. The mantissa is scaled in float64; the values whose
-    float64 scaling cannot decide the rounding (about 1 %) are scaled again
-    in extended precision, and the few next to a rounding tie even there
-    are formatted by `format_float`, so every cell is exactly its
+    The rows are streamed to a temporary file a block of _CHUNK_ROWS rows
+    at a time, which then replaces `path`; one row buffer of 4-byte words
+    serves every block (`table_chunks`). A float cell is five words, each
+    an entry of a table indexed by a part of the value's integer mantissa,
+    its sign or its exponent. The mantissa is scaled in float64; the values
+    whose float64 scaling cannot decide the rounding (about 1 %) are scaled
+    again in extended precision, and the few next to a rounding tie even
+    there are formatted by `format_float`, so every cell is exactly its
     `format_float` text."""
     if len(ds.columns) != len(ds.header) or len({len(c) for c in ds.columns}) != 1:
         raise NumericFailureError("columns do not match the header")

@@ -257,6 +257,13 @@ class TestPeriod:
                 [without_period(q.with_(**{axis: v})) for v in values])
         np.testing.assert_array_equal(without_period(p, "omega", values),
                                       [True, True, False, False])
+        # numpy scalars are stored as floats: no numpy overflow warning
+        # comes before the error
+        q = RotorParams(omega=np.float64(1e-323), theta=0.3, d=5e-324,
+                        delta=5e-324)
+        assert all(type(v) is float for v in q)
+        with pytest.raises(NumericFailureError, match="period .* overflows"):
+            period_guard(q)
 
     def test_rounding_keeps_its_message(self):
         with pytest.raises(NumericFailureError,

@@ -33,6 +33,16 @@ def spectrum(s):
     return np.array([q.branch(lab).quasienergy for lab in LABELS]).T / s
 
 
+def zero_field_spectrum(s, axis):
+    """A zero-field spectrum along omega or theta at scale s, quasi-energies
+    in units of d."""
+    p = scaled(s, omega=0.5, theta=0.3)
+    values = (s * np.linspace(0.05, 1.2, 61) if axis == "omega"
+              else np.linspace(0.0, 1.2, 61))
+    q = quasienergy_spectrum(p, axis, values)
+    return np.array([q.branch(lab).quasienergy for lab in LABELS]).T / s
+
+
 def phases(s):
     """Field geometric phases along omega at scale s: (gamma, term1, term2)."""
     p = scaled(s, omega=0.85, theta=0.3, delta=0.4)
@@ -83,11 +93,28 @@ class TestResultsScaleWithD:
         ulp = quasi_ulp(RotorParams(omega=0.05, theta=0.3, delta=0.4))
         assert_within_ulps(spectrum(2.0 ** k), spectrum(1.0), QUASI_ULPS, ulp)
 
+    @pytest.mark.parametrize("axis", ["omega", "theta"])
+    def test_zero_field_spectrum(self, k, axis):
+        # the zero-field cubic's sixth powers overflowed from max(d, |omega|)
+        # ~ 2.4e51, and underflowed far below d = 1, where the eigensolver
+        # took over; beyond 2^+-128 each point is solved in units of a
+        # power of two, which scales every result exactly
+        np.testing.assert_array_equal(zero_field_spectrum(2.0 ** k, axis),
+                                      zero_field_spectrum(1.0, axis))
+
     def test_field_geomphase(self, k):
         # beyond 2^+-400 the harmonic matrices are solved in units of a
         # power of two, which the eigensolver does not rescale
         ulp = phase_ulp(RotorParams(omega=0.85, theta=0.3, delta=0.4))
         assert_within_ulps(phases(2.0 ** k), phases(1.0), PHASE_ULPS, ulp)
+
+
+@pytest.mark.parametrize("axis", ["omega", "theta"])
+def test_zero_field_spectrum_at_d_1e60(axis):
+    # the command that exited 3 with "zero-field cubic overflows"; 1e60 is
+    # no power of two, so the results differ from d = 1 by rounding
+    np.testing.assert_allclose(zero_field_spectrum(1e60, axis),
+                               zero_field_spectrum(1.0, axis), rtol=0, atol=2e-15)
 
 
 def test_a_fine_sweep_answers_at_d_2_to_the_minus_30():

@@ -3,14 +3,16 @@
 Both follow R. P. Brent, *Algorithms for Minimization without Derivatives*
 (1973), ch. 4 and 5, in the form SciPy ships them (`brentq` and the
 bounded `minimize_scalar`), step for step, so they visit the same points
-and return the same floats. A NaN function value, a root that is not
-bracketed and an exhausted iteration budget raise NumericFailureError.
+and return the same floats (`brent_min` within 2^+-128; beyond, in units
+of a power of two, `model._unit`). A NaN value, an unbracketed root and
+an exhausted iteration budget raise NumericFailureError.
 """
 
 import math
 import sys
 
 from .errors import NumericFailureError
+from .model import _unit
 
 _RTOL = 4.0 * sys.float_info.epsilon
 _ROOT_MAXITER = 100
@@ -88,6 +90,10 @@ def brent_min(f, a: float, b: float, xatol: float) -> float:
     """Minimiser of f on [a, b] by golden-section and parabolic steps, to
     within sqrt(2.2e-16) |x| + xatol / 3, in at most 500 evaluations of f."""
     a, b = float(a), float(b)
+    unit = _unit(abs(a), abs(b))
+    if unit is not None:  # where the parabolic step under- or overflows
+        u = float(unit)
+        return u * brent_min(lambda y: f(y * u), a / u, b / u, xatol / u)
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
     fx = _value(f, xf)

@@ -47,8 +47,8 @@ from .errors import (
     TrackingError,
 )
 from .model import (RotorParams, _drive_amplitude, _h_interaction, _points,
-                    _Points, _static_part, drive_amplitude, period_guard,
-                    static_part, without_period)
+                    _Points, _static_part, _unit, drive_amplitude,
+                    period_guard, static_part, without_period)
 from .spin_algebra import hermitian_eigensystem
 
 __all__ = [
@@ -115,34 +115,23 @@ def cubic_quasienergies(d: float, omega: float, theta: float) -> np.ndarray:
 def _cubic_roots(d: np.ndarray, omega: np.ndarray, theta: np.ndarray):
     """The three real roots, ascending, of the characteristic cubic of the
     frame Hamiltonian at each point (d, omega, theta) of a sweep, by the
-    trigonometric method, each refined by two Newton steps.
+    trigonometric method, each refined by two Newton steps. Each point's
+    max(d, |omega|) lies within 2^+-128 (`model._unit`): no term overflows,
+    and p = -(omega^2 + d^2 / 3) keeps p m clear of 0.
 
-    Returns the (points, 3) roots, a mask of the points where the cubic is
-    degenerate or marginal or its terms underflow, whose roots are NaN and
-    left to the eigensolver, and a mask of the points where it overflows
-    (at a huge d as at a huge |omega|).
+    Returns the (points, 3) roots and a mask of the degenerate or marginal
+    points, whose roots are NaN and left to the eigensolver.
     """
     b = -2.0 * d
-    # a point that overflows, or whose terms leave the float64 range, is
-    # masked; its infinities and NaNs are not read
-    with np.errstate(all="ignore"):
-        c = -(omega * omega - d * d)
-        e = omega * omega * d * np.sin(theta) ** 2
-        p = c - b * b / 3.0
-        q = e - b * c / 3.0 + 2.0 * np.power(b, 3) / 27.0
-        p3 = np.power(p, 3)
-        scale = np.power(np.maximum(d, np.abs(omega)), 6)
-        # p^3 may overflow where scale does not; an infinite p comes with an
-        # infinite scale
-        overflow = np.isinf(scale) | (np.isinf(p3) & np.isfinite(p))
-        disc = -4.0 * p3 - 27.0 * q * q
-        m = 2.0 * np.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        # degenerate or marginal, or p m underflows: diagonalize instead
-        inexact = (overflow | (disc < 1e-13 * scale) | (p >= 0.0)
-                   | ~np.isfinite(arg))
+    c = -(omega * omega - d * d)
+    e = omega * omega * d * np.sin(theta) ** 2
+    p = c - b * b / 3.0
+    q = e - b * c / 3.0 + 2.0 * np.power(b, 3) / 27.0
+    disc = -4.0 * np.power(p, 3) - 27.0 * q * q
+    m = 2.0 * np.sqrt(-p / 3.0)
+    inexact = disc < 1e-13 * np.power(np.maximum(d, np.abs(omega)), 6)
     i = np.flatnonzero(~inexact)
-    phi = np.arccos(np.clip(arg[i], -1.0, 1.0)) / 3.0
+    phi = np.arccos(np.clip(3.0 * q[i] / (p[i] * m[i]), -1.0, 1.0)) / 3.0
     x = (m[i, None] * np.cos(phi[:, None] - 2.0 * math.pi * np.arange(3) / 3.0)
          - b[i, None] / 3.0)
     # the trig formula subtracts numbers of size |omega| and loses the root
@@ -171,7 +160,7 @@ def _cubic_roots(d: np.ndarray, omega: np.ndarray, theta: np.ndarray):
             y = np.where(slope != 0, y - (((y + c2) * y + c1) * y + c0) / slope, y)
     roots = np.full((len(omega), 3), np.nan)
     roots[i] = np.sort(y + shift, axis=1)
-    return roots, inexact, overflow
+    return roots, inexact
 
 
 def _valid_prefix(p: RotorParams, axis: str, values: np.ndarray,
@@ -218,41 +207,32 @@ class ZeroFieldModes(NamedTuple):
 
 def zero_field_modes(p: RotorParams, axis: str, values) -> ZeroFieldModes:
     """The exact modes at each point of a sweep of p without a field along
-    omega or theta, in one pass: the cubic roots of `_cubic_roots` on
-    arrays, and the `h_interaction` eigenvectors (spin m on harmonic -m)
-    from one stacked eigensolve, whose values replace the roots where the
-    cubic is degenerate or marginal; at a d beyond 2^+-128 both are solved
-    in units of a power of two near each point's max(d, |omega|), so that
-    the cubic's powers stay in range. Each point is checked as a single one
-    is: its parameters, then the cubic's overflow, then the eigensolver.
-    The points from the first that fails on are not returned, and its
-    error is returned, not raised, so that a caller can settle the points
-    before it first.
+    omega or theta, in one pass, each point in the unit `model._unit` gives
+    its max(d, |omega|): the roots of `_cubic_roots`, and the
+    `h_interaction` eigenvectors (spin m on harmonic -m) of one stacked
+    eigensolve, whose values replace the roots where the cubic is
+    degenerate or marginal. Each point is checked as a single one is: its
+    parameters, its levels (`_levels_overflow`), the eigensolver. The points
+    from the first that fails on are not returned, and its error is
+    returned, not raised, so that a caller can settle the points before it.
     """
     if p.delta != 0:
         raise InvalidArgumentError("zero_field_modes requires delta = 0")
     values = np.asarray(values, dtype=float)
     n, error = _valid_prefix(p, axis, values)
     omega = values[:n] if axis == "omega" else np.full(n, p.omega)
-    theta = values[:n] if axis == "theta" else np.full(n, p.theta)
-    # the cubic's sixth powers leave the float64 range from about 2^+-170:
-    # where d lies beyond 2^+-128, each point is solved in units of the
-    # power of two at or below the larger of d and |omega|, which scales
-    # its roots and levels exactly. A point whose levels leave the float64
-    # range is refused there too (at d = 1 the cubic refuses it first)
-    unit = np.ones(n)
-    if not 2.0**-128 <= p.d <= 2.0**128:
-        unit = np.ldexp(1.0, np.frexp(np.maximum(p.d, np.abs(omega)))[1] - 1)
-    roots, inexact, overflow = _cubic_roots(p.d / unit, omega / unit, theta)
-    overflow |= _levels_overflow(p.d, 0.0, omega, 1)
+    overflow = _levels_overflow(p.d, 0.0, omega, 1)
     if overflow.any():
         n = int(np.argmax(overflow))
-        # the cubic first: it refuses an |omega| whose frame matrix overflows
         error = NumericFailureError(
-            f"zero-field cubic overflows at omega = {omega[n]:.3g}")
-    q, unit = _points(p, axis, values[:n]), unit[:n, None, None]
-    es, refused = _eigensystems(_h_interaction(q._replace(
-        d=p.d / unit, omega=omega[:n, None, None] / unit)))
+            f"zero-field levels overflow at omega = {omega[n]:.3g}")
+    theta = values[:n] if axis == "theta" else np.full(n, p.theta)
+    unit = _unit(p.d, omega[:n])
+    unit = np.ones((n, 1, 1)) if unit is None else unit[:, None, None]
+    q = _points(p, axis, values[:n])._replace(
+        d=p.d / unit, omega=omega[:n, None, None] / unit)
+    roots, inexact = _cubic_roots(q.d[:, 0, 0], q.omega[:, 0, 0], theta)
+    es, refused = _eigensystems(_h_interaction(q))
     n = len(es.values)
     quasi = unit[:n, 0] * np.where(inexact[:n, None], es.values, roots[:n])
     return ZeroFieldModes(quasi=quasi, modes=es.vectors,
@@ -430,19 +410,16 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
     or two share a folded quasi-energy (within 1e-6 |omega|); only those
     points are picked one at a time by `_pick`.
 
-    Where d lies beyond 2^+-400, the matrices are solved in units of the
-    power of two at or below the largest of d, |delta| and |omega|, as the
-    eigensolver would otherwise rescale them by a factor that rounds; so
-    the modes scale exactly with d, by a power of two.
+    Each point is solved in its unit (`model._unit`), which the eigensolver
+    does not rescale by a factor that rounds, so the modes scale with d.
     """
     m, dim = len(omega), 3 * (2 * n + 1)
+    unit = _unit(q.d, q.delta, omega[:, None, None])
+    if unit is not None:
+        q = q._replace(d=q.d / unit, delta=q.delta / unit, omega=q.omega / unit)
+        omega, unit = omega / unit.ravel(), unit.reshape(m, 1)
     static = _static_part(q).real
     drive = _drive_amplitude(q._replace(phi0=0.0)).real
-    unit = 1.0
-    if not 2.0**-400 <= q.d <= 2.0**400:
-        top = max(q.d, np.abs(q.delta).max(), np.abs(omega).max())
-        unit = 2.0 ** (math.frexp(top)[1] - 1)
-        static, drive, omega = static / unit, drive / unit, omega / unit
     if drive.shape != static.shape:  # along delta the drive is fixed
         drive = np.broadcast_to(drive, static.shape)
     chunk = max(1, STACK_BYTES // (8 * dim * dim))
@@ -467,9 +444,11 @@ def _solve_harmonics(q: _Points, omega: np.ndarray, n: int, phase):
                                                                phase, n)
             norms[~ok] = 1.0  # no three modes, and none is read
         a = v.swapaxes(1, 2)
-        quasi[at] = unit * (np.einsum("pim,pim->pm", a, f @ a)
-                            / np.einsum("pim,pim->pm", a, a))
+        quasi[at] = (np.einsum("pim,pim->pm", a, f @ a)
+                     / np.einsum("pim,pim->pm", a, a))
         fourier[at], mode0[at] = c, t0 / norms[:, None]
+    if unit is not None:
+        quasi *= unit
     fourier = fourier.transpose(0, 2, 3, 1)
     power = np.abs(fourier) ** 2
     weights = power.sum(axis=1).swapaxes(1, 2)  # (mode, spin)

@@ -134,12 +134,28 @@ def h_rotating(p: RotorParams, t) -> np.ndarray:
     return harmonic_sum(static_part(p), drive_amplitude(p), p.omega, t)
 
 
+def _unit(d, *magnitudes):
+    """The unit of frequency of each point, for floats or arrays that
+    broadcast: None where every point's max(d, |magnitudes|) lies within
+    2^+-128, where the cubic's sixth powers stay in range; else 1 there
+    and, beyond, the power of two at or below that max."""
+    # on Python floats: for the few points of a stack, cheaper than numpy
+    if 2.0**-128 <= d <= 2.0**128 and all(
+            abs(x) <= 2.0**128 for m in magnitudes
+            for x in ((m,) if isinstance(m, float) else m.ravel().tolist())):
+        return None
+    top = np.max(np.broadcast_arrays(d, *map(np.abs, magnitudes)), axis=0)
+    inside = (2.0**-128 <= top) & (top <= 2.0**128)
+    return None if np.all(inside) else np.where(
+        inside, 1.0, np.ldexp(1.0, np.frexp(top)[1] - 1))
+
+
 class _Points(NamedTuple):
     """The parameters the Hamiltonian builders read, at one point or along
     a sweep: there the swept delta, omega, or cos theta and sin theta are
-    (points, 1, 1) arrays, as d and omega are where each point is solved in
-    its own unit (`floquet.zero_field_modes`); every builder does at each
-    point what it does at one."""
+    (points, 1, 1) arrays, as d, delta and omega are where each point is
+    solved in its own unit (`_unit`); every builder does at each point
+    what it does at one."""
 
     d: float | np.ndarray
     delta: float | np.ndarray

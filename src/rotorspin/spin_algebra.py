@@ -106,12 +106,11 @@ def hermitian_eigensystem(a: np.ndarray) -> EigenSystem:
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError("input must be a square matrix or a stack of them")
     stack = a.reshape(-1, *a.shape[-2:])
-    # np.fmax, like max(1.0, x), passes over a NaN entry; the Hermiticity
-    # check, written so that a NaN defect fails it, refuses that matrix.
-    # The checks sum up to 2n products of an entry and a unit value, so a
-    # matrix without that headroom fails before its defect is read.
+    # np.fmax passes over a NaN entry, which the Hermiticity check refuses,
+    # and floors a subnormal matrix's bounds above 0; a matrix without the
+    # headroom of 2n products of an entry and a unit value fails first.
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
+        scale = np.fmax(2.0**-1022, np.abs(stack).max(axis=(1, 2)))
         room = np.isfinite(2.0 * stack.shape[-1] * scale)
         defect = hermiticity_defect(stack)
     sound = room & (defect <= 1e-12 * scale)

@@ -33,8 +33,9 @@ def _numbers(lo: float, hi: float):
     return st.floats(lo, hi).map(repr)
 
 
-# magnitudes at the ends of the float64 range and past the zero-field
-# cubic's (|omega|**6 overflows from about 2.4e51)
+# magnitudes at the ends of the float64 range, and one past where the
+# zero-field cubic's |omega|**6 overflows unless it is solved in units of
+# a power of two (from about 2.4e51)
 _TINY_AND_HUGE = ["5e-324", "1e-300", "1e52", "1e308"]
 _EXTREMES = st.sampled_from([sign + m for m in _TINY_AND_HUGE
                              for sign in ("", "-")])

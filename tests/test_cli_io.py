@@ -884,8 +884,10 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["spectrum", "geomphase", "evolve"])
-    def test_zero_field_cubic_overflow_exits_3(self, mode, tmp_path, capsys):
-        # omega**6 passes the float64 range between 1e51 and 1e52
+    def test_zero_field_levels_overflow_exits_3(self, mode, tmp_path, capsys):
+        # omega**6 passes the float64 range between 1e51 and 1e52, and the
+        # cubic, solved in units of a power of two, answers past it; the
+        # levels d + 4 |omega|, doubled, pass it below 1e308
         out = tmp_path / "x.csv"
         argv = [mode, "--theta", "0.3", "--delta", "0", "--output", str(out)]
 
@@ -894,31 +896,31 @@ class TestCli:
                 return ["--omega", omega]
             return ["--axis", f"omega:1:{omega}:2"]
 
-        assert main(argv + at("1e51")) == 0
+        assert main(argv + at("1e52")) == 0
         capsys.readouterr()
-        assert main(argv + at("1e52")) == 3
+        assert main(argv + at("1e308")) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: zero-field cubic overflows at "
-                              "omega = 1e+52")
+        assert err.startswith("numeric failure: zero-field levels overflow at "
+                              "omega = 1e+308")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, code, message", [
-        # the second point overflows the cubic; the third is not reached
+        # the second point's levels overflow; the third is not reached
         (["spectrum", "--theta", "0.3", "--delta", "0", "--axis",
-          "omega:1:1e52:3"], 3,
-         "numeric failure: zero-field cubic overflows at omega = 5e+51"),
+          "omega:1:1e308:3"], 3,
+         "numeric failure: zero-field levels overflow at omega = 5e+307"),
         # the second point has no drive period; the third would solve
         (["geomphase", "--theta", "0.3", "--delta", "0", "--axis",
           "omega:-1:1:3"], 2,
          "config error: no drive period at omega = 0 (at omega = 0)"),
-        # the first point has no period, the last overflows the cubic
+        # the first point has no period, the others' levels overflow
         (["geomphase", "--theta", "0.3", "--delta", "0", "--axis",
-          "omega:0:1e52:3"], 2,
+          "omega:0:1e308:3"], 2,
          "config error: no drive period at omega = 0 (at omega = 0)"),
         # the first point sits inside the m0/m+1 gap (1.4e-7 wide at this
-        # tilt), the last overflows the cubic
+        # tilt), the others' levels overflow
         (["spectrum", "--theta", "1e-7", "--delta", "0", "--axis",
-          "omega:1:1e52:3"], 3,
+          "omega:1:1e308:3"], 3,
          "numeric failure: sweep starts inside a gap: branches not separable "
          "at the first point"),
     ], ids=["spectrum-overflow", "geomphase-no-period", "geomphase-first",
@@ -936,15 +938,15 @@ class TestCli:
 
     def test_zero_field_failure_warns_nothing_under_w_error(self):
         argv = ["spectrum", "--theta", "0.3", "--delta", "0", "--axis",
-                "omega:1:1e52:3"]
+                "omega:1:1e308:3"]
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "rotorspin.cli", *argv],
             capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
             timeout=120)
         assert proc.returncode == 3
         assert proc.stdout == b""
-        assert proc.stderr == (b"numeric failure: zero-field cubic overflows "
-                               b"at omega = 5e+51\n")
+        assert proc.stderr == (b"numeric failure: zero-field levels overflow "
+                               b"at omega = 5e+307\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--theta", "0.3", "--delta", "0.3", "--omega", "1e308",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -111,7 +112,10 @@ class TestCubic:
         np.testing.assert_allclose(roots, [0.0, 0.6, 1.4], atol=1e-12)
         assert math.copysign(1.0, roots[0]) == 1.0  # an exact 0.0, not -0.0
 
-    @pytest.mark.parametrize("omega", [1e3, 1e9, 1e15, 1e20, 1e51, -1e9])
+    # past |omega| ~ 2.4e51 the cubic's sixth powers overflow at d = 1, and
+    # it is solved in units of a power of two
+    @pytest.mark.parametrize("omega", [1e3, 1e9, 1e15, 1e20, 1e51, 1e52, -1e52,
+                                       -1e9])
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
     def test_every_root_to_relative_rounding(self, omega, theta):
         # the root nearest zero is about d sin^2(theta), far below |omega|
@@ -125,11 +129,12 @@ class TestCubic:
         vals = hermitian_eigensystem(h_interaction(p)).values
         np.testing.assert_allclose(roots, vals, atol=1e-10)
 
-    @pytest.mark.parametrize("omega", [1e52, -1e52, 1e308])
+    @pytest.mark.parametrize("omega", [1e308])
     def test_overflow_raises(self, omega):
-        with pytest.raises(NumericFailureError, match="omega = "):
+        message = re.escape(f"zero-field levels overflow at omega = {omega:.3g}")
+        with pytest.raises(NumericFailureError, match=message):
             cubic_quasienergies(1.0, omega, 0.3)
-        with pytest.raises(NumericFailureError, match="omega = "):
+        with pytest.raises(NumericFailureError, match=message):
             quasienergies_zero_field(RotorParams(omega=omega, theta=0.3))
 
     @settings(max_examples=200, deadline=None)
@@ -403,24 +408,37 @@ class TestZeroFieldModes:
             assert shapes == [(points, 3, 3)]
 
 
+def power_of_two_unit(*magnitudes):
+    """The unit the solvers take at a point: 1 where the largest of its
+    magnitudes lies within 2^+-128, else the power of two at or below it,
+    in which the point's inputs and results scale exactly."""
+    top = max(magnitudes)
+    if 2.0**-128 <= top <= 2.0**128:
+        return 1.0
+    return 2.0 ** (math.frexp(top)[1] - 1)
+
+
 def scalar_cubic(d, omega, theta):
     """The zero-field cubic solved one point at a time with Python floats,
-    as `cubic_quasienergies` did before sweeps were batched: the reference
-    the batch must match within QUASI_ULPS."""
+    as `cubic_quasienergies` did before sweeps were batched, in the unit
+    of `power_of_two_unit`: the reference the batch must match within
+    QUASI_ULPS. A point whose levels d + 4 |omega| leave the float64
+    range, doubled, is refused."""
+    if math.isinf(2.0 * (d + 4.0 * abs(omega))):
+        raise NumericFailureError(
+            f"zero-field levels overflow at omega = {omega:.3g}")
     p = RotorParams(d=d, omega=omega, theta=theta)
+    u = power_of_two_unit(d, abs(omega))
+    d, omega = d / u, omega / u
     b = -2.0 * d
     c = -(omega * omega - d * d)
     e = omega * omega * d * math.sin(theta) ** 2
     q_p = c - b * b / 3.0
     q = e - b * c / 3.0 + 2.0 * b ** 3 / 27.0
-    try:
-        disc = -4.0 * q_p ** 3 - 27.0 * q * q
-        scale = max(d, abs(omega)) ** 6
-    except OverflowError:
-        raise NumericFailureError(
-            f"zero-field cubic overflows at omega = {omega:.3g}") from None
+    disc = -4.0 * q_p ** 3 - 27.0 * q * q
+    scale = max(d, abs(omega)) ** 6
     if disc < 1e-13 * scale or q_p >= 0.0:
-        return hermitian_eigensystem(h_interaction(p)).values
+        return hermitian_eigensystem(h_interaction(p) / u).values * u
     m = 2.0 * math.sqrt(-q_p / 3.0)
     phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (q_p * m)))) / 3.0
     roots = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0) - b / 3.0
@@ -437,14 +455,16 @@ def scalar_cubic(d, omega, theta):
             if slope:
                 y -= (((y + c2) * y + c1) * y + c0) / slope
         roots[k] = y + shift
-    return np.sort(roots)
+    return np.sort(roots) * u
 
 
 def oracle_physical_modes(p, n):
     """`physical_modes` as it was before field sweeps were solved as one
-    batch: one matrix, its three modes picked greedily in Python. The
-    reference the batch must match within QUASI_ULPS."""
-    f = floquet_matrix(p.with_(phi0=0.0), n).real
+    batch: one matrix, in the unit of `power_of_two_unit`, its three modes
+    picked greedily in Python. The reference the batch must match within
+    QUASI_ULPS."""
+    u = power_of_two_unit(p.d, abs(p.delta), abs(p.omega))
+    f = floquet_matrix(p.with_(phi0=0.0), n).real / u
     vals, vecs = np.linalg.eigh(f)
     blocks = vecs.reshape(2 * n + 1, 3, -1)
     if p.phi0 != 0:
@@ -460,7 +480,8 @@ def oracle_physical_modes(p, n):
             continue
         dup = False
         for i in pick:
-            same_fold = abs(fold(vals[j] - vals[i], p.omega)) < 1e-6 * abs(p.omega)
+            same_fold = (abs(fold(vals[j] - vals[i], p.omega / u))
+                         < 1e-6 * abs(p.omega / u))
             ov = abs(np.vdot(states0[:, i], states0[:, j])) / (norms0[i] * norms0[j])
             if same_fold and ov > 0.99:
                 dup = True
@@ -474,7 +495,7 @@ def oracle_physical_modes(p, n):
             "could not isolate three distinct drive modes; raise the truncation")
     pick = np.array(pick)
     v = vecs[:, pick]
-    quasi = np.einsum("im,im->m", v, f @ v) / np.einsum("im,im->m", v, v)
+    quasi = u * np.einsum("im,im->m", v, f @ v) / np.einsum("im,im->m", v, v)
     fourier = blocks[:, :, pick]
     weights = (np.abs(fourier) ** 2).sum(axis=0).T
     weights = weights / weights.sum(axis=1, keepdims=True)
@@ -779,13 +800,13 @@ class TestZeroFieldBatch:
             assert ph.error is None
 
     def test_modes_stop_before_the_first_failing_point(self):
-        # the cubic overflows at the third point, and the points after it
+        # the levels overflow at the third point, and the points after it
         # are not solved
         p = RotorParams(omega=1.0, theta=0.3)
-        zf = zero_field_modes(p, "omega", [0.5, 1.0, 1e52, 2.0])
+        zf = zero_field_modes(p, "omega", [0.5, 1.0, 1e308, 2.0])
         assert zf.quasi.shape == (2, 3) and zf.modes.shape == (2, 3, 3)
         assert isinstance(zf.error, NumericFailureError)
-        assert str(zf.error) == "zero-field cubic overflows at omega = 1e+52"
+        assert str(zf.error) == "zero-field levels overflow at omega = 1e+308"
         zf = zero_field_modes(p, "theta", [0.5, 4.0, 1.0])
         assert len(zf.quasi) == 1 and isinstance(zf.error, InvalidArgumentError)
 

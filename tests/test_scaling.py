@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rotorspin import geomphase
-from rotorspin._brent import brent_root
+from rotorspin import dynamics, geomphase
+from rotorspin._brent import brent_min, brent_root
 from rotorspin.dynamics import EvolutionTrace, evolve, rabi_fit
 from rotorspin.errors import InvalidArgumentError
 from rotorspin.floquet import LABELS, avoided_crossing, quasienergy_spectrum
@@ -51,10 +51,39 @@ def phases(s):
     return np.array([ph.gamma, ph.term1, ph.term2])
 
 
-def readme_rabi(s):
-    """Fitted Rabi frequency, in units of d, of the README `evolve`."""
+def zero_field_past_the_sixth_powers(s):
+    """A zero-field spectrum and phases along omega, and an `evolve` trace,
+    at scale s with |omega| up to 1e52 d, where the cubic's sixth powers
+    leave the float64 range at d = 1: (quasi-energies in units of d,
+    phases, times in units of 1 / d, states)."""
+    p = scaled(s, omega=1.0, theta=0.3)
+    values = s * np.array([1.0, 5e51, 1e52])
+    q = quasienergy_spectrum(p, "omega", values)
+    ph = geomphase.field_phases(p, "omega", values)
+    assert ph.error is None
+    trace = evolve(p.with_(omega=1e52 * s), KET_0, 1e-51 / s)
+    return (np.array([q.branch(lab).quasienergy for lab in LABELS]) / s,
+            np.array([ph.gamma, ph.term1, ph.term2]), trace.times * s,
+            trace.states)
+
+
+def readme_rabi(s, evaluations=None):
+    """Fitted Rabi frequency, in units of d, of the README `evolve`;
+    `evaluations`, if a list, collects each frequency `rabi_fit` tries."""
     p = scaled(s, omega=0.2, theta=0.0314159265, delta=0.803)
-    freq, _ = rabi_fit(evolve(p, KET_0, 4000.0 / s), ("m0", "m+1"))
+    trace = evolve(p, KET_0, 4000.0 / s)
+    if evaluations is None:
+        freq, _ = rabi_fit(trace, ("m0", "m+1"))
+    else:
+        def recording(f, a, b, xatol):
+            def tried(x):
+                evaluations.append(x)
+                return f(x)
+            return brent_min(tried, a, b, xatol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "brent_min", recording)
+            freq, _ = rabi_fit(trace, ("m0", "m+1"))
     return freq / s
 
 
@@ -83,8 +112,14 @@ class TestResultsScaleWithD:
         assert got.gap / s == pytest.approx(want.gap, rel=1e-12)
 
     def test_readme_evolve_rabi_frequency(self, k):
-        # rabi_fit's tolerances are stated in the trace's own units
-        assert readme_rabi(2.0 ** k) == pytest.approx(readme_rabi(1.0), rel=1e-9)
+        # rabi_fit's tolerances are stated in the trace's own units; beyond
+        # 2^+-128 `brent_min` works in units of a power of two, so it reads
+        # the frequency at s = 1, bit for bit
+        if abs(k) > 128:
+            assert readme_rabi(2.0 ** k) == readme_rabi(1.0)
+        else:
+            assert readme_rabi(2.0 ** k) == pytest.approx(readme_rabi(1.0),
+                                                          rel=1e-9)
 
     def test_field_spectrum(self, k):
         # the continuity floor along omega is a pure number: 1.5 d made the
@@ -97,16 +132,38 @@ class TestResultsScaleWithD:
     def test_zero_field_spectrum(self, k, axis):
         # the zero-field cubic's sixth powers overflowed from max(d, |omega|)
         # ~ 2.4e51, and underflowed far below d = 1, where the eigensolver
-        # took over; beyond 2^+-128 each point is solved in units of a
-        # power of two, which scales every result exactly
+        # took over; where max(d, |omega|) lies beyond 2^+-128 the point is
+        # solved in units of a power of two, which scales every result
+        # exactly
         np.testing.assert_array_equal(zero_field_spectrum(2.0 ** k, axis),
                                       zero_field_spectrum(1.0, axis))
 
     def test_field_geomphase(self, k):
-        # beyond 2^+-400 the harmonic matrices are solved in units of a
+        # beyond 2^+-128 the harmonic matrices are solved in units of a
         # power of two, which the eigensolver does not rescale
         ulp = phase_ulp(RotorParams(omega=0.85, theta=0.3, delta=0.4))
         assert_within_ulps(phases(2.0 ** k), phases(1.0), PHASE_ULPS, ulp)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_zero_field_past_the_sixth_powers_scales_exactly(k):
+    # the cubic's sixth powers overflow past |omega| ~ 2.4e51 at d = 1;
+    # a point beyond 2^+-128 is solved in units of a power of two,
+    # whatever d
+    got = zero_field_past_the_sixth_powers(2.0 ** k)
+    for g, w in zip(got, zero_field_past_the_sixth_powers(1.0)):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_rabi_fit_takes_the_same_steps_at_any_scale(k):
+    # Brent's parabolic step multiplies x and f differences, which under-
+    # or overflow at 2^+-600 unless the bracket is taken in units of a
+    # power of two (34 golden-section evaluations instead of 10)
+    want, got = [], []
+    readme_rabi(1.0, want)
+    readme_rabi(2.0 ** k, got)
+    assert np.array_equal(np.array(got) / 2.0 ** k, want)
 
 
 @pytest.mark.parametrize("axis", ["omega", "theta"])

@@ -148,9 +148,11 @@ class TestEigensystem:
         vb = hermitian_eigensystem(b).values
         np.testing.assert_allclose(va, vb, atol=1e-10)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidArgumentError):
-            hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-600, 1e-20])
+    def test_rejects_non_hermitian(self, scale):
+        # the defect is measured against the largest entry, not against 1
+        with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+            hermitian_eigensystem(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidArgumentError):

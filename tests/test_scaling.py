@@ -67,24 +67,22 @@ def zero_field_past_the_sixth_powers(s):
             trace.states)
 
 
-def readme_rabi(s, evaluations=None):
-    """Fitted Rabi frequency, in units of d, of the README `evolve`;
-    `evaluations`, if a list, collects each frequency `rabi_fit` tries."""
+def readme_rabi(s):
+    """Fitted Rabi frequency, in units of d, of the README `evolve`, and
+    the frequencies `rabi_fit` tried."""
     p = scaled(s, omega=0.2, theta=0.0314159265, delta=0.803)
-    trace = evolve(p, KET_0, 4000.0 / s)
-    if evaluations is None:
-        freq, _ = rabi_fit(trace, ("m0", "m+1"))
-    else:
-        def recording(f, a, b, xatol):
-            def tried(x):
-                evaluations.append(x)
-                return f(x)
-            return brent_min(tried, a, b, xatol)
+    trials = []
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "brent_min", recording)
-            freq, _ = rabi_fit(trace, ("m0", "m+1"))
-    return freq / s
+    def recording(f, a, b, xatol):
+        def tried(x):
+            trials.append(x)
+            return f(x)
+        return brent_min(tried, a, b, xatol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "brent_min", recording)
+        freq, _ = rabi_fit(evolve(p, KET_0, 4000.0 / s), ("m0", "m+1"))
+    return freq / s, trials
 
 
 @pytest.mark.parametrize("k", [-600, -30, 30, 600])
@@ -115,11 +113,8 @@ class TestResultsScaleWithD:
         # rabi_fit's tolerances are stated in the trace's own units; beyond
         # 2^+-128 `brent_min` works in units of a power of two, so it reads
         # the frequency at s = 1, bit for bit
-        if abs(k) > 128:
-            assert readme_rabi(2.0 ** k) == readme_rabi(1.0)
-        else:
-            assert readme_rabi(2.0 ** k) == pytest.approx(readme_rabi(1.0),
-                                                          rel=1e-9)
+        got, want = readme_rabi(2.0 ** k)[0], readme_rabi(1.0)[0]
+        assert got == (want if abs(k) > 128 else pytest.approx(want, rel=1e-9))
 
     def test_field_spectrum(self, k):
         # the continuity floor along omega is a pure number: 1.5 d made the
@@ -160,9 +155,7 @@ def test_rabi_fit_takes_the_same_steps_at_any_scale(k):
     # Brent's parabolic step multiplies x and f differences, which under-
     # or overflow at 2^+-600 unless the bracket is taken in units of a
     # power of two (34 golden-section evaluations instead of 10)
-    want, got = [], []
-    readme_rabi(1.0, want)
-    readme_rabi(2.0 ** k, got)
+    got, want = readme_rabi(2.0 ** k)[1], readme_rabi(1.0)[1]
     assert np.array_equal(np.array(got) / 2.0 ** k, want)
 
 
